@@ -184,16 +184,37 @@ def minimal_section(g, r):
 
 # --- resolvent, Yosida approximation, Moreau envelope --------------------
 
+def _resolvent_cubic(eps, r):
+    """Closed-form root of eps*j**3 + j = r.
+
+    Cardano's root t - p3/t of the depressed cubic, with h = |r|/(2*eps),
+    p3 = 1/(3*eps) and t = cbrt(h + sqrt(h**2 + p3**3)), is rewritten as
+    2h/(t**2 + p3 + (p3/t)**2), which has no cancellation at small |r|.
+    One Newton step polishes the root to working precision.  The root is
+    computed for |r| and signed last, so the resolvent is exactly odd.
+    """
+    a = np.abs(r)
+    h = a / (2.0 * eps)
+    p3 = 1.0 / (3.0 * eps)
+    t = np.cbrt(h + np.hypot(h, p3 * np.sqrt(p3)))
+    j = 2.0 * h / (t * t + p3 + (p3 / t) ** 2)
+    j = j - (eps * j ** 3 + j - a) / (1.0 + 3.0 * eps * j * j)
+    return np.copysign(j, r)
+
+
 def _resolvent_newton(g, eps, r):
     """Safeguarded Newton for j + eps*beta(j) = r on a monotone bracket.
 
     The root lies between 0 and r because beta is monotone with beta(0) = 0;
     the bracket is intersected with the effective domain, shrunk strictly
     inside open endpoints.  Newton steps that leave the bracket fall back to
-    bisection, so the iteration cannot fail for the supported kinds.
+    bisection, so the iteration cannot fail for the supported kinds.  Both
+    stopping tolerances are relative to |r|, so tiny inputs are resolved too.
     """
     kind = g.kind
     if kind == POLYNOMIAL:
+        # resolvent() solves the cubic in closed form; tests use this bracket
+        # as its independent reference
         with np.errstate(over="ignore"):
             mag = np.minimum(np.abs(r), np.cbrt(np.abs(r) / eps))
         lo = np.where(r < 0.0, -mag, 0.0)
@@ -203,14 +224,14 @@ def _resolvent_newton(g, eps, r):
         hi = np.minimum(g.domain_hi - _PAD, np.maximum(r, 0.0))
 
     j = 0.5 * (lo + hi)
-    tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(r))
+    tol = _RESIDUAL_TOL * np.abs(r)
     tiny = 4.0 * np.finfo(float).eps
     for _ in range(_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore"):
             f = j + eps * _beta_smooth(kind, j) - r
         hi = np.where(f > 0.0, j, hi)
         lo = np.where(f <= 0.0, j, lo)
-        done = (np.abs(f) <= tol) | (hi - lo <= tiny * np.maximum(1.0, np.abs(j)))
+        done = (np.abs(f) <= tol) | (hi - lo <= tiny * np.abs(j))
         if done.all():
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -233,8 +254,9 @@ def resolvent(g, eps, r):
 
     Returns
     -------
-    The unique j with j + eps*s = r for some s in beta(j).  For the obstacle
-    graph the resolvent is the projection onto [-1, 1] in closed form.
+    The unique j with j + eps*s = r for some s in beta(j).  The obstacle
+    and cubic resolvents are in closed form (projection onto [-1, 1] and
+    the real root of the cubic); the logarithmic one is iterative.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -244,6 +266,8 @@ def resolvent(g, eps, r):
         raise ValueError("resolvent: input must be finite")
     if g.kind == OBSTACLE:
         out = np.clip(arr, -1.0, 1.0)
+    elif g.kind == POLYNOMIAL:
+        out = _resolvent_cubic(eps, arr)
     else:
         out = _resolvent_newton(g, eps, arr)
     return float(out) if np.ndim(r) == 0 else out
@@ -260,24 +284,25 @@ def yosida(g, eps, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def yosida_prime(g, eps, r):
-    """Derivative of the Yosida approximation, elementwise.
+def yosida_and_slope(g, eps, r):
+    """Yosida approximation and its derivative from one resolvent evaluation.
 
-    Smooth kinds use (1 - J')/eps with J' = 1/(1 + eps*beta'(J)).  The
-    obstacle graph is piecewise linear; at the kink points +-1 the
+    Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J)).
+    The obstacle graph is piecewise linear; at the kink points +-1 the
     subgradient surrogate 0 is returned (1/eps outside [-1, 1]).
     """
     eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    j = resolvent(g, eps, r)
     arr = np.asarray(r, dtype=float)
+    xi = (arr - j) / eps
     if g.kind == OBSTACLE:
-        out = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
+        slope = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
     else:
-        j = resolvent(g, eps, arr)
         bp = _beta_prime_smooth(g.kind, j)
-        out = bp / (1.0 + eps * bp)
-    return float(out) if np.ndim(r) == 0 else out
+        slope = bp / (1.0 + eps * bp)
+    if np.ndim(r) == 0:
+        return float(xi), float(slope)
+    return xi, slope
 
 
 def envelope(g, eps, r):
@@ -360,11 +385,6 @@ def yosida_boundary(pair, eps, r):
 def resolvent_boundary(pair, eps, r):
     """Boundary resolvent (I + eps*rho*beta_bnd)^(-1)."""
     return resolvent(pair.boundary, eps * pair.rho, r)
-
-
-def yosida_boundary_prime(pair, eps, r):
-    """Derivative of the boundary Yosida approximation."""
-    return yosida_prime(pair.boundary, eps * pair.rho, r)
 
 
 def envelope_boundary(pair, eps, r):

@@ -16,27 +16,30 @@ is the old state, which makes the discrete free energy nonincreasing for
 zero forcing; the fully implicit variant evaluates it at the new state.
 
 Testing the first equation with the constant pair shows the combined mean of
-``v`` is conserved algebraically: the Newton updates stay exactly in the
-zero-mean subspace up to linear-solver rounding.  The solver is a damped
-Newton iteration on the monolithic system with a Picard fallback for the
-kinked obstacle graph.
+``v`` is conserved algebraically; every computed update is shifted by the
+constant that restores the mean, whichever linear solver produced it.  The
+solver is a damped Newton iteration on the monolithic system with a Picard
+fallback for the kinked obstacle graph.  Its Jacobian differs from the
+constant Picard matrix [[Mc/tau, Ac], [-(eps Mc/tau + Ac), Mc]] only by the
+nodal diagonal dN(u), so a run factors that matrix once and preconditions
+GMRES with it; a fresh LU of the Jacobian is the fallback when GMRES stalls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .domain import integrate_bulk, integrate_surf
-from .errors import CompatibilityError, ConfigError, StepError
+from .errors import ChbsError, CompatibilityError, ConfigError, StepError
 from .monotone import (GraphPair, beta_hat, envelope, envelope_boundary,
-                       yosida, yosida_boundary, yosida_boundary_prime,
-                       yosida_prime)
+                       yosida, yosida_and_slope, yosida_boundary)
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
                      norm_V0, norm_V0_star, project_zero_mean, subgrad_phi,
                      _saddle_solve, is_trace_consistent)
@@ -45,6 +48,10 @@ CONVEX_SPLIT = "convex_split"
 FULLY_IMPLICIT = "fully_implicit"
 
 _PICARD_BUDGET_FACTOR = 20
+# Newton directions: GMRES relative tolerance, restart length, restart cycles
+_GMRES_RTOL = 1e-10
+_GMRES_RESTART = 20
+_GMRES_MAXITER = 5
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,9 @@ class SchemeConfig:
             raise ConfigError(f"unknown splitting {self.splitting!r}")
         if self.eps_time_zero and self.splitting != FULLY_IMPLICIT:
             raise ConfigError("eps_time_zero is a fully-implicit diagnostic mode")
+        if self.splitting == FULLY_IMPLICIT and None in (
+                self.graphs.bulk.pi_prime, self.graphs.boundary.pi_prime):
+            raise ConfigError("fully implicit splitting needs pi_prime on both graphs")
         if not self.newton_tol > 0.0:
             raise ConfigError("newton_tol must be positive")
         if self.newton_max < 1:
@@ -106,6 +116,8 @@ class SchemeState:
     step_index: int
     m0: float
     newton_iters: int = 0
+    lin_iters: int = 0
+    lu_fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,8 @@ class MonitorRecord:
     envelope_integral_surf: float
     omega: float
     newton_iters: int
+    lin_iters: int
+    lu_fallbacks: int
 
     @classmethod
     def fields(cls):
@@ -149,53 +163,32 @@ class Trajectory:
 
 # --- nodewise assembly helpers -------------------------------------------
 
+def _collapse(dom, bulk_vals, bnd_vals):
+    """Mass-weighted collapse of bulk and chain nodal values onto bulk nodes."""
+    out = dom.M_bulk * bulk_vals
+    out[dom.boundary_chain] += dom.M_surf * bnd_vals
+    return out
+
+
 def _load_vector(dom, f):
     """Mass-weighted load of a forcing pair in bulk coordinates."""
     if f is None:
         return np.zeros(dom.n_bulk)
-    out = dom.M_bulk * f.bulk
-    out[dom.boundary_chain] += dom.M_surf * f.boundary
-    return out
-
-
-def _nonlinear_vector(dom, pair, eps, u_bulk):
-    """Yosida values and their mass-weighted collapse at bulk values u."""
-    u_bnd = u_bulk[dom.boundary_chain]
-    xi_b = yosida(pair.bulk, eps, u_bulk)
-    xi_g = yosida_boundary(pair, eps, u_bnd)
-    out = dom.M_bulk * xi_b
-    out[dom.boundary_chain] += dom.M_surf * xi_g
-    return xi_b, xi_g, out
+    return _collapse(dom, f.bulk, f.boundary)
 
 
 def _perturbation_vector(dom, pair, u_bulk):
-    u_bnd = u_bulk[dom.boundary_chain]
-    out = dom.M_bulk * pair.bulk.pi(u_bulk)
-    out[dom.boundary_chain] += dom.M_surf * pair.boundary.pi(u_bnd)
-    return out
+    return _collapse(dom, pair.bulk.pi(u_bulk),
+                     pair.boundary.pi(u_bulk[dom.boundary_chain]))
 
 
-def _nonlinear_jacobian_diag(dom, pair, eps, u_bulk):
-    d = dom.M_bulk * yosida_prime(pair.bulk, eps, u_bulk)
-    d = d.copy()
-    d[dom.boundary_chain] += dom.M_surf * yosida_boundary_prime(
-        pair, eps, u_bulk[dom.boundary_chain])
-    return d
-
-
-def _pi_prime(g, u):
-    if g.pi_prime is not None:
-        return g.pi_prime(u)
-    h = 1e-6
-    return (g.pi(u + h) - g.pi(u - h)) / (2.0 * h)
-
-
-def _perturbation_jacobian_diag(dom, pair, u_bulk):
-    d = dom.M_bulk * _pi_prime(pair.bulk, u_bulk)
-    d = d.copy()
-    d[dom.boundary_chain] += dom.M_surf * _pi_prime(
-        pair.boundary, u_bulk[dom.boundary_chain])
-    return d
+def _graph_terms(dom, pair, eps, u_bulk):
+    """Yosida pair at bulk values u, its mass-weighted collapse, and the
+    collapsed Yosida slopes; one resolvent evaluation per graph."""
+    xi_b, slope_b = yosida_and_slope(pair.bulk, eps, u_bulk)
+    xi_g, slope_g = yosida_and_slope(pair.boundary, eps * pair.rho,
+                                     u_bulk[dom.boundary_chain])
+    return xi_b, xi_g, _collapse(dom, xi_b, xi_g), _collapse(dom, slope_b, slope_g)
 
 
 def implicit_block(state, config):
@@ -207,13 +200,24 @@ def implicit_block(state, config):
     """
     dom = state.v.domain
     eps_t = 0.0 if config.eps_time_zero else config.eps
-    u_b = state.v.bulk + state.m0
-    d = _nonlinear_jacobian_diag(dom, config.graphs, config.eps, u_b)
+    d = _graph_terms(dom, config.graphs, config.eps, state.v.bulk + state.m0)[3]
     return (sp.diags(eps_t * dom.combined_mass / config.tau + d)
             + dom.coupled_stiffness).tocsr()
 
 
 # --- energy ----------------------------------------------------------------
+
+def _energy_parts(v, m0, config):
+    """The free energy at u = v + m0 and its two envelope integrals."""
+    dom, pair = v.domain, config.graphs
+    u_b, u_g = v.bulk + m0, v.boundary + m0
+    env_bulk = float(dom.M_bulk @ envelope(pair.bulk, config.eps, u_b))
+    env_surf = float(dom.M_surf @ envelope_boundary(pair, config.eps, u_g))
+    e = 0.5 * form_a(v, v) + env_bulk + env_surf
+    e += float(dom.M_bulk @ (pair.bulk.pi_primitive(u_b) - pair.bulk.pi_primitive(m0)))
+    e += float(dom.M_surf @ (pair.boundary.pi_primitive(u_g) - pair.boundary.pi_primitive(m0)))
+    return e, env_bulk, env_surf
+
 
 def energy(v, m0, config):
     """Discrete free energy of the state u = v + m0.
@@ -222,38 +226,30 @@ def energy(v, m0, config):
     the bulk, eps*rho on the boundary) plus the perturbation primitives
     normalized to vanish at m0.
     """
-    dom = v.domain
-    pair = config.graphs
-    eps = config.eps
-    u_b = v.bulk + m0
-    u_g = v.boundary + m0
-    e = 0.5 * form_a(v, v)
-    e += float(dom.M_bulk @ envelope(pair.bulk, eps, u_b))
-    e += float(dom.M_surf @ envelope_boundary(pair, eps, u_g))
-    e += float(dom.M_bulk @ (pair.bulk.pi_primitive(u_b) - pair.bulk.pi_primitive(m0)))
-    e += float(dom.M_surf @ (pair.boundary.pi_primitive(u_g) - pair.boundary.pi_primitive(m0)))
-    return e
+    return _energy_parts(v, m0, config)[0]
 
 
 def monitor_record(state, config):
     dom = state.v.domain
-    pair = config.graphs
     u_b = state.v.bulk + state.m0
     u_g = state.v.boundary + state.m0
     total_mass = integrate_bulk(dom, u_b) + integrate_surf(dom, u_g)
+    e, env_bulk, env_surf = _energy_parts(state.v, state.m0, config)
     return MonitorRecord(
         t=state.t,
         total_mass=total_mass,
-        energy=energy(state.v, state.m0, config),
+        energy=e,
         norm_v_V0=norm_V0(state.v),
         norm_v_V0star=norm_V0_star(as_functional(state.v)),
         norm_mu_V=float(np.sqrt(max(inner_V(state.mu, state.mu), 0.0))),
         l1_xi_bulk=float(dom.M_bulk @ np.abs(state.xi.bulk)),
         l1_xi_surf=float(dom.M_surf @ np.abs(state.xi.boundary)),
-        envelope_integral_bulk=float(dom.M_bulk @ envelope(pair.bulk, config.eps, u_b)),
-        envelope_integral_surf=float(dom.M_surf @ envelope_boundary(pair, config.eps, u_g)),
+        envelope_integral_bulk=env_bulk,
+        envelope_integral_surf=env_surf,
         omega=state.omega,
         newton_iters=state.newton_iters,
+        lin_iters=state.lin_iters,
+        lu_fallbacks=state.lu_fallbacks,
     )
 
 
@@ -302,12 +298,6 @@ def initialize(config, u0, forcing_at_0=None):
 
 # --- the nonlinear step -----------------------------------------------------
 
-def _residual_norms(dom, R1, R2):
-    r1 = math.sqrt(max(float(R1 @ _saddle_solve(dom, R1)), 0.0))
-    r2 = math.sqrt(float(R2 @ (R2 / dom.combined_mass)))
-    return r1, r2
-
-
 def _dual_norm(dom, vec):
     return math.sqrt(max(float(vec @ _saddle_solve(dom, vec)), 0.0))
 
@@ -316,172 +306,205 @@ def _h_norm(dom, vec):
     return math.sqrt(float(vec @ (vec / dom.combined_mass)))
 
 
-class _StepSystem:
-    """Residual/Jacobian assembly for one step in bulk coordinates."""
+# one evaluation at (w, mu): residuals and their norms, the Yosida pair, the
+# Jacobian diagonal d, the load g = N + P - F, and the terms of the scales
+_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 xi_b xi_g d g terms1 terms2")
 
-    def __init__(self, dom, config, m0, w_prev, f_vec):
+
+class _StepSystem:
+    """The equations of one step in bulk coordinates.
+
+    Only the nodal Jacobian diagonal changes between iterates and steps;
+    ``lu`` factors the constant Picard matrix on first use unless the run
+    passes in the factor it already holds.
+    """
+
+    def __init__(self, dom, config, m0, w_prev, f_vec, lu=None):
         self.dom = dom
         self.cfg = config
         self.m0 = m0
         self.w_prev = w_prev
         self.f_vec = f_vec
         self.eps_t = 0.0 if config.eps_time_zero else config.eps
+        self.gc_tau = dom.combined_mass / config.tau
+        self.mass_prev = float(dom.combined_mass @ w_prev)
         self.implicit_pi = config.splitting == FULLY_IMPLICIT
-        if self.implicit_pi:
-            self.pi_vec_prev = None
-        else:
-            self.pi_vec_prev = _perturbation_vector(dom, config.graphs, w_prev + m0)
+        self.pi_vec_prev = (None if self.implicit_pi else
+                            _perturbation_vector(dom, config.graphs, w_prev + m0))
+        self._lu = lu
+
+    @property
+    def lu(self):
+        if self._lu is None:
+            self._lu = splu(self.picard_matrix())
+        return self._lu
 
     def residual(self, w, mu):
-        dom, cfg = self.dom, self.cfg
-        gc = dom.combined_mass
-        dw = (w - self.w_prev) / cfg.tau
-        R1 = gc * dw + dom.coupled_stiffness @ mu
+        dom, pair = self.dom, self.cfg.graphs
+        gc, A = dom.combined_mass, dom.coupled_stiffness
         u_b = w + self.m0
-        xi_b, xi_g, nvec = _nonlinear_vector(dom, cfg.graphs, cfg.eps, u_b)
-        pivec = (_perturbation_vector(dom, cfg.graphs, u_b)
-                 if self.implicit_pi else self.pi_vec_prev)
-        R2 = gc * mu - (self.eps_t * gc * dw + dom.coupled_stiffness @ w
-                        + nvec + pivec - self.f_vec)
-        return R1, R2, (xi_b, xi_g)
+        xi_b, xi_g, nvec, d = _graph_terms(dom, pair, self.cfg.eps, u_b)
+        pivec = self.pi_vec_prev
+        if self.implicit_pi:
+            pivec = _perturbation_vector(dom, pair, u_b)
+            d = d + _collapse(dom, pair.bulk.pi_prime(u_b),
+                              pair.boundary.pi_prime(u_b[dom.boundary_chain]))
+        gc_dw = self.gc_tau * (w - self.w_prev)
+        eps_dw = self.eps_t * gc_dw
+        gc_mu, a_mu, a_w, load = gc * mu, A @ mu, A @ w, pivec - self.f_vec
+        g = nvec + load
+        R1 = gc_dw + a_mu
+        R2 = gc_mu - (eps_dw + a_w + g)
+        return _Iterate(w, mu, R1, R2, _dual_norm(dom, R1), _h_norm(dom, R2),
+                        xi_b, xi_g, d, g, (gc_dw, a_mu), (gc_mu, a_w, nvec, load, eps_dw))
 
-    def scales(self, w, mu):
+    def scales(self, it):
         # relative-residual scales from the individual term norms, capped at
         # 10 so accepted steps always satisfy the documented 10*newton_tol
         # bound on the weak-residual norms
-        dom, cfg = self.dom, self.cfg
-        gc = dom.combined_mass
-        dw = (w - self.w_prev) / cfg.tau
-        u_b = w + self.m0
-        _, _, nvec = _nonlinear_vector(dom, cfg.graphs, cfg.eps, u_b)
-        pivec = (_perturbation_vector(dom, cfg.graphs, u_b)
-                 if self.implicit_pi else self.pi_vec_prev)
-        s1 = max(1.0, _dual_norm(dom, gc * dw),
-                 _dual_norm(dom, dom.coupled_stiffness @ mu))
-        s2 = max(1.0, _h_norm(dom, gc * mu),
-                 _h_norm(dom, dom.coupled_stiffness @ w),
-                 _h_norm(dom, nvec), _h_norm(dom, pivec - self.f_vec),
-                 _h_norm(dom, self.eps_t * gc * dw))
+        s1 = max([1.0] + [_dual_norm(self.dom, t) for t in it.terms1])
+        s2 = max([1.0] + [_h_norm(self.dom, t) for t in it.terms2])
         return min(s1, 10.0), min(s2, 10.0)
 
-    def jacobian(self, w):
-        dom, cfg = self.dom, self.cfg
-        gc = dom.combined_mass
-        u_b = w + self.m0
-        d = _nonlinear_jacobian_diag(dom, cfg.graphs, cfg.eps, u_b)
-        if self.implicit_pi:
-            d = d + _perturbation_jacobian_diag(dom, cfg.graphs, u_b)
-        block = sp.diags(self.eps_t * gc / cfg.tau) + dom.coupled_stiffness + sp.diags(d)
-        return sp.bmat([[sp.diags(gc / cfg.tau), dom.coupled_stiffness],
-                        [-block, sp.diags(gc)]], format="csc")
+    def converged(self, it):
+        # the scales are capped at 10, so iterates above 10*tol skip them
+        tol = self.cfg.newton_tol
+        if it.r1 > 10.0 * tol or it.r2 > 10.0 * tol:
+            return False
+        s1, s2 = self.scales(it)
+        return it.r1 <= tol * s1 and it.r2 <= tol * s2
+
+    def apply_jacobian(self, d, x):
+        nb, gc, A = self.dom.n_bulk, self.dom.combined_mass, self.dom.coupled_stiffness
+        dw, dmu = x[:nb], x[nb:]
+        return np.concatenate([self.gc_tau * dw + A @ dmu,
+                               gc * dmu - (self.eps_t * self.gc_tau + d) * dw - A @ dw])
+
+    def mass_shift(self, w):
+        """The constant that restores the previous combined mean to w."""
+        gc = self.dom.combined_mass
+        return (self.mass_prev - float(gc @ w)) / float(gc.sum())
+
+    def _matrix(self, d):
+        gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
+        block = sp.diags(self.eps_t * self.gc_tau + d) + A
+        return sp.bmat([[sp.diags(self.gc_tau), A], [-block, sp.diags(gc)]], format="csc")
+
+    def jacobian(self, it):
+        return self._matrix(it.d)
 
     def picard_matrix(self):
-        dom, cfg = self.dom, self.cfg
-        gc = dom.combined_mass
-        block = sp.diags(self.eps_t * gc / cfg.tau) + dom.coupled_stiffness
-        return sp.bmat([[sp.diags(gc / cfg.tau), dom.coupled_stiffness],
-                        [-block, sp.diags(gc)]], format="csc")
+        return self._matrix(0.0)
+
+
+def _newton_direction(system, it):
+    """Newton direction at an iterate: (dw, dmu, GMRES iterations, LU fallback).
+
+    GMRES applies the Jacobian matrix-free, preconditioned by the Picard
+    factor; if it does not converge, a fresh LU of the assembled Jacobian
+    solves instead.  dw is then shifted so the combined mean stays exact.
+    """
+    nb = system.dom.n_bulk
+    shape = (2 * nb, 2 * nb)
+    rhs = -np.concatenate([it.R1, it.R2])
+    history = []
+    delta, info = gmres(
+        LinearOperator(shape, matvec=lambda x: system.apply_jacobian(it.d, x), dtype=float),
+        rhs, rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
+        M=LinearOperator(shape, matvec=system.lu.solve, dtype=float),
+        callback=history.append, callback_type="pr_norm")
+    if info != 0:
+        delta = splu(system.jacobian(it)).solve(rhs)
+    dw, dmu = delta[:nb], delta[nb:]
+    return dw + system.mass_shift(it.w + dw), dmu, len(history), int(info != 0)
 
 
 def _solve_step(system, w0, mu0):
-    """Damped Newton with Picard fallback; returns (w, mu, iters, r1, r2)."""
-    dom, cfg = system.dom, system.cfg
-    nb = dom.n_bulk
-    tol = cfg.newton_tol
-    w, mu = w0.copy(), mu0.copy()
-    iters = 0
+    """Damped Newton with Picard fallback.
 
-    R1, R2, _ = system.residual(w, mu)
-    r1, r2 = _residual_norms(dom, R1, R2)
-    merit = math.hypot(r1, r2)
+    Returns (iterate, nonlinear iterations, GMRES iterations, LU fallbacks).
+    """
+    cfg = system.cfg
+    tol = cfg.newton_tol
+    it = system.residual(w0.copy(), mu0.copy())
+    iters = lin_iters = lu_fallbacks = 0
     for _ in range(cfg.newton_max):
-        s1, s2 = system.scales(w, mu)
-        if r1 <= tol * s1 and r2 <= tol * s2:
-            return w, mu, iters, r1, r2
-        lu = splu(system.jacobian(w))
-        delta = lu.solve(np.concatenate([-R1, -R2]))
-        dw, dmu = delta[:nb], delta[nb:]
+        if system.converged(it):
+            return it, iters, lin_iters, lu_fallbacks
+        dw, dmu, n_lin, fallback = _newton_direction(system, it)
+        lin_iters += n_lin
+        lu_fallbacks += fallback
+        merit = math.hypot(it.r1, it.r2)
         lam = 1.0
         accepted = False
         for _halving in range(6):
-            w_try, mu_try = w + lam * dw, mu + lam * dmu
-            R1t, R2t, _ = system.residual(w_try, mu_try)
-            r1t, r2t = _residual_norms(dom, R1t, R2t)
-            merit_try = math.hypot(r1t, r2t)
+            trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
+            merit_try = math.hypot(trial.r1, trial.r2)
             if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= tol:
                 accepted = True
                 break
             lam *= 0.5
         iters += 1
         if not accepted:
-            return _solve_picard(system, w, mu, iters)
-        w, mu, R1, R2, r1, r2, merit = w_try, mu_try, R1t, R2t, r1t, r2t, merit_try
-    s1, s2 = system.scales(w, mu)
-    if r1 <= tol * s1 and r2 <= tol * s2:
-        return w, mu, iters, r1, r2
+            it, iters = _solve_picard(system, it, iters)
+            return it, iters, lin_iters, lu_fallbacks
+        it = trial
+    if system.converged(it):
+        return it, iters, lin_iters, lu_fallbacks
     raise StepError(f"Newton did not converge in {cfg.newton_max} iterations "
-                    f"(residuals {r1:.3e}, {r2:.3e})", residual=(r1, r2))
+                    f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
 
 
-def _solve_picard(system, w, mu, iters):
-    """Frozen-nonlinearity fixed-point iteration on the linear step system."""
-    dom, cfg = system.dom, system.cfg
-    gc = dom.combined_mass
-    lu = splu(system.picard_matrix())
-    tol = cfg.newton_tol
-    budget = _PICARD_BUDGET_FACTOR * cfg.newton_max
-    r1 = r2 = math.inf
+def _solve_picard(system, it, iters):
+    """Frozen-nonlinearity fixed-point iteration with the Picard factor."""
+    nb = system.dom.n_bulk
+    rhs1 = system.gc_tau * system.w_prev
+    budget = _PICARD_BUDGET_FACTOR * system.cfg.newton_max
     for _ in range(budget):
-        u_b = w + system.m0
-        _, _, nvec = _nonlinear_vector(dom, cfg.graphs, cfg.eps, u_b)
-        pivec = (_perturbation_vector(dom, cfg.graphs, u_b)
-                 if system.implicit_pi else system.pi_vec_prev)
-        rhs1 = gc * system.w_prev / cfg.tau
-        rhs2 = nvec + pivec - system.f_vec - system.eps_t * gc * system.w_prev / cfg.tau
-        sol = lu.solve(np.concatenate([rhs1, rhs2]))
-        w, mu = sol[:dom.n_bulk], sol[dom.n_bulk:]
+        sol = system.lu.solve(np.concatenate([rhs1, it.g - system.eps_t * rhs1]))
+        w = sol[:nb] + system.mass_shift(sol[:nb])
         iters += 1
-        R1, R2, _ = system.residual(w, mu)
-        r1, r2 = _residual_norms(dom, R1, R2)
-        s1, s2 = system.scales(w, mu)
-        if r1 <= tol * s1 and r2 <= tol * s2:
-            return w, mu, iters, r1, r2
+        it = system.residual(w, sol[nb:])
+        if system.converged(it):
+            return it, iters
     raise StepError(f"Picard fallback did not converge in {budget} iterations "
-                    f"(residuals {r1:.3e}, {r2:.3e})", residual=(r1, r2))
+                    f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
 
 
-def step(state, config, f_next, f_curr=None):
+def step(state, config, f_next, f_curr=None, *, lu=None):
     """Advance one time level.
 
     ``f_next`` is the forcing pair at the target time; backward Euler samples
     the forcing there.  ``f_curr`` is accepted for splittings that sample the
-    forcing explicitly and is currently unused.
+    forcing explicitly and is currently unused.  ``lu`` is the factor of the
+    Picard matrix; ``run`` passes one so that the matrix is factored once
+    per run, and a lone step factors its own.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
     pair = config.graphs
-    f_vec = _load_vector(dom, f_next)
-    system = _StepSystem(dom, config, state.m0, state.v.bulk, f_vec)
-    w, mu, iters, _, _ = _solve_step(system, state.v.bulk, state.mu.bulk)
+    system = _StepSystem(dom, config, state.m0, state.v.bulk,
+                         _load_vector(dom, f_next), lu)
+    it, iters, lin_iters, lu_fallbacks = _solve_step(system, state.v.bulk, state.mu.bulk)
 
-    u_b = w + state.m0
-    xi_b = yosida(pair.bulk, config.eps, u_b)
-    xi_g = yosida_boundary(pair, config.eps, u_b[dom.boundary_chain])
+    u_b = it.w + state.m0
     u_star = (u_b if config.splitting == FULLY_IMPLICIT
               else state.v.bulk + state.m0)
     fz = f_next if f_next is not None else FieldPair.zeros(dom)
-    omega_pair = FieldPair(xi_b + pair.bulk.pi(u_star) - fz.bulk,
-                           xi_g + pair.boundary.pi(u_star[dom.boundary_chain]) - fz.boundary,
+    omega_pair = FieldPair(it.xi_b + pair.bulk.pi(u_star) - fz.bulk,
+                           it.xi_g + pair.boundary.pi(u_star[dom.boundary_chain]) - fz.boundary,
                            dom)
-    return SchemeState(v=FieldPair.from_bulk(dom, w),
-                       mu=FieldPair.from_bulk(dom, mu),
-                       xi=FieldPair(xi_b, xi_g, dom),
+    return SchemeState(v=FieldPair.from_bulk(dom, it.w),
+                       mu=FieldPair.from_bulk(dom, it.mu),
+                       xi=FieldPair(it.xi_b, it.xi_g, dom),
                        omega=mean(omega_pair),
                        t=state.t + config.tau,
                        step_index=state.step_index + 1,
                        m0=state.m0,
-                       newton_iters=iters)
+                       newton_iters=iters,
+                       lin_iters=lin_iters,
+                       lu_fallbacks=lu_fallbacks)
 
 
 def weak_residuals(state_prev, state_next, config, f_next):
@@ -492,17 +515,17 @@ def weak_residuals(state_prev, state_next, config, f_next):
     potential-equation residual.
     """
     dom = state_prev.v.domain
-    f_vec = _load_vector(dom, f_next)
-    system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk, f_vec)
-    R1, R2, _ = system.residual(state_next.v.bulk, state_next.mu.bulk)
-    return _residual_norms(dom, R1, R2)
+    system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk,
+                         _load_vector(dom, f_next))
+    it = system.residual(state_next.v.bulk, state_next.mu.bulk)
+    return it.r1, it.r2
 
 
 def run(config, u0, forcing=None):
     """Integrate from t = 0 to t_end, collecting states and monitor records.
 
-    ``forcing`` is an optional callable t -> FieldPair.  Step failures abort
-    the run and return the partial trajectory flagged.
+    ``forcing`` is an optional callable t -> FieldPair.  A failure in any
+    step ends the run and returns the partial trajectory flagged.
     """
     dom = u0.domain
 
@@ -512,17 +535,19 @@ def run(config, u0, forcing=None):
     state = initialize(config, u0, forcing_at_0=f_at(0.0))
     traj = Trajectory(config=config, m0=state.m0, states=[state],
                       records=[monitor_record(state, config)])
+    # the Picard matrix is the same at every step: factor it once per run
+    lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):
         f_next = f_at(k * config.tau)
-        f_curr = f_at((k - 1) * config.tau)
         try:
-            state = step(state, config, f_next, f_curr)
-        except StepError as exc:
+            state = step(state, config, f_next, lu=lu)
+            record = monitor_record(state, config)
+        except ChbsError as exc:
             traj.aborted = True
-            traj.error = str(exc)
+            traj.error = f"step {k} (t = {k * config.tau!r}): {exc}"
             break
         traj.f_hist.append(f_next)
         traj.states.append(state)
-        traj.records.append(monitor_record(state, config))
+        traj.records.append(record)
     return traj

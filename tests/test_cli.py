@@ -2,8 +2,9 @@ import os
 
 import pytest
 
+from chbs import scheme
 from chbs.cli import main, parse_config
-from chbs.errors import ConfigError
+from chbs.errors import ConfigError, NumericalError
 from chbs.scheme import MonitorRecord
 
 QUICK_RUN = """
@@ -109,6 +110,25 @@ def test_run_byte_identical_reruns(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "monitors.csv").read_bytes() == (out2 / "monitors.csv").read_bytes()
     assert (out1 / "snapshot_4.csv").read_bytes() == (out2 / "snapshot_4.csv").read_bytes()
+
+
+def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatch, capsys):
+    # the step residual norms solve with the mean-constrained stiffness
+    def broken(dom, rhs):
+        raise NumericalError("mean-constrained stiffness solve lost accuracy")
+
+    monkeypatch.setattr(scheme, "_saddle_solve", broken)
+    cfg = write_config(tmp_path, QUICK_RUN)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    monitors = (out / "monitors.csv").read_text().splitlines()
+    assert monitors[0] == ",".join(MonitorRecord.fields())
+    assert len(monitors) == 2  # header + the initial record
+    assert (out / "snapshot_0.csv").exists()
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["aborted"] == "1"
+    assert "aborted: step 1 (t = 0.001): mean-constrained" in (out / "report.txt").read_text()
+    assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
 def test_run_out_of_domain_init_exits_2(tmp_path, capsys):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from chbs.monotone import (GraphPair, check_compatibility, envelope,
-                           envelope_boundary, logarithmic_graph,
+from chbs.monotone import (GraphPair, _resolvent_newton, check_compatibility,
+                           envelope, envelope_boundary, logarithmic_graph,
                            minimal_section, obstacle_graph, polynomial_graph,
-                           resolvent, yosida, yosida_boundary, yosida_prime)
+                           resolvent, yosida, yosida_and_slope,
+                           yosida_boundary)
 
 POLY = polynomial_graph()
 LOG = logarithmic_graph()
@@ -86,6 +87,45 @@ def test_resolvent_contraction_pairwise(r1, r2, eps):
     for g in (POLY, OBST):
         d = abs(resolvent(g, eps, r1) - resolvent(g, eps, r2))
         assert d <= abs(r1 - r2) + 1e-10 * max(1.0, abs(r1), abs(r2))
+
+
+# --- resolvent accuracy at the extremes ----------------------------------
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-300, 1e8))
+_EPS_RANGE = st.floats(1e-6, 1.0)
+
+
+@given(_MAGNITUDE, _MAGNITUDE, _EPS_RANGE)
+@settings(max_examples=300, deadline=None)
+def test_cubic_resolvent_closed_form_battery(a, b, eps):
+    r = np.array([a, -a, b, -b])
+    j = resolvent(POLY, eps, r)
+    assert np.all(np.abs(eps * j ** 3 + j - r) <= 1e-15 * np.abs(r))
+    assert j[1] == -j[0] and j[3] == -j[2]
+    # monotone up to one unit in the last place
+    (ja, ra), (jb, rb) = sorted([(j[0], a), (j[2], b)], key=lambda p: p[1])
+    assert jb >= ja - np.spacing(ja)
+    bracketed = _resolvent_newton(POLY, eps, r)
+    big = np.abs(r) >= 1e-6
+    assert np.all(np.abs(j - bracketed)[big] <= 1e-13 * np.abs(bracketed)[big])
+
+
+@given(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), st.floats(1e-300, 1.0), _EPS_RANGE)
+@settings(max_examples=300, deadline=None)
+def test_log_resolvent_relative_accuracy(a, b, eps):
+    # the stopping rule is relative to |r|, so tiny inputs are not cut short
+    r = np.array([a, -a, b, -b])
+    j = resolvent(LOG, eps, r)
+    beta = np.log1p(j) - np.log1p(-j)
+    assert np.all(np.abs(j + eps * beta - r) <= 1e-15 * np.abs(r))
+    (ja, ra), (jb, rb) = sorted([(j[0], a), (j[2], b)], key=lambda p: p[1])
+    assert jb >= ja - 8.0 * np.spacing(ja)
+
+
+def test_log_resolvent_resolves_tiny_inputs():
+    # beta(j) = 2j to first order, so j = r/(1 + 2 eps) for tiny r
+    for r in (1e-146, 1e-300, -1e-20):
+        assert resolvent(LOG, 0.02, r) == pytest.approx(r / 1.04, rel=1e-14)
 
 
 # --- yosida --------------------------------------------------------------
@@ -290,7 +330,18 @@ def test_yosida_prime_matches_finite_differences():
     h = 1e-6
     for g, eps in ((POLY, 0.3), (LOG, 0.3)):
         fd = (yosida(g, eps, r + h) - yosida(g, eps, r - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - yosida_prime(g, eps, r))) < 1e-5
+        assert np.max(np.abs(fd - yosida_and_slope(g, eps, r)[1])) < 1e-5
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_yosida_and_slope_matches_yosida(kind):
+    g, window, _ = KINDS[kind]
+    r = sobol_points(window[0] - 1.0, window[1] + 1.0, m=7)
+    xi, slope = yosida_and_slope(g, 0.2, r)
+    np.testing.assert_array_equal(xi, yosida(g, 0.2, r))
+    assert np.all((slope >= 0.0) & (slope <= 1.0 / 0.2))
+    xi0, slope0 = yosida_and_slope(g, 0.2, 0.5)
+    assert xi0 == yosida(g, 0.2, 0.5) and isinstance(slope0, float)
 
 
 def test_envelope_boundary_uses_scaled_parameter():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError
-from chbs.monotone import (GraphPair, obstacle_graph, polynomial_graph,
-                           yosida, yosida_boundary)
+from chbs.monotone import (GraphPair, logarithmic_graph, obstacle_graph,
+                           polynomial_graph, yosida, yosida_boundary)
 from chbs.scheme import (CONVEX_SPLIT, FULLY_IMPLICIT, SchemeConfig, energy,
                          implicit_block, initialize, monitor_record, run,
                          step, weak_residuals)
@@ -15,6 +16,7 @@ from chbs.spaces import (FieldPair, as_functional, inner_H, mean, norm_V0,
 
 POLY_PAIR = GraphPair(polynomial_graph(), polynomial_graph())
 OBST_PAIR = GraphPair(obstacle_graph(), obstacle_graph())
+LOG_PAIR = GraphPair(logarithmic_graph(), logarithmic_graph())
 
 
 def make_config(**kw):
@@ -46,6 +48,14 @@ def test_config_diagnostic_mode_needs_fully_implicit():
     with pytest.raises(ConfigError):
         make_config(eps_time_zero=True)
     make_config(eps_time_zero=True, splitting=FULLY_IMPLICIT)
+
+
+def test_config_fully_implicit_needs_pi_prime():
+    g = polynomial_graph()
+    bare = replace(g, pi_prime=None)
+    with pytest.raises(ConfigError, match="pi_prime"):
+        make_config(graphs=GraphPair(bare, g), splitting=FULLY_IMPLICIT)
+    make_config(graphs=GraphPair(bare, g))
 
 
 # --- initialization --------------------------------------------------------------
@@ -221,6 +231,78 @@ def test_obstacle_step_agrees_with_dense_picard_oracle(domain_cache, rng):
     nxt = step(state, cfg, FieldPair.zeros(dom))
     w_ref, mu_ref = dense_picard_step(dom, cfg, state.m0, state.v.bulk)
     assert np.abs(nxt.v.bulk - w_ref).max() <= 1e-8
+
+
+@pytest.mark.parametrize("pair", [POLY_PAIR, OBST_PAIR], ids=["polynomial", "obstacle"])
+def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch, pair):
+    # a zero Newton direction never lowers the merit, so the line search
+    # fails at the first iterate and the step falls back to Picard
+    dom = domain_cache(5)
+    cfg = make_config(graphs=pair, newton_tol=1e-12)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
+    zero = np.zeros(dom.n_bulk)
+    monkeypatch.setattr(scheme_module, "_newton_direction",
+                        lambda system, it: (zero, zero, 0, 0))
+    picard_calls = []
+    solve_picard = scheme_module._solve_picard
+
+    def counted(*args):
+        picard_calls.append(1)
+        return solve_picard(*args)
+
+    monkeypatch.setattr(scheme_module, "_solve_picard", counted)
+    nxt = step(state, cfg, FieldPair.zeros(dom))
+    assert picard_calls == [1]
+    assert nxt.newton_iters > 1
+    w_ref, mu_ref = dense_picard_step(dom, cfg, state.m0, state.v.bulk)
+    assert np.abs(nxt.v.bulk - w_ref).max() <= 1e-8
+    assert np.abs(nxt.mu.bulk - mu_ref).max() <= 1e-8
+    r1, r2 = weak_residuals(state, nxt, cfg, FieldPair.zeros(dom))
+    assert r1 <= 10.0 * cfg.newton_tol
+    assert r2 <= 10.0 * cfg.newton_tol
+    assert abs(mean(nxt.v)) <= 1e-12
+
+
+@pytest.mark.parametrize("splitting", [CONVEX_SPLIT, FULLY_IMPLICIT])
+@pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
+                         ids=["polynomial", "logarithmic", "obstacle"])
+def test_lu_fallback_matches_krylov_step(domain_cache, rng, monkeypatch, pair, splitting):
+    dom = domain_cache(7)
+    cfg = make_config(graphs=pair, splitting=splitting, newton_tol=1e-12)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
+    krylov = step(state, cfg, FieldPair.zeros(dom))
+    assert krylov.newton_iters > 0
+    assert krylov.lin_iters > 0 and krylov.lu_fallbacks == 0
+    # GMRES that never converges: every direction comes from a fresh LU
+    monkeypatch.setattr(scheme_module, "gmres",
+                        lambda A, b, **kw: (np.zeros_like(b), 1))
+    direct = step(state, cfg, FieldPair.zeros(dom))
+    assert direct.lu_fallbacks == direct.newton_iters > 0
+    assert direct.newton_iters <= krylov.newton_iters
+    assert np.abs(direct.v.bulk - krylov.v.bulk).max() <= 1e-12
+    assert np.abs(direct.mu.bulk - krylov.mu.bulk).max() <= 1e-12
+    mass_prev = monitor_record(state, cfg).total_mass
+    assert abs(monitor_record(direct, cfg).total_mass - mass_prev) <= 1e-12
+
+
+def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, monkeypatch):
+    # a linear solver that adds a constant to dw: the mass shift removes it
+    dom = domain_cache(7)
+    cfg = make_config(newton_tol=1e-12)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    clean = step(state, cfg, FieldPair.zeros(dom))
+    gmres = scheme_module.gmres
+
+    def offset_gmres(A, b, **kw):
+        x, info = gmres(A, b, **kw)
+        x[:dom.n_bulk] += 1e-3
+        return x, info
+
+    monkeypatch.setattr(scheme_module, "gmres", offset_gmres)
+    nxt = step(state, cfg, FieldPair.zeros(dom))
+    assert nxt.newton_iters == clean.newton_iters  # no Picard fallback
+    assert abs(mean(nxt.v)) <= 1e-15
+    assert np.abs(nxt.v.bulk - clean.v.bulk).max() <= 1e-12
 
 
 def test_diagnostic_mode_drops_time_regularization(domain_cache, rng):
