@@ -13,9 +13,12 @@ evaluated through the weak identities.  Mass lumping makes the combined
 inner product diagonal, nodewise nonlinearities variationally consistent,
 and mass conservation exact at the algebraic level.
 
-Construction also caches two sparse LU factorizations used throughout:
-the mean-constrained saddle system for inverting the coupled stiffness on
-zero-mean fields, and the full coupled V-norm matrix for dual norms.  A
+Construction also caches two sparse LU factorizations used throughout.
+The mean-constrained saddle system inverts the coupled stiffness on
+zero-mean fields: the Riesz-map inverse and the zero-mean dual norm in
+:mod:`chbs.spaces`, the step residual norms in :mod:`chbs.scheme`, and the
+Lanczos eigensolve of the coercivity constant all solve with it.  The full
+coupled V-norm matrix serves the dual norm over the whole space.  A
 :class:`DiscreteDomain` is immutable after construction and shareable
 across threads.
 """
@@ -81,11 +84,6 @@ class DiscreteDomain:
         return self.boundary_chain.shape[0]
 
     @property
-    def trace_map(self):
-        """Chain position -> global bulk node index."""
-        return self.boundary_chain
-
-    @property
     def volume(self):
         return float(self.M_bulk.sum())
 
@@ -96,16 +94,6 @@ class DiscreteDomain:
     @property
     def total_measure(self):
         return self.volume + self.surface
-
-    def trace(self, bulk_values):
-        """Restrict a bulk nodal field to the boundary chain."""
-        return np.asarray(bulk_values)[self.boundary_chain]
-
-    def scatter(self, boundary_values):
-        """Extend a boundary-chain field by zero to a bulk-sized vector."""
-        out = np.zeros(self.n_bulk, dtype=float)
-        out[self.boundary_chain] = boundary_values
-        return out
 
 
 def _boundary_chain(n):

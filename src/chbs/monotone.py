@@ -55,8 +55,6 @@ class GraphSpec:
         Endpoints of the effective domain (may be ``+-inf``).
     pi : callable
         The Lipschitz perturbation, vectorized over numpy arrays.
-    pi_lipschitz : float
-        A Lipschitz constant for ``pi``.
     pi_primitive : callable
         An antiderivative of ``pi`` (normalization irrelevant; energies
         subtract its value at the conserved mean).
@@ -68,7 +66,6 @@ class GraphSpec:
     domain_lo: float
     domain_hi: float
     pi: Callable = field(compare=False)
-    pi_lipschitz: float = 0.0
     pi_primitive: Callable = field(default=None, compare=False)
     pi_prime: Optional[Callable] = field(default=None, compare=False)
 
@@ -77,15 +74,6 @@ class GraphSpec:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if not self.domain_lo < 0.0 < self.domain_hi:
             raise ValueError("effective domain must contain 0 in its interior")
-        if self.pi_lipschitz < 0.0:
-            raise ValueError("pi_lipschitz must be nonnegative")
-
-    def contains(self, r, closed=True):
-        """Whether ``r`` lies in the effective domain (elementwise)."""
-        arr = np.asarray(r, dtype=float)
-        if self.kind == LOGARITHMIC and not closed:
-            return (arr > self.domain_lo) & (arr < self.domain_hi)
-        return (arr >= self.domain_lo) & (arr <= self.domain_hi)
 
 
 def _linear_pi(slope):
@@ -101,13 +89,13 @@ def _linear_pi(slope):
     def prime(r):
         return np.full_like(np.asarray(r, dtype=float), slope)
 
-    return pi, abs(slope), primitive, prime
+    return pi, primitive, prime
 
 
 def polynomial_graph(pi_slope=-1.0):
     """Cubic graph beta(r) = r**3 on R; default perturbation pi(r) = -r."""
-    pi, lip, prim, prime = _linear_pi(pi_slope)
-    return GraphSpec(POLYNOMIAL, -np.inf, np.inf, pi, lip, prim, prime)
+    pi, prim, prime = _linear_pi(pi_slope)
+    return GraphSpec(POLYNOMIAL, -np.inf, np.inf, pi, prim, prime)
 
 
 def logarithmic_graph(c=1.0):
@@ -118,14 +106,14 @@ def logarithmic_graph(c=1.0):
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    pi, lip, prim, prime = _linear_pi(-2.0 * c)
-    return GraphSpec(LOGARITHMIC, -1.0, 1.0, pi, lip, prim, prime)
+    pi, prim, prime = _linear_pi(-2.0 * c)
+    return GraphSpec(LOGARITHMIC, -1.0, 1.0, pi, prim, prime)
 
 
 def obstacle_graph(pi_slope=-1.0):
     """Obstacle graph beta = subdifferential of the indicator of [-1, 1]."""
-    pi, lip, prim, prime = _linear_pi(pi_slope)
-    return GraphSpec(OBSTACLE, -1.0, 1.0, pi, lip, prim, prime)
+    pi, prim, prime = _linear_pi(pi_slope)
+    return GraphSpec(OBSTACLE, -1.0, 1.0, pi, prim, prime)
 
 
 # --- single-valued evaluations per kind ---------------------------------
@@ -380,11 +368,6 @@ class GraphPair:
 def yosida_boundary(pair, eps, r):
     """Boundary Yosida approximation with effective parameter eps*rho."""
     return yosida(pair.boundary, eps * pair.rho, r)
-
-
-def resolvent_boundary(pair, eps, r):
-    """Boundary resolvent (I + eps*rho*beta_bnd)^(-1)."""
-    return resolvent(pair.boundary, eps * pair.rho, r)
 
 
 def envelope_boundary(pair, eps, r):

@@ -471,14 +471,13 @@ def _solve_picard(system, it, iters):
                     f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
 
 
-def step(state, config, f_next, f_curr=None, *, lu=None):
+def step(state, config, f_next, *, lu=None):
     """Advance one time level.
 
     ``f_next`` is the forcing pair at the target time; backward Euler samples
-    the forcing there.  ``f_curr`` is accepted for splittings that sample the
-    forcing explicitly and is currently unused.  ``lu`` is the factor of the
-    Picard matrix; ``run`` passes one so that the matrix is factored once
-    per run, and a lone step factors its own.
+    the forcing there.  ``lu`` is the factor of the Picard matrix; ``run``
+    passes one so that the matrix is factored once per run, and a lone step
+    factors its own.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """

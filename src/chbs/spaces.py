@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NumericalError
 
@@ -213,22 +213,36 @@ def norm_V_star(ell):
 def poincare_constant(dom):
     """Largest c with c*|z|_V^2 <= a(z, z) on zero-mean trace-consistent pairs.
 
-    Computed as the smallest generalized eigenvalue of the coupled stiffness
-    against the full V-norm matrix, both projected onto the zero-mean
-    subspace in bulk coordinates.
+    With M the combined lumped mass and A the coupled stiffness, the pencil
+    (A, M + A) restricted to the zero-mean subspace has the eigenvalues
+    mu/(1 + mu), where mu runs over the nonzero eigenvalues of (A, M); so
+    c = mu2/(1 + mu2) with mu2 the smallest of them.  The cached saddle
+    factorization applied to M*v is the mean-constrained inverse of A, which
+    sends constants to zero and so deflates the null mode of A.  Lanczos
+    (ARPACK) finds the top eigenvalue 1/mu2 of the symmetrized operator
+    v -> M^(1/2) A0^(-1) M^(1/2) v from a fixed start vector, so repeated
+    calls return the same bits.  Raises NumericalError when the eigensolve
+    does not converge or its result is not finite and positive.
     """
-    A = dom.coupled_stiffness.toarray()
-    B = np.diag(dom.combined_mass) + A
-    Q = scipy.linalg.null_space(dom.combined_mass[None, :])
+    root = np.sqrt(dom.combined_mass)
+    nb = dom.n_bulk
+
+    def apply(v):
+        rhs = np.concatenate([root * np.ravel(v), [0.0]])
+        return root * dom.saddle_lu.solve(rhs)[:-1]
+
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    v0 = root * (np.cos(np.pi * x) + 0.1 * y)
     try:
-        vals = scipy.linalg.eigh(Q.T @ A @ Q, Q.T @ B @ Q, eigvals_only=True,
-                                 subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    cp = float(vals[0])
-    if not cp > 0.0:
-        raise NumericalError(f"coercivity constant came out nonpositive: {cp}")
-    return cp
+        top = eigsh(LinearOperator((nb, nb), matvec=apply, dtype=float), k=1,
+                    which="LA", v0=v0, tol=0, return_eigenvectors=False)[0]
+    except ArpackNoConvergence as exc:
+        raise NumericalError(f"coercivity eigensolve did not converge at n = {dom.n}: "
+                             f"{exc}") from exc
+    if not (np.isfinite(top) and top > 0.0):
+        raise NumericalError(f"coercivity eigensolve at n = {dom.n} returned "
+                             f"1/mu2 = {float(top)!r}, expected finite and positive")
+    return float(1.0 / (1.0 + top))
 
 
 def subgrad_phi(z):

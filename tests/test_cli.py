@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from chbs import scheme
+from chbs import scheme, spaces
 from chbs.cli import main, parse_config
 from chbs.errors import ConfigError, NumericalError
 from chbs.scheme import MonitorRecord
@@ -166,6 +168,23 @@ def test_check_default_mesh_passes(tmp_path):
     assert "FAIL" not in report
     assert report.count("PASS") == 4
     assert (out / "report.csv").read_text().startswith("item,passed,detail")
+
+
+def test_check_at_stepping_mesh_passes(tmp_path):
+    cfg = write_config(tmp_path, "[mesh]\nn = 65\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert "FAIL:" not in (out / "report.txt").read_text()
+
+
+def test_check_eigensolve_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr(spaces, "eigsh", stalled)
+    assert main(["check", "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "error: coercivity eigensolve did not converge at n = 9" in capsys.readouterr().err
 
 
 # --- cont-dep subcommand -----------------------------------------------------------

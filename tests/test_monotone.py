@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from chbs.monotone import (GraphPair, _resolvent_newton, check_compatibility,
-                           envelope, envelope_boundary, logarithmic_graph,
-                           minimal_section, obstacle_graph, polynomial_graph,
-                           resolvent, yosida, yosida_and_slope,
-                           yosida_boundary)
+from chbs.monotone import (GraphPair, _resolvent_newton, beta_hat,
+                           check_compatibility, envelope, envelope_boundary,
+                           logarithmic_graph, minimal_section, obstacle_graph,
+                           polynomial_graph, resolvent, yosida,
+                           yosida_and_slope, yosida_boundary)
 
 POLY = polynomial_graph()
 LOG = logarithmic_graph()
@@ -126,6 +126,35 @@ def test_log_resolvent_resolves_tiny_inputs():
     # beta(j) = 2j to first order, so j = r/(1 + 2 eps) for tiny r
     for r in (1e-146, 1e-300, -1e-20):
         assert resolvent(LOG, 0.02, r) == pytest.approx(r / 1.04, rel=1e-14)
+
+
+# --- logarithmic graph near its endpoints ----------------------------------
+
+#: sorted points r = +-1 + offsets, from one side of the domain or the other
+_NEAR_ENDPOINT = st.tuples(st.sampled_from([-1.0, 1.0]),
+                           st.lists(st.floats(-1e-2, 1e-2), min_size=2, max_size=16)
+                           ).map(lambda t: np.sort(t[0] + np.array(t[1])))
+_LOG_EPS = st.floats(-6.0, 0.0).map(lambda p: 10.0 ** p)
+
+
+@given(_NEAR_ENDPOINT, _LOG_EPS)
+@settings(max_examples=300, deadline=None)
+def test_log_yosida_monotone_and_lipschitz_near_endpoints(r, eps):
+    y = yosida(LOG, eps, r)
+    # (r - J)/eps carries a few units of rounding in r, amplified by 1/eps
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(r)) / eps
+    dy, dr = np.diff(y), np.diff(r)
+    assert np.all(dy >= -tol)
+    assert np.all(dy <= dr / eps + tol)
+
+
+@given(_NEAR_ENDPOINT, _LOG_EPS)
+@settings(max_examples=300, deadline=None)
+def test_log_envelope_below_primitive_near_endpoints(r, eps):
+    env = envelope(LOG, eps, r)
+    bound = beta_hat(LOG, r)  # +inf outside [-1, 1]
+    assert np.all(env >= 0.0)
+    assert np.all(env <= bound * (1.0 + 8.0 * np.finfo(float).eps))
 
 
 # --- yosida --------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from chbs import spaces
+from chbs.errors import NumericalError
 from chbs.spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,
                          inner_H, inner_V, mean, norm_V0, norm_V0_star,
                          norm_V_star, pairing, poincare_constant,
@@ -254,6 +257,49 @@ def test_poincare_sampled_inequality(domain_cache, rng):
         z = z * (1.0 / nrm)
         worst = min(worst, form_a(z, z) - cp * inner_V(z, z))
     assert worst >= -1e-9
+
+
+def dense_poincare_reference(dom):
+    """Dense route: orthonormal zero-mean basis and a symmetric-definite eigensolve."""
+    A, gc = dense_operators(dom)
+    Q = scipy.linalg.null_space(gc[None, :])
+    vals = scipy.linalg.eigh(Q.T @ A @ Q, Q.T @ (np.diag(gc) + A) @ Q,
+                             eigvals_only=True, subset_by_index=[0, 0])
+    return float(vals[0])
+
+
+def test_poincare_matches_dense_reference_n33(domain_cache):
+    dom = domain_cache(33)
+    assert poincare_constant(dom) == pytest.approx(dense_poincare_reference(dom), rel=1e-9)
+
+
+def test_poincare_repeats_bit_for_bit(domain_cache):
+    # ARPACK's default start vector changes between calls in one process
+    dom = domain_cache(17)
+    assert poincare_constant(dom) == poincare_constant(dom)
+
+
+def test_poincare_stable_under_refinement(domain_cache):
+    cp65 = poincare_constant(domain_cache(65))
+    cp129 = poincare_constant(domain_cache(129))
+    assert abs(cp65 - cp129) / cp129 <= 1e-4
+
+
+def test_poincare_eigensolve_failure_is_numerical_error(domain_cache, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr(spaces, "eigsh", stalled)
+    with pytest.raises(NumericalError, match=r"did not converge at n = 5"):
+        poincare_constant(domain_cache(5))
+
+
+@pytest.mark.parametrize("top", [np.nan, np.inf, 0.0, -0.5])
+def test_poincare_rejects_nonfinite_or_nonpositive_eigenvalue(domain_cache, monkeypatch, top):
+    monkeypatch.setattr(spaces, "eigsh", lambda *args, **kwargs: np.array([top]))
+    with pytest.raises(NumericalError, match=r"at n = 5"):
+        poincare_constant(domain_cache(5))
 
 
 # --- weak Laplacian pair --------------------------------------------------------------
