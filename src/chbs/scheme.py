@@ -83,7 +83,8 @@ class SchemeConfig:
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
         if self.splitting not in (CONVEX_SPLIT, FULLY_IMPLICIT):
-            raise ConfigError(f"unknown splitting {self.splitting!r}")
+            raise ConfigError(f"splitting must be one of {CONVEX_SPLIT}, "
+                              f"{FULLY_IMPLICIT}; got {self.splitting!r}")
         if self.eps_time_zero and self.splitting != FULLY_IMPLICIT:
             raise ConfigError("eps_time_zero is a fully-implicit diagnostic mode")
         if self.splitting == FULLY_IMPLICIT and None in (

@@ -7,17 +7,13 @@ with its uniform-bound table, and the structural checks on a discrete
 domain (coercivity constant, sampled coercivity inequality, subgradient
 adjointness, projection identity).
 
-Every report is a pure function of its input runs; experiment members may
-fan out across threads (capped by the CHBS_THREADS environment variable)
-and are aggregated in index order, so repeated invocations with identical
-inputs give identical reports.
+Every report is a pure function of its input runs, so repeated invocations
+with identical inputs give identical reports.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -34,22 +30,6 @@ __all__ = [
 ]
 
 _RHS_FLOOR = 1e-30
-
-
-def _max_workers(explicit=None):
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("CHBS_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _run_many(jobs, max_workers):
-    """Run (config, u0, forcing) jobs, results in submission order."""
-    if max_workers <= 1 or len(jobs) <= 1:
-        return [run(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run, *job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 # --- continuous dependence --------------------------------------------------
@@ -107,8 +87,7 @@ def _ratio_curve(traj1, traj2):
     return sup, rhs_final <= _RHS_FLOOR
 
 
-def continuous_dependence_experiment(config, data1, data2, tau_levels=3,
-                                     max_workers=None):
+def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
     """Two-trajectory stability experiment with a time-step refinement sweep.
 
     ``data1`` and ``data2`` are (initial pair, forcing callable or None)
@@ -127,12 +106,8 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3,
         raise ConfigError("continuous dependence compares runs within one "
                           "conserved-mean class; the initial means differ")
     taus = tuple(config.tau / 2 ** k for k in range(tau_levels))
-    jobs = []
-    for tau in taus:
-        cfg = replace(config, tau=tau)
-        jobs.append((cfg, u01, f1))
-        jobs.append((cfg, u02, f2))
-    trajs = _run_many(jobs, _max_workers(max_workers))
+    trajs = [run(replace(config, tau=tau), u0, f)
+             for tau in taus for u0, f in ((u01, f1), (u02, f2))]
     aborted = any(t.aborted for t in trajs)
     sups = []
     degenerate = False
@@ -273,8 +248,7 @@ class EpsStudyReport:
         return lines
 
 
-def vanishing_eps_study(config_base, eps_list, u0, forcing=None,
-                        max_workers=None):
+def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
     """Run one data set across a decreasing sweep of regularization values.
 
     Reports the successive-solution distances max_t |v_k - v_{k+1}|_{H0} and
@@ -289,8 +263,7 @@ def vanishing_eps_study(config_base, eps_list, u0, forcing=None,
         raise ConfigError("eps sweep entries must lie in (0,1]")
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps sweep must be nonincreasing")
-    jobs = [(replace(config_base, eps=e), u0, forcing) for e in eps_list]
-    trajs = _run_many(jobs, _max_workers(max_workers))
+    trajs = [run(replace(config_base, eps=e), u0, forcing) for e in eps_list]
     partial = any(t.aborted for t in trajs)
 
     tau = config_base.tau

@@ -1,11 +1,13 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from chbs import scheme, spaces
-from chbs.cli import main, parse_config
+from chbs.cli import _KEYS, RunSpec, main, parse_config
 from chbs.errors import ConfigError, NumericalError
 from chbs.scheme import MonitorRecord
 
@@ -88,6 +90,20 @@ def test_key_outside_section_rejected():
         parse_config("n = 5\n")
 
 
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(block) == RunSpec()
+    shown, section = set(), None
+    for line in block.splitlines():
+        match = re.fullmatch(r"\[(\w+)\]|#? ?(\w+) = .*", line)
+        if match and match.group(1):
+            section = match.group(1)
+        elif match:
+            shown.add((section, match.group(2)))
+    assert not set(_KEYS) - shown
+
+
 # --- run subcommand ------------------------------------------------------------
 
 def test_run_writes_outputs_and_passes(tmp_path):
@@ -151,6 +167,12 @@ value = 1.5
 
 def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--out", str(tmp_path), "--quiet"]) == 2
+
+
+def test_run_unreadable_config_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.cfg")
+    assert main(["run", "--config", missing, "--quiet"]) == 2
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
@@ -232,6 +254,14 @@ def test_cont_dep_rejects_shared_key_difference(tmp_path, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+def test_cont_dep_rejects_eps_list_difference(tmp_path, capsys):
+    base = CONT_BASE.format(forcing="zero", value=0.0)
+    c1 = write_config(tmp_path, base, "a.cfg")
+    c2 = write_config(tmp_path, base + "[scheme]\neps_list = 0.5,0.25,0.1\n", "b.cfg")
+    assert main(["cont-dep", "--config", c1, "--config", c2, "--quiet"]) == 2
+    assert "'eps_list' in [scheme] differs" in capsys.readouterr().err
+
+
 def test_cont_dep_needs_two_configs(tmp_path):
     cfg = write_config(tmp_path, "")
     assert main(["cont-dep", "--config", cfg, "--quiet"]) == 2
@@ -285,3 +315,20 @@ path = {forcing_path}
     assert f0.bulk[3] == 0.5 and np.all(f0.boundary == 0.0)
     f1 = forcing(0.003)  # piecewise constant: latest table time <= t
     assert f1.boundary[2] == -0.25 and f1.bulk[3] == 0.0
+
+
+@pytest.mark.parametrize("section, text, message", [
+    ("init", None, "cannot read"),
+    ("forcing", None, "cannot read"),
+    ("init", "node,value\n3\n", "malformed row ['3']"),
+    ("forcing", "t,node,value\n0.0,3\n", "malformed row ['0.0', '3']"),
+], ids=["init-missing", "forcing-missing", "init-short-row", "forcing-short-row"])
+def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
+    path = tmp_path / f"{section}.csv"
+    if text is not None:
+        path.write_text(text)
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[{section}]\npreset = csv\npath = {path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

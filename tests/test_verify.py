@@ -143,19 +143,6 @@ def test_eps_study_flags_partial_on_member_failure(domain_cache, rng):
     assert not rep.passed
 
 
-def test_eps_study_threaded_matches_serial(domain_cache, monkeypatch):
-    dom = domain_cache(5)
-    u0 = smooth_u0(dom)
-    serial = vanishing_eps_study(make_config(t_end=0.004), (0.5, 0.25, 0.125), u0,
-                                 max_workers=1)
-    threaded = vanishing_eps_study(make_config(t_end=0.004), (0.5, 0.25, 0.125), u0,
-                                   max_workers=3)
-    assert serial.d_h0 == threaded.d_h0
-    monkeypatch.setenv("CHBS_THREADS", "2")
-    via_env = vanishing_eps_study(make_config(t_end=0.004), (0.5, 0.25, 0.125), u0)
-    assert via_env.d_h0 == serial.d_h0
-
-
 # --- uniform-bound table -----------------------------------------------------------
 
 def test_table_zero_data_row(domain_cache):
