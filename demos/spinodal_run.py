@@ -3,10 +3,9 @@
 A seeded random perturbation of the mixed state separates into phases while
 the combined bulk plus boundary mean stays constant to rounding and the
 discrete free energy decreases at every step.  The script prints a monitor
-summary and writes the final snapshot next to this file.
+summary and writes the final snapshot to spinodal_final.csv in the current
+directory.
 """
-
-import os
 
 import numpy as np
 
@@ -36,6 +35,6 @@ assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 print("energy nonincreasing at every step, mass conserved to "
       f"{max(abs(r.total_mass - mass0) for r in traj.records):.1e}")
 
-out = os.path.join(os.path.dirname(__file__), "spinodal_final.csv")
+out = "spinodal_final.csv"
 write_field_csv(dom, traj.states[-1].v.bulk + traj.m0, out)
 print(f"final order parameter written to {out}")

@@ -175,10 +175,10 @@ def parse_config(text):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
     return parse_config(text)
 
 
@@ -205,7 +205,7 @@ def _read_csv(path, types):
     """
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             for k, row in enumerate(csv.reader(fh)):
                 if not row:
                     continue
@@ -217,8 +217,8 @@ def _read_csv(path, types):
                         if k == 0:
                             continue  # header row
                 raise ConfigError(f"{path}: malformed row {row!r}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
     return rows
 
 
@@ -385,8 +385,6 @@ def cmd_eps_study(args):
 
 
 def cmd_cont_dep(args):
-    if len(args.config) != 2:
-        raise ConfigError("cont-dep needs exactly two --config files")
     (spec1, spec2), out_dir, dom = _setup(args)
     for (section, key), (name, _) in _KEYS.items():
         if section not in ("init", "forcing") and getattr(spec1, name) != getattr(spec2, name):
@@ -412,16 +410,17 @@ def _build_parser():
         prog="chbs",
         description="Mass-conserving bulk/boundary phase-field simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, need_config in (("run", cmd_run, True),
-                                  ("eps-study", cmd_eps_study, True),
-                                  ("cont-dep", cmd_cont_dep, True),
-                                  ("check", cmd_check, False)):
+    # each command with the numbers of --config files it accepts
+    for name, fn, counts in (("run", cmd_run, (1,)),
+                             ("eps-study", cmd_eps_study, (1,)),
+                             ("cont-dep", cmd_cont_dep, (2,)),
+                             ("check", cmd_check, (0, 1))):
         p = sub.add_parser(name)
         p.add_argument("--config", action="append", default=[],
                        help="config file (repeatable for cont-dep)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(fn=fn, need_config=need_config)
+        p.set_defaults(fn=fn, config_counts=counts)
     return parser
 
 
@@ -429,8 +428,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.need_config and not args.config:
-            raise ConfigError(f"{args.command} needs --config")
+        if len(args.config) not in args.config_counts:
+            allowed = " or ".join(map(str, args.config_counts))
+            raise ConfigError(f"{args.command} takes {allowed} --config file(s), "
+                              f"got {len(args.config)}")
         return args.fn(args)
     except (ConfigError, CompatibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

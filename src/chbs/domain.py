@@ -195,21 +195,6 @@ def integrate_surf(dom, trace_field):
     return float(dom.M_surf @ trace_field)
 
 
-def dump_mesh(dom, path):
-    """Write a plain-text node and element listing."""
-    lines = [f"# unit square mesh, n = {dom.n}",
-             f"# nodes {dom.n_bulk}"]
-    for k, (x, y) in enumerate(dom.coords):
-        lines.append(f"node {k} {float(x)!r} {float(y)!r}")
-    lines.append(f"# triangles {dom.triangles.shape[0]}")
-    for k, (a, b, c) in enumerate(dom.triangles):
-        lines.append(f"tri {k} {a} {b} {c}")
-    lines.append(f"# boundary chain {dom.n_boundary}")
-    lines.append("chain " + " ".join(str(v) for v in dom.boundary_chain))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_field_csv(dom, values, path):
     """Export a bulk nodal field as CSV rows (node, x, y, value)."""
     values = np.asarray(values, dtype=float)

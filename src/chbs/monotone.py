@@ -66,7 +66,7 @@ class GraphSpec:
     domain_lo: float
     domain_hi: float
     pi: Callable = field(compare=False)
-    pi_primitive: Callable = field(default=None, compare=False)
+    pi_primitive: Callable = field(compare=False)
     pi_prime: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):

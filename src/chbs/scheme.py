@@ -58,22 +58,18 @@ _GMRES_MAXITER = 5
 class SchemeConfig:
     """Parameters of one regularized backward-Euler run.
 
-    ``m0`` may be left unset, in which case the conserved mean is taken from
-    the initial data; when set it is validated against the initial data.
-    ``eps_time_zero`` drops the eps-weighted time-derivative term from the
-    potential equation (diagnostic only, fully implicit splitting required);
-    the Yosida parameter stays at ``eps``.
+    ``eps`` weights both the time-derivative term of the potential equation
+    and the Yosida regularization.  The conserved mean is not a parameter:
+    it is fixed by the initial data.
     """
 
     eps: float
     tau: float
     t_end: float
     graphs: GraphPair
-    m0: Optional[float] = None
     newton_tol: float = 1e-10
     newton_max: int = 50
     splitting: str = CONVEX_SPLIT
-    eps_time_zero: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -85,8 +81,6 @@ class SchemeConfig:
         if self.splitting not in (CONVEX_SPLIT, FULLY_IMPLICIT):
             raise ConfigError(f"splitting must be one of {CONVEX_SPLIT}, "
                               f"{FULLY_IMPLICIT}; got {self.splitting!r}")
-        if self.eps_time_zero and self.splitting != FULLY_IMPLICIT:
-            raise ConfigError("eps_time_zero is a fully-implicit diagnostic mode")
         if self.splitting == FULLY_IMPLICIT and None in (
                 self.graphs.bulk.pi_prime, self.graphs.boundary.pi_prime):
             raise ConfigError("fully implicit splitting needs pi_prime on both graphs")
@@ -94,10 +88,6 @@ class SchemeConfig:
             raise ConfigError("newton_tol must be positive")
         if self.newton_max < 1:
             raise ConfigError("newton_max must be at least 1")
-        if self.m0 is not None:
-            g = self.graphs.boundary
-            if not g.domain_lo < self.m0 < g.domain_hi:
-                raise ConfigError("m0 must lie strictly inside the boundary graph domain")
 
 
 @dataclass(frozen=True)
@@ -114,7 +104,6 @@ class SchemeState:
     xi: FieldPair
     omega: float
     t: float
-    step_index: int
     m0: float
     newton_iters: int = 0
     lin_iters: int = 0
@@ -157,10 +146,6 @@ class Trajectory:
     aborted: bool = False
     error: Optional[str] = None
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
 
 # --- nodewise assembly helpers -------------------------------------------
 
@@ -190,20 +175,6 @@ def _graph_terms(dom, pair, eps, u_bulk):
     xi_g, slope_g = yosida_and_slope(pair.boundary, eps * pair.rho,
                                      u_bulk[dom.boundary_chain])
     return xi_b, xi_g, _collapse(dom, xi_b, xi_g), _collapse(dom, slope_b, slope_g)
-
-
-def implicit_block(state, config):
-    """The v-block of the step Jacobian, eps*Mc/tau + Ac + dN(u).
-
-    Positive definite for eps > 0; with the eps term dropped it is only
-    positive semidefinite (constants may enter the kernel where the Yosida
-    slope vanishes).
-    """
-    dom = state.v.domain
-    eps_t = 0.0 if config.eps_time_zero else config.eps
-    d = _graph_terms(dom, config.graphs, config.eps, state.v.bulk + state.m0)[3]
-    return (sp.diags(eps_t * dom.combined_mass / config.tau + d)
-            + dom.coupled_stiffness).tocsr()
 
 
 # --- energy ----------------------------------------------------------------
@@ -279,8 +250,6 @@ def initialize(config, u0, forcing_at_0=None):
             f"initial value {u0.boundary[node]!r} at boundary node {node} lies "
             f"outside the effective domain of the boundary graph")
     m0 = mean(u0)
-    if config.m0 is not None and abs(m0 - config.m0) > 1e-12:
-        raise ConfigError(f"initial data has mean {m0!r}, config declares {config.m0!r}")
     if not pair.boundary.domain_lo < m0 < pair.boundary.domain_hi:
         raise CompatibilityError(
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
@@ -293,8 +262,7 @@ def initialize(config, u0, forcing_at_0=None):
     rest = FieldPair(xi_b + pair.bulk.pi(u0.bulk) - f0.bulk,
                      xi_g + pair.boundary.pi(u0.boundary) - f0.boundary, dom)
     mu0 = subgrad_phi(v0) + rest
-    return SchemeState(v=v0, mu=mu0, xi=xi, omega=mean(rest), t=0.0,
-                       step_index=0, m0=m0)
+    return SchemeState(v=v0, mu=mu0, xi=xi, omega=mean(rest), t=0.0, m0=m0)
 
 
 # --- the nonlinear step -----------------------------------------------------
@@ -326,7 +294,6 @@ class _StepSystem:
         self.m0 = m0
         self.w_prev = w_prev
         self.f_vec = f_vec
-        self.eps_t = 0.0 if config.eps_time_zero else config.eps
         self.gc_tau = dom.combined_mass / config.tau
         self.mass_prev = float(dom.combined_mass @ w_prev)
         self.implicit_pi = config.splitting == FULLY_IMPLICIT
@@ -351,7 +318,7 @@ class _StepSystem:
             d = d + _collapse(dom, pair.bulk.pi_prime(u_b),
                               pair.boundary.pi_prime(u_b[dom.boundary_chain]))
         gc_dw = self.gc_tau * (w - self.w_prev)
-        eps_dw = self.eps_t * gc_dw
+        eps_dw = self.cfg.eps * gc_dw
         gc_mu, a_mu, a_w, load = gc * mu, A @ mu, A @ w, pivec - self.f_vec
         g = nvec + load
         R1 = gc_dw + a_mu
@@ -379,7 +346,7 @@ class _StepSystem:
         nb, gc, A = self.dom.n_bulk, self.dom.combined_mass, self.dom.coupled_stiffness
         dw, dmu = x[:nb], x[nb:]
         return np.concatenate([self.gc_tau * dw + A @ dmu,
-                               gc * dmu - (self.eps_t * self.gc_tau + d) * dw - A @ dw])
+                               gc * dmu - (self.cfg.eps * self.gc_tau + d) * dw - A @ dw])
 
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w."""
@@ -388,7 +355,7 @@ class _StepSystem:
 
     def _matrix(self, d):
         gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
-        block = sp.diags(self.eps_t * self.gc_tau + d) + A
+        block = sp.diags(self.cfg.eps * self.gc_tau + d) + A
         return sp.bmat([[sp.diags(self.gc_tau), A], [-block, sp.diags(gc)]], format="csc")
 
     def jacobian(self, it):
@@ -462,7 +429,7 @@ def _solve_picard(system, it, iters):
     rhs1 = system.gc_tau * system.w_prev
     budget = _PICARD_BUDGET_FACTOR * system.cfg.newton_max
     for _ in range(budget):
-        sol = system.lu.solve(np.concatenate([rhs1, it.g - system.eps_t * rhs1]))
+        sol = system.lu.solve(np.concatenate([rhs1, it.g - system.cfg.eps * rhs1]))
         w = sol[:nb] + system.mass_shift(sol[:nb])
         iters += 1
         it = system.residual(w, sol[nb:])
@@ -500,7 +467,6 @@ def step(state, config, f_next, *, lu=None):
                        xi=FieldPair(it.xi_b, it.xi_g, dom),
                        omega=mean(omega_pair),
                        t=state.t + config.tau,
-                       step_index=state.step_index + 1,
                        m0=state.m0,
                        newton_iters=iters,
                        lin_iters=lin_iters,

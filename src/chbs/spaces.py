@@ -58,9 +58,6 @@ class FieldPair:
     def zeros(cls, dom):
         return cls.from_bulk(dom, np.zeros(dom.n_bulk))
 
-    def copy(self):
-        return FieldPair(self.bulk.copy(), self.boundary.copy(), self.domain)
-
     def __add__(self, other):
         return FieldPair(self.bulk + other.bulk, self.boundary + other.boundary, self.domain)
 

@@ -18,18 +18,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .scheme import MonitorRecord, run  # re-exported record type
+from .scheme import run
 from .spaces import (FieldPair, as_functional, form_a, inner_H, inner_V, mean,
                      norm_V0_star, norm_V_star, poincare_constant,
                      project_zero_mean, subgrad_phi)
 
 __all__ = [
-    "MonitorRecord", "ContDepReport", "EpsStudyReport", "AprioriTable",
-    "AppendixReport", "continuous_dependence_experiment",
-    "vanishing_eps_study", "apriori_bound_table", "appendix_checks",
+    "ContDepReport", "EpsStudyReport", "AprioriTable", "AppendixReport",
+    "continuous_dependence_experiment", "vanishing_eps_study",
+    "apriori_bound_table", "appendix_checks",
 ]
 
 _RHS_FLOOR = 1e-30
+_RATIO_CAP = 10.0  # a uniform-bound column passes when max/min is at most this
+_ZERO_TOL = 1e-14  # and a column whose max is at most this passes outright
 
 
 # --- continuous dependence --------------------------------------------------
@@ -68,9 +70,8 @@ def _ratio_curve(traj1, traj2):
     rhs0 = norm_V0_star(as_functional(d0)) ** 2
     lhs_acc = 0.0
     rhs_acc = 0.0
-    sup = (norm_V0_star(as_functional(d0)) ** 2) / max(rhs0, _RHS_FLOOR)
-    if rhs0 <= _RHS_FLOOR:
-        sup = 0.0
+    # at t = 0 the ratio is rhs0/rhs0
+    sup = 1.0 if rhs0 > _RHS_FLOOR else 0.0
     nsteps = min(len(traj1.states), len(traj2.states)) - 1
     rhs_final = rhs0
     for k in range(1, nsteps + 1):
@@ -158,7 +159,7 @@ class AprioriTable:
     def column(self, name):
         return np.array([row[name] for row in self.rows])
 
-    def bounded(self, ratio_cap=10.0, zero_tol=1e-14):
+    def bounded(self):
         """Whether every column stays within a common envelope across rows."""
         verdict = {}
         for name in self.columns:
@@ -166,11 +167,11 @@ class AprioriTable:
                 continue
             vals = self.column(name)
             top = float(vals.max())
-            if top <= zero_tol:
+            if top <= _ZERO_TOL:
                 verdict[name] = True
                 continue
             bottom = float(vals.min())
-            verdict[name] = bottom > 0.0 and top / bottom <= ratio_cap
+            verdict[name] = bottom > 0.0 and top / bottom <= _RATIO_CAP
         return verdict
 
 

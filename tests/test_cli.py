@@ -175,6 +175,18 @@ def test_run_unreadable_config_exits_2(tmp_path, capsys):
     assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, count", [
+    ("run", 2), ("eps-study", 2), ("cont-dep", 3), ("check", 2),
+])
+def test_wrong_number_of_configs_exits_2(tmp_path, capsys, command, count):
+    cfg = write_config(tmp_path, "[mesh]\nn = 3\n")
+    out = tmp_path / "out"
+    argv = [command] + ["--config", cfg] * count + ["--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    assert f"got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[scheme]\neps = 2.0\n")
     assert main(["run", "--config", cfg, "--quiet"]) == 2
@@ -332,3 +344,13 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["config", "init", "forcing"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / f"{kind}.bin"
+    bad.write_bytes(b"node,value\n0,\xff\n")
+    cfg = str(bad) if kind == "config" else write_config(
+        tmp_path, f"[mesh]\nn = 5\n[{kind}]\npreset = csv\npath = {bad}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chbs.domain import (build_unit_square, dump_mesh, integrate_bulk,
-                         integrate_surf, write_field_csv)
+from chbs.domain import (build_unit_square, integrate_bulk, integrate_surf,
+                         write_field_csv)
 from chbs.errors import ConfigError
 
 
@@ -139,14 +139,8 @@ def test_combined_operators_consistent(domain_cache, rng):
     np.testing.assert_allclose(dom.combined_mass, gc, rtol=0, atol=0)
 
 
-def test_mesh_dump_and_field_csv(tmp_path, domain_cache):
+def test_write_field_csv(tmp_path, domain_cache):
     dom = domain_cache(3)
-    mesh_path = tmp_path / "mesh.txt"
-    dump_mesh(dom, mesh_path)
-    text = mesh_path.read_text()
-    assert "node 0 0.0 0.0" in text
-    assert text.count("tri ") == dom.triangles.shape[0]
-
     field_path = tmp_path / "field.csv"
     write_field_csv(dom, np.arange(9.0), field_path)
     lines = field_path.read_text().strip().splitlines()

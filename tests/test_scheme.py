@@ -9,8 +9,7 @@ from chbs.errors import CompatibilityError, ConfigError
 from chbs.monotone import (GraphPair, logarithmic_graph, obstacle_graph,
                            polynomial_graph, yosida, yosida_boundary)
 from chbs.scheme import (CONVEX_SPLIT, FULLY_IMPLICIT, SchemeConfig, energy,
-                         implicit_block, initialize, monitor_record, run,
-                         step, weak_residuals)
+                         initialize, monitor_record, run, step, weak_residuals)
 from chbs.spaces import (FieldPair, as_functional, inner_H, mean, norm_V0,
                          norm_V0_star, project_zero_mean)
 
@@ -37,17 +36,6 @@ def test_config_rejects_bad_eps():
         make_config(eps=0.0)
     with pytest.raises(ConfigError):
         make_config(eps=1.5)
-
-
-def test_config_rejects_bad_m0():
-    with pytest.raises(ConfigError):
-        make_config(graphs=OBST_PAIR, m0=1.0)
-
-
-def test_config_diagnostic_mode_needs_fully_implicit():
-    with pytest.raises(ConfigError):
-        make_config(eps_time_zero=True)
-    make_config(eps_time_zero=True, splitting=FULLY_IMPLICIT)
 
 
 def test_config_fully_implicit_needs_pi_prime():
@@ -90,12 +78,6 @@ def test_initialize_rejects_mean_on_domain_edge(domain_cache):
     dom = domain_cache(5)
     with pytest.raises(CompatibilityError):
         initialize(make_config(graphs=OBST_PAIR), FieldPair.constant(dom, 1.0))
-
-
-def test_initialize_checks_declared_mean(domain_cache):
-    dom = domain_cache(5)
-    with pytest.raises(ConfigError):
-        initialize(make_config(m0=0.3), FieldPair.constant(dom, 0.4))
 
 
 def test_initialize_records_yosida_pair(domain_cache, rng):
@@ -173,7 +155,6 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
     A = dom.K_bulk.toarray() + S.T @ dom.K_surf.toarray() @ S
     gc = dom.M_bulk + S.T @ dom.M_surf
     tau, eps, pair = cfg.tau, cfg.eps, cfg.graphs
-    eps_t = 0.0 if cfg.eps_time_zero else eps
 
     def weighted(u, fn_bulk, fn_bnd):
         out = dom.M_bulk * fn_bulk(u)
@@ -193,7 +174,7 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
         fvec[chain] += dom.M_surf * f_pair.boundary
 
     system = np.block([[np.diag(gc / tau), A],
-                       [-(eps_t * np.diag(gc / tau) + A), np.diag(gc)]])
+                       [-(eps * np.diag(gc / tau) + A), np.diag(gc)]])
     pi_prev = perturb(w_prev + m0)
     w = w_prev.copy()
     mu = np.zeros(nb)
@@ -201,7 +182,7 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
         u = w + m0
         pivec = perturb(u) if cfg.splitting == FULLY_IMPLICIT else pi_prev
         rhs = np.concatenate([gc * w_prev / tau,
-                              nonlin(u) + pivec - fvec - eps_t * gc * w_prev / tau])
+                              nonlin(u) + pivec - fvec - eps * gc * w_prev / tau])
         sol = np.linalg.solve(system, rhs)
         w_new, mu_new = sol[:nb], sol[nb:]
         done = np.abs(w_new - w).max() <= tol
@@ -303,34 +284,6 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     assert nxt.newton_iters == clean.newton_iters  # no Picard fallback
     assert abs(mean(nxt.v)) <= 1e-15
     assert np.abs(nxt.v.bulk - clean.v.bulk).max() <= 1e-12
-
-
-def test_diagnostic_mode_drops_time_regularization(domain_cache, rng):
-    # with the eps time term off, the step is the plain semi-implicit scheme
-    dom = domain_cache(5)
-    cfg = make_config(splitting=FULLY_IMPLICIT, eps_time_zero=True,
-                      newton_tol=1e-12)
-    u0 = random_u0(dom, rng, amplitude=0.3)
-    state = initialize(cfg, u0)
-    nxt = step(state, cfg, FieldPair.zeros(dom))
-    w_ref, _ = dense_picard_step(dom, cfg, state.m0, state.v.bulk)
-    assert np.abs(nxt.v.bulk - w_ref).max() <= 1e-8
-    with_eps = step(state, make_config(splitting=FULLY_IMPLICIT, newton_tol=1e-12),
-                    FieldPair.zeros(dom))
-    assert np.abs(with_eps.v.bulk - nxt.v.bulk).max() > 1e-10
-
-
-def test_implicit_block_definiteness(domain_cache, rng):
-    dom = domain_cache(5)
-    cfg = make_config()
-    state = initialize(cfg, random_u0(dom, rng))
-    block = implicit_block(state, cfg).toarray()
-    np.linalg.cholesky(block)  # positive definite with the eps term
-    cfg0 = make_config(splitting=FULLY_IMPLICIT, eps_time_zero=True)
-    state0 = initialize(cfg0, random_u0(dom, rng))
-    block0 = implicit_block(state0, cfg0).toarray()
-    assert np.all(np.diag(block) - np.diag(implicit_block(state, cfg0).toarray()) > 0.0)
-    assert np.linalg.eigvalsh(block0).min() >= -1e-10
 
 
 # --- run ---------------------------------------------------------------------------
