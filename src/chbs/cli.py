@@ -17,6 +17,7 @@ import argparse
 import bisect
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -80,11 +81,19 @@ def _choice(*choices):
     return f"one of {', '.join(choices)}", parse
 
 
+def _finite(raw):
+    """float(raw), rejecting nan and +-inf with a ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 # value parsers: (what the value must be, raw text -> value or ValueError)
 _INT = ("an integer", int)
-_FLOAT = ("a number", float)
-_FLOATS = ("a comma-separated list of numbers",
-           lambda raw: tuple(float(v) for v in raw.split(",")))
+_FLOAT = ("a finite number", _finite)
+_FLOATS = ("a comma-separated list of finite numbers",
+           lambda raw: tuple(_finite(v) for v in raw.split(",")))
 _TEXT = ("text", str)
 _GRAPH = _choice(*_GRAPHS)
 
@@ -196,12 +205,20 @@ def build_scheme_config(spec):
                         newton_max=spec.newton_max, splitting=spec.splitting)
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path, types):
     """Rows of a CSV file, each converted by ``types``, one per column.
 
-    A first row that does not convert is a header and is skipped.  An
-    unreadable file, a short row or any other row that does not convert is
-    a configuration error.
+    A first row whose first cell is not a number is a header and is
+    skipped.  An unreadable file, a short row or any other row that does
+    not convert (a nan or inf value among them) is a configuration error.
     """
     rows = []
     try:
@@ -214,7 +231,7 @@ def _read_csv(path, types):
                         rows.append(tuple(t(v) for t, v in zip(types, row)))
                         continue
                     except ValueError:
-                        if k == 0:
+                        if k == 0 and not _is_number(row[0]):
                             continue  # header row
                 raise ConfigError(f"{path}: malformed row {row!r}")
     except (OSError, UnicodeDecodeError) as exc:
@@ -232,7 +249,7 @@ def build_initial(spec, dom):
             + spec.init_amplitude * project_zero_mean(noise)
     values = np.zeros(dom.n_bulk)
     seen = np.zeros(dom.n_bulk, dtype=bool)
-    for node, value in _read_csv(spec.init_path, (int, float)):
+    for node, value in _read_csv(spec.init_path, (int, _finite)):
         if not 0 <= node < dom.n_bulk:
             raise ConfigError(f"init csv names node {node}, mesh has {dom.n_bulk} bulk nodes")
         values[node] = value
@@ -255,7 +272,7 @@ def build_forcing(spec, dom):
         value = spec.forcing_value
         return lambda t: FieldPair.constant(dom, value)
     table = {}
-    for t, node, value in _read_csv(spec.forcing_path, (float, int, float)):
+    for t, node, value in _read_csv(spec.forcing_path, (_finite, int, _finite)):
         if not 0 <= node < dom.n_bulk + dom.n_boundary:
             raise ConfigError(f"{spec.forcing_path}: node id {node} out of range")
         table.setdefault(t, []).append((node, value))

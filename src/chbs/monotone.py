@@ -18,8 +18,8 @@ unregularized graphs.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
-kind needs entries in the ``_BETA*`` dispatch tables below plus a bracket rule
-in ``_resolvent_newton``; no other families are assumed.
+kind needs a branch in ``beta_hat``, ``minimal_section``, ``resolvent`` and
+``yosida_and_slope``; no other families are assumed.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ LOGARITHMIC = "logarithmic"
 OBSTACLE = "obstacle"
 
 _KINDS = (POLYNOMIAL, LOGARITHMIC, OBSTACLE)
-
-#: open-domain resolvent brackets are shrunk strictly inside the endpoints
-_PAD = 1e-15
-
-_RESIDUAL_TOL = 1e-15
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -118,19 +112,6 @@ def obstacle_graph(pi_slope=-1.0):
 
 # --- single-valued evaluations per kind ---------------------------------
 
-def _beta_smooth(kind, r):
-    if kind == POLYNOMIAL:
-        return r ** 3
-    # logarithmic, |r| < 1
-    return np.log1p(r) - np.log1p(-r)
-
-
-def _beta_prime_smooth(kind, r):
-    if kind == POLYNOMIAL:
-        return 3.0 * r ** 2
-    return 1.0 / (1.0 + r) + 1.0 / (1.0 - r)
-
-
 def beta_hat(g, r):
     """Convex primitive of the graph, +inf outside its closed domain."""
     arr = np.asarray(r, dtype=float)
@@ -164,9 +145,9 @@ def minimal_section(g, r):
     elif g.kind == LOGARITHMIC:
         if np.any((arr <= -1.0) | (arr >= 1.0)):
             raise ValueError("minimal_section: input outside the effective domain (-1, 1)")
-        out = _beta_smooth(LOGARITHMIC, arr)
+        out = np.log1p(arr) - np.log1p(-arr)
     else:
-        out = _beta_smooth(POLYNOMIAL, arr)
+        out = arr ** 3
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -190,44 +171,27 @@ def _resolvent_cubic(eps, r):
     return np.copysign(j, r)
 
 
-def _resolvent_newton(g, eps, r):
-    """Safeguarded Newton for j + eps*beta(j) = r on a monotone bracket.
+def _resolvent_log(eps, r):
+    """Root of j + eps*ln((1+j)/(1-j)) = r, solved in s = artanh(j).
 
-    The root lies between 0 and r because beta is monotone with beta(0) = 0;
-    the bracket is intersected with the effective domain, shrunk strictly
-    inside open endpoints.  Newton steps that leave the bracket fall back to
-    bisection, so the iteration cannot fail for the supported kinds.  Both
-    stopping tolerances are relative to |r|, so tiny inputs are resolved too.
+    With j = tanh(s), f(s) = tanh(s) + 2*eps*s - |r| is increasing and concave
+    on s >= 0, and both |r|/(1 + 2*eps) and (|r| - 1)/(2*eps) lie below its
+    root.  Newton from the larger one rises monotonically to the root with no
+    bracket; it stops once no update increases s, which the rising float
+    iterates, bounded by the root up to rounding, must reach.  The root is
+    signed last, so the resolvent is exactly odd; j rounds to +-1 once tanh
+    saturates.
     """
-    kind = g.kind
-    if kind == POLYNOMIAL:
-        # resolvent() solves the cubic in closed form; tests use this bracket
-        # as its independent reference
-        with np.errstate(over="ignore"):
-            mag = np.minimum(np.abs(r), np.cbrt(np.abs(r) / eps))
-        lo = np.where(r < 0.0, -mag, 0.0)
-        hi = np.where(r > 0.0, mag, 0.0)
-    else:
-        lo = np.maximum(g.domain_lo + _PAD, np.minimum(r, 0.0))
-        hi = np.minimum(g.domain_hi - _PAD, np.maximum(r, 0.0))
-
-    j = 0.5 * (lo + hi)
-    tol = _RESIDUAL_TOL * np.abs(r)
-    tiny = 4.0 * np.finfo(float).eps
-    for _ in range(_MAX_ITER):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = j + eps * _beta_smooth(kind, j) - r
-        hi = np.where(f > 0.0, j, hi)
-        lo = np.where(f <= 0.0, j, lo)
-        done = (np.abs(f) <= tol) | (hi - lo <= tiny * np.abs(j))
-        if done.all():
-            break
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cand = j - f / (1.0 + eps * _beta_prime_smooth(kind, j))
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        j = np.where(done, j, cand)
-    return j
+    a = np.abs(r)
+    s = np.maximum(a / (1.0 + 2.0 * eps), (a - 1.0) / (2.0 * eps))
+    while True:
+        t = np.tanh(s)
+        step = (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
+        nxt = s + step
+        rising = nxt > s
+        if not rising.any():
+            return np.copysign(t, r)
+        s = np.where(rising, nxt, s)
 
 
 def resolvent(g, eps, r):
@@ -244,7 +208,8 @@ def resolvent(g, eps, r):
     -------
     The unique j with j + eps*s = r for some s in beta(j).  The obstacle
     and cubic resolvents are in closed form (projection onto [-1, 1] and
-    the real root of the cubic); the logarithmic one is iterative.
+    the real root of the cubic); the logarithmic one is a monotone Newton
+    iteration in s = artanh(j) and may round to exactly +-1 near saturation.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -257,7 +222,7 @@ def resolvent(g, eps, r):
     elif g.kind == POLYNOMIAL:
         out = _resolvent_cubic(eps, arr)
     else:
-        out = _resolvent_newton(g, eps, arr)
+        out = _resolvent_log(eps, arr)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -275,7 +240,8 @@ def yosida(g, eps, r):
 def yosida_and_slope(g, eps, r):
     """Yosida approximation and its derivative from one resolvent evaluation.
 
-    Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J)).
+    Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J));
+    the logarithmic one is 2/(1 - J**2 + 2*eps), finite also at J = +-1.
     The obstacle graph is piecewise linear; at the kink points +-1 the
     subgradient surrogate 0 is returned (1/eps outside [-1, 1]).
     """
@@ -285,9 +251,11 @@ def yosida_and_slope(g, eps, r):
     xi = (arr - j) / eps
     if g.kind == OBSTACLE:
         slope = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
-    else:
-        bp = _beta_prime_smooth(g.kind, j)
+    elif g.kind == POLYNOMIAL:
+        bp = 3.0 * j ** 2
         slope = bp / (1.0 + eps * bp)
+    else:
+        slope = 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)
     if np.ndim(r) == 0:
         return float(xi), float(slope)
     return xi, slope

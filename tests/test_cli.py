@@ -193,6 +193,26 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, raw", [
+    ("scheme", "t_end", "nan"),
+    ("scheme", "t_end", "inf"),
+    ("scheme", "eps_list", "0.5,nan"),
+    ("graphs", "pi_slope", "nan"),
+    ("graphs", "log_c", "nan"),
+    ("graphs", "rho", "inf"),
+    ("graphs", "c0", "nan"),
+    ("forcing", "value", "nan"),
+    ("forcing", "value", "-inf"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, raw):
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[{section}]\n{key} = {raw}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a" in err and "finite number" in err and f"got {raw!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- check subcommand ------------------------------------------------------------
 
 def test_check_default_mesh_passes(tmp_path):
@@ -334,7 +354,11 @@ path = {forcing_path}
     ("forcing", None, "cannot read"),
     ("init", "node,value\n3\n", "malformed row ['3']"),
     ("forcing", "t,node,value\n0.0,3\n", "malformed row ['0.0', '3']"),
-], ids=["init-missing", "forcing-missing", "init-short-row", "forcing-short-row"])
+    ("forcing", "t,node,value\n0.0,3,nan\n", "malformed row ['0.0', '3', 'nan']"),
+    ("forcing", "0.0,3,inf\n", "malformed row ['0.0', '3', 'inf']"),
+    ("init", "node,value\n0,nan\n", "malformed row ['0', 'nan']"),
+], ids=["init-missing", "forcing-missing", "init-short-row", "forcing-short-row",
+        "forcing-nan-value", "forcing-inf-first-row", "init-nan-value"])
 def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     path = tmp_path / f"{section}.csv"
     if text is not None:

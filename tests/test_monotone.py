@@ -1,12 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import qmc
 
-from chbs.monotone import (GraphPair, _resolvent_newton, beta_hat,
+from chbs.monotone import (GraphPair, beta_hat,
                            check_compatibility, envelope, envelope_boundary,
                            logarithmic_graph, minimal_section, obstacle_graph,
                            polynomial_graph, resolvent, yosida,
@@ -105,21 +107,68 @@ def test_cubic_resolvent_closed_form_battery(a, b, eps):
     # monotone up to one unit in the last place
     (ja, ra), (jb, rb) = sorted([(j[0], a), (j[2], b)], key=lambda p: p[1])
     assert jb >= ja - np.spacing(ja)
-    bracketed = _resolvent_newton(POLY, eps, r)
-    big = np.abs(r) >= 1e-6
-    assert np.all(np.abs(j - bracketed)[big] <= 1e-13 * np.abs(bracketed)[big])
+    # independent reference: Brent's method on the bracket [0, min(|r|, cbrt(|r|/eps))]
+    for jk, rk in zip(j, r):
+        if abs(rk) >= 1e-6:
+            top = min(abs(rk), np.cbrt(abs(rk) / eps))
+            root = brentq(lambda x: eps * x ** 3 + x - abs(rk), 0.0, top,
+                          xtol=np.finfo(float).tiny)
+            assert abs(abs(jk) - root) <= 1e-13 * root
 
 
 @given(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), st.floats(1e-300, 1.0), _EPS_RANGE)
 @settings(max_examples=300, deadline=None)
 def test_log_resolvent_relative_accuracy(a, b, eps):
-    # the stopping rule is relative to |r|, so tiny inputs are not cut short
+    # Newton runs in s = artanh(j), which scales with |r|, so tiny inputs
+    # keep their relative accuracy
     r = np.array([a, -a, b, -b])
     j = resolvent(LOG, eps, r)
     beta = np.log1p(j) - np.log1p(-j)
     assert np.all(np.abs(j + eps * beta - r) <= 1e-15 * np.abs(r))
     (ja, ra), (jb, rb) = sorted([(j[0], a), (j[2], b)], key=lambda p: p[1])
     assert jb >= ja - 8.0 * np.spacing(ja)
+
+
+def _decimal_tanh(s):
+    if s < Decimal("1e-10"):  # the series is exact to 60 digits here
+        s2 = s * s
+        return s * (1 - s2 / 3 + 2 * s2 * s2 / 15)
+    e = (-2 * s).exp()  # 1 - e cancels at most 10 of the 60 digits
+    return (1 - e) / (1 + e)
+
+
+def _decimal_log_resolvent(eps, r):
+    """Root of tanh(s) + 2*eps*s = |r| to 40 digits, returned as a signed tanh(s)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, e = abs(Decimal(r)), Decimal(eps)
+        s = max(a / (1 + 2 * e), (a - 1) / (2 * e))
+        for _ in range(100):
+            t = _decimal_tanh(s)
+            step = (a - t - 2 * e * s) / ((1 - t) * (1 + t) + 2 * e)
+            s += step
+            if abs(step) <= s * Decimal("1e-40"):
+                return _decimal_tanh(s).copy_sign(Decimal(r))
+    raise AssertionError(f"decimal reference did not converge at eps={eps}, r={r}")
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0])
+def test_log_resolvent_matches_decimal_reference(eps):
+    a = np.array([1e-300, 1e-8, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
+    r = np.concatenate([a, -a])
+    j = resolvent(LOG, eps, r)
+    for jk, rk in zip(j, r):
+        ref = _decimal_log_resolvent(eps, rk)
+        assert abs((Decimal(jk) - ref) / ref) <= Decimal("4e-16"), (rk, jk, ref)
+
+
+@pytest.mark.parametrize("r", [1.5, -1.5, 3.0, -3.0])
+def test_log_resolvent_saturates_with_finite_slope(r):
+    # s = artanh(j) is about (|r| - 1)/(2 eps) = 2.5e5 or more, where tanh is 1.0
+    eps = 1e-6
+    assert resolvent(LOG, eps, r) == math.copysign(1.0, r)
+    xi, slope = yosida_and_slope(LOG, eps, r)
+    assert math.isfinite(xi) and slope == 1.0 / eps
 
 
 def test_log_resolvent_resolves_tiny_inputs():
@@ -354,7 +403,7 @@ def test_check_compatibility_rejects_bad_eps():
 
 # --- misc -------------------------------------------------------------------
 
-def test_yosida_prime_matches_finite_differences():
+def test_yosida_slope_matches_finite_differences():
     r = sobol_points(-3.0, 3.0, m=7)
     h = 1e-6
     for g, eps in ((POLY, 0.3), (LOG, 0.3)):
