@@ -177,21 +177,23 @@ def _resolvent_log(eps, r):
     With j = tanh(s), f(s) = tanh(s) + 2*eps*s - |r| is increasing and concave
     on s >= 0, and both |r|/(1 + 2*eps) and (|r| - 1)/(2*eps) lie below its
     root.  Newton from the larger one rises monotonically to the root with no
-    bracket; it stops once no update increases s, which the rising float
-    iterates, bounded by the root up to rounding, must reach.  The root is
-    signed last, so the resolvent is exactly odd; j rounds to +-1 once tanh
-    saturates.
+    bracket.  An entry stops once its update no longer raises j = tanh(s):
+    near the root rounding can keep the residual positive, and s would then
+    creep up by an ulp per update with j fixed.  Each accepted update raises
+    j, so the loop ends.  The root is signed last, so the resolvent is
+    exactly odd; j rounds to +-1 once tanh saturates.
     """
     a = np.abs(r)
     s = np.maximum(a / (1.0 + 2.0 * eps), (a - 1.0) / (2.0 * eps))
+    t = np.tanh(s)
     while True:
-        t = np.tanh(s)
-        step = (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
-        nxt = s + step
-        rising = nxt > s
+        nxt = s + (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
+        t_nxt = np.tanh(nxt)
+        rising = t_nxt > t
         if not rising.any():
             return np.copysign(t, r)
         s = np.where(rising, nxt, s)
+        t = np.maximum(t, t_nxt)
 
 
 def resolvent(g, eps, r):

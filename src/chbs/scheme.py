@@ -18,11 +18,18 @@ zero forcing; the fully implicit variant evaluates it at the new state.
 Testing the first equation with the constant pair shows the combined mean of
 ``v`` is conserved algebraically; every computed update is shifted by the
 constant that restores the mean, whichever linear solver produced it.  The
-solver is a damped Newton iteration on the monolithic system with a Picard
-fallback for the kinked obstacle graph.  Its Jacobian differs from the
-constant Picard matrix [[Mc/tau, Ac], [-(eps Mc/tau + Ac), Mc]] only by the
-nodal diagonal dN(u), so a run factors that matrix once and preconditions
-GMRES with it; a fresh LU of the Jacobian is the fallback when GMRES stalls.
+solver is a damped Newton iteration with a Picard fallback for the kinked
+obstacle graph.  Mc is diagonal, so every linear system eliminates mu
+exactly.  What remains is bulk-sized, and its constant part, the Schur
+complement
+
+    S0 = Mc/tau + (eps/tau) Ac + Ac Mc^-1 Ac = (Ac + c1 Mc) Mc^-1 (Ac + c2 Mc)
+
+with c1, c2 the roots of x^2 - (eps/tau) x + 1/tau, needs only the shifted
+stiffness Ac + c Mc factored: once per run, one complex factor when
+eps^2 < 4 tau and two real ones otherwise.  S0^-1 preconditions GMRES for
+the Newton directions and solves each Picard iterate exactly; a fresh LU of
+the reduced Newton matrix is the fallback when GMRES stalls.
 """
 
 from __future__ import annotations
@@ -280,12 +287,30 @@ def _h_norm(dom, vec):
 _Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 xi_b xi_g d g terms1 terms2")
 
 
+def _shifts(eps, tau):
+    """Roots of x^2 - (eps/tau) x + 1/tau: both of a real pair, or the member
+    of a complex pair (eps^2 < 4 tau) with positive imaginary part."""
+    half = 0.5 * eps / tau
+    disc = half * half - 1.0 / tau
+    if disc < 0.0:
+        return (complex(half, math.sqrt(-disc)),)
+    big = half + math.sqrt(disc)
+    return big, (1.0 / tau) / big
+
+
 class _StepSystem:
     """The equations of one step in bulk coordinates.
 
-    Only the nodal Jacobian diagonal changes between iterates and steps;
-    ``lu`` factors the constant Picard matrix on first use unless the run
-    passes in the factor it already holds.
+    Mc is diagonal, so a block system with right-hand side (r1, r2) for
+    (dw, dmu) reduces exactly to
+
+        S(D) dw = r1 - Ac (r2/Mc),  S(D) = Mc/tau + Ac Mc^-1 (eps Mc/tau + Ac + D),
+
+    with dmu = (r2 + (eps Mc/tau + Ac + D) dw)/Mc.  D is the nodal Jacobian
+    diagonal for Newton and 0 for Picard, where S(0) = S0.  Only D changes
+    between iterates and steps.  ``lu`` factors the shifted stiffness
+    matrices of ``picard_matrix`` on first use unless the run passes in the
+    factors it already holds.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_vec, lu=None):
@@ -299,12 +324,13 @@ class _StepSystem:
         self.implicit_pi = config.splitting == FULLY_IMPLICIT
         self.pi_vec_prev = (None if self.implicit_pi else
                             _perturbation_vector(dom, config.graphs, w_prev + m0))
+        self.shifts = _shifts(config.eps, config.tau)
         self._lu = lu
 
     @property
     def lu(self):
         if self._lu is None:
-            self._lu = splu(self.picard_matrix())
+            self._lu = [splu(m) for m in self.picard_matrix()]
         return self._lu
 
     def residual(self, w, mu):
@@ -342,49 +368,68 @@ class _StepSystem:
         s1, s2 = self.scales(it)
         return it.r1 <= tol * s1 and it.r2 <= tol * s2
 
-    def apply_jacobian(self, d, x):
-        nb, gc, A = self.dom.n_bulk, self.dom.combined_mass, self.dom.coupled_stiffness
-        dw, dmu = x[:nb], x[nb:]
-        return np.concatenate([self.gc_tau * dw + A @ dmu,
-                               gc * dmu - (self.cfg.eps * self.gc_tau + d) * dw - A @ dw])
-
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w."""
         gc = self.dom.combined_mass
         return (self.mass_prev - float(gc @ w)) / float(gc.sum())
 
-    def _matrix(self, d):
-        gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
-        block = sp.diags(self.cfg.eps * self.gc_tau + d) + A
-        return sp.bmat([[sp.diags(self.gc_tau), A], [-block, sp.diags(gc)]], format="csc")
+    def reduce(self, r1, r2):
+        """Right-hand side of the reduced system for the block right-hand side (r1, r2)."""
+        return r1 - self.dom.coupled_stiffness @ (r2 / self.dom.combined_mass)
+
+    def potential(self, r2, w, d):
+        """Back-substitution mu = (r2 + (eps Mc/tau + Ac + D) w)/Mc."""
+        dom = self.dom
+        return ((r2 + (self.cfg.eps * self.gc_tau + d) * w + dom.coupled_stiffness @ w)
+                / dom.combined_mass)
+
+    def schur_solve(self, x):
+        """S0^-1 x: -Im((Ac + c1 Mc)^-1 x)/Im c1 by partial fractions over a
+        complex pair, else (Ac + c2 Mc)^-1 Mc (Ac + c1 Mc)^-1 x."""
+        lus = self.lu
+        if len(lus) == 1:
+            return -lus[0].solve(x).imag / self.shifts[0].imag
+        return lus[1].solve(self.dom.combined_mass * lus[0].solve(x))
 
     def jacobian(self, it):
-        return self._matrix(it.d)
+        """The reduced Newton matrix S(D), assembled."""
+        gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
+        coupling = sp.diags(self.cfg.eps * self.gc_tau + it.d) + A
+        return (sp.diags(self.gc_tau) + A @ sp.diags(1.0 / gc) @ coupling).tocsc()
 
     def picard_matrix(self):
-        return self._matrix(0.0)
+        """The shifted stiffness matrices Ac + c Mc whose factors give S0^-1."""
+        gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
+        return [(A + sp.diags(c * gc)).tocsc() for c in self.shifts]
 
 
 def _newton_direction(system, it):
     """Newton direction at an iterate: (dw, dmu, GMRES iterations, LU fallback).
 
-    GMRES applies the Jacobian matrix-free, preconditioned by the Picard
-    factor; if it does not converge, a fresh LU of the assembled Jacobian
-    solves instead.  dw is then shifted so the combined mean stays exact.
+    GMRES solves the reduced system for dw, preconditioned by the exact
+    S0^-1; if it does not converge, a fresh LU of the assembled S(D) solves
+    instead.  dw is shifted so the combined mean stays exact before dmu is
+    back-substituted, so the pair solves the Newton system for the shifted dw.
     """
-    nb = system.dom.n_bulk
-    shape = (2 * nb, 2 * nb)
-    rhs = -np.concatenate([it.R1, it.R2])
+    nb, A = system.dom.n_bulk, system.dom.coupled_stiffness
+    shape = (nb, nb)
+    r2 = -it.R2
+    rhs = system.reduce(-it.R1, r2)
+
+    def reduced(x):
+        # S(D) x = Mc x/tau + Ac mu(x), mu(x) the back-substitution with r2 = 0
+        return system.gc_tau * x + A @ system.potential(0.0, x, it.d)
+
     history = []
-    delta, info = gmres(
-        LinearOperator(shape, matvec=lambda x: system.apply_jacobian(it.d, x), dtype=float),
+    dw, info = gmres(
+        LinearOperator(shape, matvec=reduced, dtype=float),
         rhs, rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-        M=LinearOperator(shape, matvec=system.lu.solve, dtype=float),
+        M=LinearOperator(shape, matvec=system.schur_solve, dtype=float),
         callback=history.append, callback_type="pr_norm")
     if info != 0:
-        delta = splu(system.jacobian(it)).solve(rhs)
-    dw, dmu = delta[:nb], delta[nb:]
-    return dw + system.mass_shift(it.w + dw), dmu, len(history), int(info != 0)
+        dw = splu(system.jacobian(it)).solve(rhs)
+    dw = dw + system.mass_shift(it.w + dw)
+    return dw, system.potential(r2, dw, it.d), len(history), int(info != 0)
 
 
 def _solve_step(system, w0, mu0):
@@ -424,15 +469,15 @@ def _solve_step(system, w0, mu0):
 
 
 def _solve_picard(system, it, iters):
-    """Frozen-nonlinearity fixed-point iteration with the Picard factor."""
-    nb = system.dom.n_bulk
-    rhs1 = system.gc_tau * system.w_prev
+    """Frozen-nonlinearity fixed-point iteration, each iterate an exact S0 solve."""
+    r1 = system.gc_tau * system.w_prev
     budget = _PICARD_BUDGET_FACTOR * system.cfg.newton_max
     for _ in range(budget):
-        sol = system.lu.solve(np.concatenate([rhs1, it.g - system.cfg.eps * rhs1]))
-        w = sol[:nb] + system.mass_shift(sol[:nb])
+        r2 = it.g - system.cfg.eps * r1
+        w = system.schur_solve(system.reduce(r1, r2))
+        w = w + system.mass_shift(w)
         iters += 1
-        it = system.residual(w, sol[nb:])
+        it = system.residual(w, system.potential(r2, w, 0.0))
         if system.converged(it):
             return it, iters
     raise StepError(f"Picard fallback did not converge in {budget} iterations "
@@ -443,8 +488,9 @@ def step(state, config, f_next, *, lu=None):
     """Advance one time level.
 
     ``f_next`` is the forcing pair at the target time; backward Euler samples
-    the forcing there.  ``lu`` is the factor of the Picard matrix; ``run``
-    passes one so that the matrix is factored once per run, and a lone step
+    the forcing there.  ``lu`` holds the factors of the shifted stiffness
+    matrices that give the Schur complement S0 (see ``_StepSystem``); ``run``
+    passes them so that they are factored once per run, and a lone step
     factors its own.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
@@ -501,7 +547,7 @@ def run(config, u0, forcing=None):
     state = initialize(config, u0, forcing_at_0=f_at(0.0))
     traj = Trajectory(config=config, m0=state.m0, states=[state],
                       records=[monitor_record(state, config)])
-    # the Picard matrix is the same at every step: factor it once per run
+    # S0 is the same at every step: factor its shifted stiffness once per run
     lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from chbs import scheme as scheme_module
@@ -192,10 +193,13 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
     raise AssertionError("oracle fixed point did not converge")
 
 
-@pytest.mark.parametrize("splitting", [CONVEX_SPLIT, FULLY_IMPLICIT])
-def test_step_agrees_with_dense_picard_oracle(domain_cache, rng, splitting):
+# eps = 0.1, tau = 1e-3 gives a real pair of Schur shifts, eps = 0.02 a complex one
+@pytest.mark.parametrize("splitting, eps", [
+    (CONVEX_SPLIT, 0.1), (FULLY_IMPLICIT, 0.1), (CONVEX_SPLIT, 0.02), (FULLY_IMPLICIT, 0.02)],
+    ids=["convex_split", "fully_implicit", "convex_split-complex", "fully_implicit-complex"])
+def test_step_agrees_with_dense_picard_oracle(domain_cache, rng, splitting, eps):
     dom = domain_cache(5)
-    cfg = make_config(splitting=splitting, newton_tol=1e-12)
+    cfg = make_config(eps=eps, splitting=splitting, newton_tol=1e-12)
     u0 = random_u0(dom, rng, amplitude=0.3)
     state = initialize(cfg, u0)
     nxt = step(state, cfg, FieldPair.zeros(dom))
@@ -284,6 +288,33 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     assert nxt.newton_iters == clean.newton_iters  # no Picard fallback
     assert abs(mean(nxt.v)) <= 1e-15
     assert np.abs(nxt.v.bulk - clean.v.bulk).max() <= 1e-12
+
+
+# --- Schur factor -------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps, tau, im_over_re", [
+    (0.1, 1e-3, None),                   # real pair: eps^2 > 4 tau
+    (0.02, 1e-3, 3.0),                   # complex pair 10 +- 30i
+    (0.5, 0.0625, None),                 # double root 4: eps^2 = 4 tau exactly
+    (0.1, 0.0025 * (1.0 + 1e-10), 1e-5),  # nearly critical complex pair
+], ids=["real", "complex", "double", "near_critical"])
+def test_schur_factor_inverts_reduced_picard_matrix(domain_cache, rng, eps, tau, im_over_re):
+    dom = domain_cache(33)
+    gc, A = dom.combined_mass, dom.coupled_stiffness
+    system = scheme_module._StepSystem(dom, make_config(eps=eps, tau=tau), 0.0,
+                                       np.zeros(dom.n_bulk), None)
+    if im_over_re is None:
+        assert len(system.lu) == 2
+    else:
+        (c,) = system.shifts
+        assert len(system.lu) == 1
+        assert c.imag / c.real == pytest.approx(im_over_re, rel=1e-3)
+    s0 = sp.diags(gc / tau) + (eps / tau) * A + A @ sp.diags(1.0 / gc) @ A
+    for _ in range(3):
+        x = rng.standard_normal(dom.n_bulk)
+        y = system.schur_solve(x)
+        assert y.dtype == float
+        assert np.linalg.norm(s0 @ y - x) <= 1e-11 * np.linalg.norm(x)
 
 
 # --- run ---------------------------------------------------------------------------

@@ -4,17 +4,43 @@
 installs its wrappers, so renaming one breaks ``bench/run.py --trace 1``.
 Its ``_VALUES`` table reads the work count of a span by name, so renaming
 one of those functions silently drops per-layer metrics such as
-``monotone.nodes``.  The module is loaded by file path; its tracer is not
-installed.
+``monotone.nodes``.  The module is loaded by file path.  Installing the
+tracer patches the chbs modules in place, so the traced run goes in a
+subprocess; it also catches calls the tracer's wrappers cannot take, such
+as a keyword argument to ``scheme.splu``.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from chbs import scheme
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+
+# a two-step n = 9 run in one process with the bench tracer installed; the
+# last line of output is a JSON summary of the spans and metrics
+_TRACED_RUN = """
+import importlib.util, json, sys, time
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+import chbs.cli
+start = time.perf_counter()
+rc = chbs.cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3], "--quiet"])
+wall = time.perf_counter() - start
+names = [span[0] for span in tracer.spans]
+print(json.dumps({"rc": rc, "splu": names.count("scheme.splu"),
+                  "lu_solve": names.count("scheme.lu_solve"),
+                  "metrics": list(spans.layer_metrics(tracer.spans, wall))}))
+"""
 
 
 def _load_spans():
@@ -37,3 +63,22 @@ def test_traced_private_names_exist():
         if not callable(getattr(importlib.import_module(f"chbs.{layer}"), name, None)):
             missing.append(span)
     assert not missing
+
+
+def test_bench_tracer_runs_the_cli(tmp_path):
+    # eps^2 < 4 tau: the complex Schur factor, as in every benchmark workload
+    config = tmp_path / "run.cfg"
+    config.write_text("[mesh]\nn = 9\n\n"
+                      "[scheme]\neps = 0.02\ntau = 0.001\nt_end = 0.002\n\n"
+                      "[graphs]\nbulk = polynomial\nboundary = polynomial\n\n"
+                      "[init]\npreset = random\namplitude = 0.2\nseed = 3\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(SPANS), str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["rc"] == 0
+    assert out["splu"] >= 1 and out["lu_solve"] >= 1
+    assert out["metrics"] == [name for name, _, _ in _load_spans().PER_LAYER]
