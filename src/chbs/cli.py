@@ -170,6 +170,8 @@ def parse_config(text):
         raise ConfigError("eps_list entries must lie in (0,1]")
     if spec.init_amplitude < 0.0:
         raise ConfigError("amplitude must be nonnegative")
+    if spec.seed is not None and spec.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if spec.stride < 1:
         raise ConfigError("stride must be at least 1")
     if spec.init_preset == "random" and spec.seed is None:
@@ -300,9 +302,8 @@ def _data(spec, dom):
 # --- output helpers ----------------------------------------------------------
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_chbs_")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp_chbs_")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -349,9 +350,14 @@ def _snapshot_csv(dom, state):
 
 def _setup(args):
     """Specs of the --config files (the defaults without one), the output
-    directory and the mesh of the first spec."""
+    directory, created before any computation, and the mesh of the first spec."""
     specs = [load_config(path) for path in args.config] or [RunSpec()]
-    return specs, args.out or specs[0].out_dir, build_unit_square(specs[0].mesh_n)
+    out_dir = args.out or specs[0].out_dir
+    try:
+        os.makedirs(os.path.abspath(out_dir), exist_ok=True)  # '' is the working directory
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from exc
+    return specs, out_dir, build_unit_square(specs[0].mesh_n)
 
 
 def _report(args, out_dir, lines, columns, rows):

@@ -2,7 +2,8 @@
 
 The potentials driving the phase dynamics split into a convex part, whose
 subdifferential ``beta`` is a maximal monotone graph on the real line, and a
-Lipschitz perturbation ``pi``.  Three prototype graphs are supported:
+Lipschitz perturbation ``pi``, here the linear pi(r) = pi_slope*r.  Three
+prototype graphs are supported:
 
 * ``polynomial``: beta(r) = r**3 with effective domain R (quartic well),
 * ``logarithmic``: beta(r) = ln((1+r)/(1-r)) on (-1, 1),
@@ -18,14 +19,14 @@ unregularized graphs.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
-kind needs a branch in ``beta_hat``, ``minimal_section``, ``resolvent`` and
-``yosida_and_slope``; no other families are assumed.
+kind needs an entry in ``_DOMAINS`` and a branch in ``beta_hat``,
+``minimal_section``, ``resolvent`` and ``yosida_and_slope``; no other
+families are assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -34,62 +35,41 @@ POLYNOMIAL = "polynomial"
 LOGARITHMIC = "logarithmic"
 OBSTACLE = "obstacle"
 
-_KINDS = (POLYNOMIAL, LOGARITHMIC, OBSTACLE)
+# effective domain endpoints of each graph kind; each domain contains 0
+_DOMAINS = {
+    POLYNOMIAL: (-np.inf, np.inf),
+    LOGARITHMIC: (-1.0, 1.0),
+    OBSTACLE: (-1.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """A maximal monotone graph together with its Lipschitz perturbation.
-
-    Parameters
-    ----------
-    kind : str
-        One of ``polynomial``, ``logarithmic``, ``obstacle``.
-    domain_lo, domain_hi : float
-        Endpoints of the effective domain (may be ``+-inf``).
-    pi : callable
-        The Lipschitz perturbation, vectorized over numpy arrays.
-    pi_primitive : callable
-        An antiderivative of ``pi`` (normalization irrelevant; energies
-        subtract its value at the conserved mean).
-    pi_prime : callable, optional
-        Derivative of ``pi``; used by fully implicit Jacobians.
+    """A maximal monotone graph of one ``kind`` (``polynomial``,
+    ``logarithmic`` or ``obstacle``) with the linear perturbation
+    pi(r) = pi_slope*r.  The kind fixes the effective domain, whose endpoints
+    ``domain_lo`` and ``domain_hi`` may be ``+-inf``.
     """
 
     kind: str
-    domain_lo: float
-    domain_hi: float
-    pi: Callable = field(compare=False)
-    pi_primitive: Callable = field(compare=False)
-    pi_prime: Optional[Callable] = field(default=None, compare=False)
+    pi_slope: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _DOMAINS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        if not self.domain_lo < 0.0 < self.domain_hi:
-            raise ValueError("effective domain must contain 0 in its interior")
 
+    @property
+    def domain_lo(self):
+        return _DOMAINS[self.kind][0]
 
-def _linear_pi(slope):
-    """Perturbation pi(r) = slope*r with its primitive and derivative."""
-    slope = float(slope)
-
-    def pi(r):
-        return slope * np.asarray(r, dtype=float)
-
-    def primitive(r):
-        return 0.5 * slope * np.asarray(r, dtype=float) ** 2
-
-    def prime(r):
-        return np.full_like(np.asarray(r, dtype=float), slope)
-
-    return pi, primitive, prime
+    @property
+    def domain_hi(self):
+        return _DOMAINS[self.kind][1]
 
 
 def polynomial_graph(pi_slope=-1.0):
     """Cubic graph beta(r) = r**3 on R; default perturbation pi(r) = -r."""
-    pi, prim, prime = _linear_pi(pi_slope)
-    return GraphSpec(POLYNOMIAL, -np.inf, np.inf, pi, prim, prime)
+    return GraphSpec(POLYNOMIAL, float(pi_slope))
 
 
 def logarithmic_graph(c=1.0):
@@ -100,14 +80,12 @@ def logarithmic_graph(c=1.0):
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    pi, prim, prime = _linear_pi(-2.0 * c)
-    return GraphSpec(LOGARITHMIC, -1.0, 1.0, pi, prim, prime)
+    return GraphSpec(LOGARITHMIC, -2.0 * c)
 
 
 def obstacle_graph(pi_slope=-1.0):
     """Obstacle graph beta = subdifferential of the indicator of [-1, 1]."""
-    pi, prim, prime = _linear_pi(pi_slope)
-    return GraphSpec(OBSTACLE, -1.0, 1.0, pi, prim, prime)
+    return GraphSpec(OBSTACLE, float(pi_slope))
 
 
 # --- single-valued evaluations per kind ---------------------------------
@@ -233,7 +211,6 @@ def yosida(g, eps, r):
 
     Monotone nondecreasing in r and Lipschitz with constant 1/eps.
     """
-    eps = float(eps)
     j = resolvent(g, eps, r)
     out = (np.asarray(r, dtype=float) - j) / eps
     return float(out) if np.ndim(r) == 0 else out
@@ -247,7 +224,6 @@ def yosida_and_slope(g, eps, r):
     The obstacle graph is piecewise linear; at the kink points +-1 the
     subgradient surrogate 0 is returned (1/eps outside [-1, 1]).
     """
-    eps = float(eps)
     j = resolvent(g, eps, r)
     arr = np.asarray(r, dtype=float)
     xi = (arr - j) / eps
@@ -270,7 +246,6 @@ def envelope(g, eps, r):
     result is nonnegative, bounded above by beta_hat(r), and its derivative
     in r is the Yosida approximation.
     """
-    eps = float(eps)
     j = resolvent(g, eps, r)
     arr = np.asarray(r, dtype=float)
     out = (arr - j) ** 2 / (2.0 * eps) + beta_hat(g, j)

@@ -85,12 +85,13 @@ class SchemeConfig:
             raise ConfigError("tau must be positive")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
+        ratio = self.eps / self.tau
+        if not all(map(math.isfinite, (1.0 / self.tau, self.t_end / self.tau, ratio * ratio))):
+            raise ConfigError("tau is too small: 1/tau, t_end/tau and (eps/tau)^2 "
+                              "must be finite")
         if self.splitting not in (CONVEX_SPLIT, FULLY_IMPLICIT):
             raise ConfigError(f"splitting must be one of {CONVEX_SPLIT}, "
                               f"{FULLY_IMPLICIT}; got {self.splitting!r}")
-        if self.splitting == FULLY_IMPLICIT and None in (
-                self.graphs.bulk.pi_prime, self.graphs.boundary.pi_prime):
-            raise ConfigError("fully implicit splitting needs pi_prime on both graphs")
         if not self.newton_tol > 0.0:
             raise ConfigError("newton_tol must be positive")
         if self.newton_max < 1:
@@ -171,8 +172,17 @@ def _load_vector(dom, f):
 
 
 def _perturbation_vector(dom, pair, u_bulk):
-    return _collapse(dom, pair.bulk.pi(u_bulk),
-                     pair.boundary.pi(u_bulk[dom.boundary_chain]))
+    return _collapse(dom, pair.bulk.pi_slope * u_bulk,
+                     pair.boundary.pi_slope * u_bulk[dom.boundary_chain])
+
+
+def _offset_pair(pair, xi, u_bulk, u_bnd, f):
+    """The pair xi + pi(u*) - f at perturbation argument u* = (u_bulk, u_bnd);
+    its mean is the offset omega of a state.  ``f`` None is zero forcing."""
+    dom = xi.domain
+    f = f if f is not None else FieldPair.zeros(dom)
+    return FieldPair(xi.bulk + pair.bulk.pi_slope * u_bulk - f.bulk,
+                     xi.boundary + pair.boundary.pi_slope * u_bnd - f.boundary, dom)
 
 
 def _graph_terms(dom, pair, eps, u_bulk):
@@ -193,8 +203,10 @@ def _energy_parts(v, m0, config):
     env_bulk = float(dom.M_bulk @ envelope(pair.bulk, config.eps, u_b))
     env_surf = float(dom.M_surf @ envelope_boundary(pair, config.eps, u_g))
     e = 0.5 * form_a(v, v) + env_bulk + env_surf
-    e += float(dom.M_bulk @ (pair.bulk.pi_primitive(u_b) - pair.bulk.pi_primitive(m0)))
-    e += float(dom.M_surf @ (pair.boundary.pi_primitive(u_g) - pair.boundary.pi_primitive(m0)))
+    # m0 * m0 rounds like numpy's square of u; the float power m0 ** 2 may not
+    s_b, s_g, m0_sq = pair.bulk.pi_slope, pair.boundary.pi_slope, m0 * m0
+    e += float(dom.M_bulk @ (0.5 * s_b * u_b ** 2 - 0.5 * s_b * m0_sq))
+    e += float(dom.M_surf @ (0.5 * s_g * u_g ** 2 - 0.5 * s_g * m0_sq))
     return e, env_bulk, env_surf
 
 
@@ -244,30 +256,23 @@ def initialize(config, u0, forcing_at_0=None):
     pair = config.graphs
     if not is_trace_consistent(u0):
         raise ValueError("initialize: initial data must be trace-consistent")
-    bad = ~np.isfinite(beta_hat(pair.bulk, u0.bulk))
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise CompatibilityError(
-            f"initial value {u0.bulk[node]!r} at bulk node {node} lies outside "
-            f"the effective domain of the bulk graph")
-    bad = ~np.isfinite(beta_hat(pair.boundary, u0.boundary))
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise CompatibilityError(
-            f"initial value {u0.boundary[node]!r} at boundary node {node} lies "
-            f"outside the effective domain of the boundary graph")
+    for name, g, vals in (("bulk", pair.bulk, u0.bulk),
+                          ("boundary", pair.boundary, u0.boundary)):
+        bad = ~np.isfinite(beta_hat(g, vals))
+        if bad.any():
+            node = int(np.argmax(bad))
+            raise CompatibilityError(
+                f"initial value {float(vals[node])!r} at {name} node {node} lies "
+                f"outside the effective domain of the {name} graph")
     m0 = mean(u0)
     if not pair.boundary.domain_lo < m0 < pair.boundary.domain_hi:
         raise CompatibilityError(
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
 
     v0 = project_zero_mean(u0)
-    xi_b = yosida(pair.bulk, config.eps, u0.bulk)
-    xi_g = yosida_boundary(pair, config.eps, u0.boundary)
-    xi = FieldPair(xi_b, xi_g, dom)
-    f0 = forcing_at_0 if forcing_at_0 is not None else FieldPair.zeros(dom)
-    rest = FieldPair(xi_b + pair.bulk.pi(u0.bulk) - f0.bulk,
-                     xi_g + pair.boundary.pi(u0.boundary) - f0.boundary, dom)
+    xi = FieldPair(yosida(pair.bulk, config.eps, u0.bulk),
+                   yosida_boundary(pair, config.eps, u0.boundary), dom)
+    rest = _offset_pair(pair, xi, u0.bulk, u0.boundary, forcing_at_0)
     mu0 = subgrad_phi(v0) + rest
     return SchemeState(v=v0, mu=mu0, xi=xi, omega=mean(rest), t=0.0, m0=m0)
 
@@ -341,8 +346,7 @@ class _StepSystem:
         pivec = self.pi_vec_prev
         if self.implicit_pi:
             pivec = _perturbation_vector(dom, pair, u_b)
-            d = d + _collapse(dom, pair.bulk.pi_prime(u_b),
-                              pair.boundary.pi_prime(u_b[dom.boundary_chain]))
+            d = d + _collapse(dom, pair.bulk.pi_slope, pair.boundary.pi_slope)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = self.cfg.eps * gc_dw
         gc_mu, a_mu, a_w, load = gc * mu, A @ mu, A @ w, pivec - self.f_vec
@@ -496,22 +500,17 @@ def step(state, config, f_next, *, lu=None):
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
-    pair = config.graphs
     system = _StepSystem(dom, config, state.m0, state.v.bulk,
                          _load_vector(dom, f_next), lu)
     it, iters, lin_iters, lu_fallbacks = _solve_step(system, state.v.bulk, state.mu.bulk)
 
-    u_b = it.w + state.m0
-    u_star = (u_b if config.splitting == FULLY_IMPLICIT
-              else state.v.bulk + state.m0)
-    fz = f_next if f_next is not None else FieldPair.zeros(dom)
-    omega_pair = FieldPair(it.xi_b + pair.bulk.pi(u_star) - fz.bulk,
-                           it.xi_g + pair.boundary.pi(u_star[dom.boundary_chain]) - fz.boundary,
-                           dom)
+    u_star = (it.w if config.splitting == FULLY_IMPLICIT else state.v.bulk) + state.m0
+    xi = FieldPair(it.xi_b, it.xi_g, dom)
+    offset = _offset_pair(config.graphs, xi, u_star, u_star[dom.boundary_chain], f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
-                       xi=FieldPair(it.xi_b, it.xi_g, dom),
-                       omega=mean(omega_pair),
+                       xi=xi,
+                       omega=mean(offset),
                        t=state.t + config.tau,
                        m0=state.m0,
                        newton_iters=iters,

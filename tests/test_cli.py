@@ -85,6 +85,12 @@ def test_random_preset_requires_seed():
         parse_config("[init]\npreset = random\n")
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[init]\npreset = random\nseed = -1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("n = 5\n")
@@ -162,7 +168,28 @@ value = 1.5
 """
     cfg = write_config(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert "outside" in capsys.readouterr().err
+    assert "initial value 1.5 at bulk node" in capsys.readouterr().err
+
+
+def test_uncreatable_output_dir_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("computation started before the output directory existed")
+    monkeypatch.setattr("chbs.cli.run", no_run)
+    monkeypatch.setattr("chbs.cli.build_unit_square", no_run)
+    for command, config in (("run", ["--config", cfg]), ("check", [])):
+        assert main([command, *config, "--out", str(blocker / "x"), "--quiet"]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
+def test_empty_output_dir_is_the_working_directory(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n[output]\ndir =\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", cfg, "--quiet"]) == 0
+    assert (tmp_path / "monitors.csv").exists()
 
 
 def test_run_missing_config_exits_2(tmp_path):

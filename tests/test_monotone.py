@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import qmc
 
-from chbs.monotone import (GraphPair, beta_hat,
+from chbs.monotone import (GraphPair, GraphSpec, beta_hat,
                            check_compatibility, envelope, envelope_boundary,
                            logarithmic_graph, minimal_section, obstacle_graph,
                            polynomial_graph, resolvent, yosida,
@@ -326,6 +326,28 @@ def test_convex_primitive_vanishes_at_origin():
     from chbs.monotone import beta_hat
     for g in (POLY, LOG, OBST):
         assert beta_hat(g, 0.0) == 0.0
+
+
+# --- graph spec ----------------------------------------------------------------
+
+def test_graph_spec_equality_includes_pi_slope():
+    assert polynomial_graph(-1.0) != polynomial_graph(-40.0)
+    assert polynomial_graph(-1.0) == GraphSpec("polynomial", -1.0)
+    assert logarithmic_graph(2.0) == GraphSpec("logarithmic", -4.0)
+
+
+def test_graph_spec_domain_follows_kind():
+    assert obstacle_graph().domain_lo == -1.0
+    assert polynomial_graph().domain_hi == math.inf
+    for kind, domain in (("polynomial", (-math.inf, math.inf)),
+                         ("logarithmic", (-1.0, 1.0)), ("obstacle", (-1.0, 1.0))):
+        g = GraphSpec(kind, -1.0)
+        assert (g.domain_lo, g.domain_hi) == domain
+
+
+def test_graph_spec_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="quartic"):
+        GraphSpec("quartic", 0.0)
 
 
 # --- graph pair and compatibility --------------------------------------------

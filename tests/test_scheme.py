@@ -39,12 +39,19 @@ def test_config_rejects_bad_eps():
         make_config(eps=1.5)
 
 
-def test_config_fully_implicit_needs_pi_prime():
-    g = polynomial_graph()
-    bare = replace(g, pi_prime=None)
-    with pytest.raises(ConfigError, match="pi_prime"):
-        make_config(graphs=GraphPair(bare, g), splitting=FULLY_IMPLICIT)
-    make_config(graphs=GraphPair(bare, g))
+@pytest.mark.parametrize("kw", [dict(t_end=1e300, tau=1e-300),  # t_end/tau overflows
+                                dict(t_end=0.0, tau=1e-320),    # 1/tau overflows
+                                dict(tau=1e-160)])              # (eps/tau)^2 overflows
+def test_config_rejects_tau_that_overflows(kw):
+    with pytest.raises(ConfigError, match="tau is too small"):
+        make_config(**kw)
+
+
+def test_config_equality_includes_pi_slope():
+    a = make_config(graphs=GraphPair(polynomial_graph(-1.0), polynomial_graph(-1.0)))
+    b = make_config(graphs=GraphPair(polynomial_graph(-1.0), polynomial_graph(-40.0)))
+    assert a != b
+    assert a == make_config(graphs=GraphPair(polynomial_graph(-1.0), polynomial_graph(-1.0)))
 
 
 # --- initialization --------------------------------------------------------------
@@ -167,7 +174,8 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
                         lambda v: _yosida_oracle(pair.boundary, eps * pair.rho, v))
 
     def perturb(u):
-        return weighted(u, pair.bulk.pi, pair.boundary.pi)
+        return weighted(u, lambda v: pair.bulk.pi_slope * v,
+                        lambda v: pair.boundary.pi_slope * v)
 
     fvec = np.zeros(nb)
     if f_pair is not None:

@@ -168,8 +168,8 @@ def test_table_omega_column_matches_recomputation(domain_cache, rng):
         u_star = traj.states[k - 1].v.bulk + state.m0  # explicit perturbation
         f = traj.f_hist[k - 1]
         recomputed = mean(FieldPair(
-            state.xi.bulk + pair.bulk.pi(u_star) - f.bulk,
-            state.xi.boundary + pair.boundary.pi(u_star[dom.boundary_chain]) - f.boundary,
+            state.xi.bulk + pair.bulk.pi_slope * u_star - f.bulk,
+            state.xi.boundary + pair.boundary.pi_slope * u_star[dom.boundary_chain] - f.boundary,
             dom))
         assert state.omega == pytest.approx(recomputed, abs=1e-14)
         assert traj.records[k].omega == state.omega
