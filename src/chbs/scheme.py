@@ -339,6 +339,8 @@ class _StepSystem:
         return self._lu
 
     def residual(self, w, mu):
+        if not (np.isfinite(w).all() and np.isfinite(mu).all()):
+            raise StepError("nonlinear iterate is not finite")
         dom, pair = self.dom, self.cfg.graphs
         gc, A = dom.combined_mass, dom.coupled_stiffness
         u_b = w + self.m0

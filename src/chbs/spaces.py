@@ -164,7 +164,8 @@ def _saddle_solve(dom, rhs_collapsed):
     lam = sol[-1]
     resid = dom.coupled_stiffness @ w + lam * dom.combined_mass - rhs_collapsed
     scale = max(float(np.linalg.norm(rhs_collapsed)), 1e-300)
-    if float(np.linalg.norm(resid)) > _FINV_RTOL * max(scale, 1.0):
+    # written so that a NaN residual fails the guard too
+    if not float(np.linalg.norm(resid)) <= _FINV_RTOL * max(scale, 1.0):
         raise NumericalError("mean-constrained stiffness solve lost accuracy")
     return w
 

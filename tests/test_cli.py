@@ -155,6 +155,21 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
     assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
+def test_run_non_finite_iterate_writes_flagged_partial_outputs(tmp_path, capsys):
+    # a forcing at the edge of the float range overflows the first Newton iterate
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n"
+                                 "[forcing]\npreset = constant\nvalue = 1e308\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    monitors = (out / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 2  # header + the initial record
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["aborted"] == "1"
+    assert "aborted: step 1 (t = 0.001): " in (out / "report.txt").read_text()
+    assert "FAIL: all steps converged" in capsys.readouterr().out
+
+
 def test_run_out_of_domain_init_exits_2(tmp_path, capsys):
     text = """
 [mesh]

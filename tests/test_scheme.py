@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from chbs import scheme as scheme_module
-from chbs.errors import CompatibilityError, ConfigError
+from chbs.errors import CompatibilityError, ConfigError, StepError
 from chbs.monotone import (GraphPair, logarithmic_graph, obstacle_graph,
                            polynomial_graph, yosida, yosida_boundary)
 from chbs.scheme import (CONVEX_SPLIT, FULLY_IMPLICIT, SchemeConfig, energy,
@@ -323,6 +323,17 @@ def test_schur_factor_inverts_reduced_picard_matrix(domain_cache, rng, eps, tau,
         y = system.schur_solve(x)
         assert y.dtype == float
         assert np.linalg.norm(s0 @ y - x) <= 1e-11 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("slot", ["w", "mu"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_iterate_is_step_error(domain_cache, slot, bad):
+    dom = domain_cache(5)
+    system = scheme_module._StepSystem(dom, make_config(), 0.0, np.zeros(dom.n_bulk), None)
+    vals = {"w": np.zeros(dom.n_bulk), "mu": np.zeros(dom.n_bulk)}
+    vals[slot][3] = bad
+    with pytest.raises(StepError, match="not finite"):
+        system.residual(vals["w"], vals["mu"])
 
 
 # --- run ---------------------------------------------------------------------------

@@ -137,6 +137,14 @@ def test_solve_F_inverse_roundtrip(domain_cache, rng):
         assert np.abs(back.bulk - z.bulk).max() <= 1e-8
 
 
+def test_saddle_solve_rejects_nan_right_hand_side(domain_cache):
+    dom = domain_cache(5)
+    rhs = np.zeros(dom.n_bulk)
+    rhs[3] = np.nan
+    with pytest.raises(NumericalError, match="lost accuracy"):
+        spaces._saddle_solve(dom, rhs)
+
+
 def test_solve_F_inverse_rejects_nonzero_mean(domain_cache):
     dom = domain_cache(3)
     ell = as_functional(FieldPair.constant(dom, 1.0))

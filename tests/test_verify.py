@@ -1,12 +1,17 @@
+import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chbs import verify
 from chbs.errors import ConfigError
 from chbs.monotone import GraphPair, polynomial_graph
 from chbs.scheme import SchemeConfig, run
-from chbs.spaces import FieldPair, mean, project_zero_mean
+from chbs.spaces import (FieldPair, form_a, inner_H, inner_V, mean,
+                         poincare_constant, project_zero_mean, subgrad_phi)
 from chbs.verify import (appendix_checks, apriori_bound_table,
                          continuous_dependence_experiment, vanishing_eps_study)
 
@@ -195,11 +200,12 @@ def test_appendix_checks_pass_on_clean_domain(domain_cache):
     assert "subgradient adjointness" in names
 
 
-def test_appendix_checks_flag_broken_surface_symmetry(domain_cache):
+@pytest.mark.parametrize("operator", ["K_bulk", "K_surf"])
+def test_appendix_checks_flag_broken_stiffness_symmetry(domain_cache, operator):
     dom = domain_cache(5)
-    bad_K = dom.K_surf.tolil(copy=True)
+    bad_K = getattr(dom, operator).tolil(copy=True)
     bad_K[0, 1] += 0.25  # symmetry deliberately broken
-    corrupted = replace(dom, K_surf=bad_K.tocsr())
+    corrupted = replace(dom, **{operator: bad_K.tocsr()})
     report = appendix_checks(corrupted, n_field_samples=50, n_pair_samples=40)
     verdicts = {item.name: item.passed for item in report.items}
     assert not verdicts["subgradient adjointness"]
@@ -207,7 +213,82 @@ def test_appendix_checks_flag_broken_surface_symmetry(domain_cache):
     assert not report.passed
 
 
+@pytest.mark.parametrize("operator", ["K_bulk", "K_surf"])
+def test_appendix_checks_flag_non_finite_stiffness(domain_cache, operator):
+    dom = domain_cache(5)
+    bad_K = getattr(dom, operator).tolil(copy=True)
+    bad_K[0, 1] = np.nan
+    corrupted = replace(dom, **{operator: bad_K.tocsr()})
+    with np.errstate(invalid="ignore"):
+        report = appendix_checks(corrupted, n_field_samples=50, n_pair_samples=20)
+    verdicts = {item.name: item.passed for item in report.items}
+    assert not verdicts["sampled coercivity inequality"]
+    assert not verdicts["subgradient adjointness"]
+
+
 def test_reports_are_reproducible(domain_cache):
     r1 = appendix_checks(domain_cache(5), n_field_samples=50, n_pair_samples=20)
     r2 = appendix_checks(domain_cache(5), n_field_samples=50, n_pair_samples=20)
     assert r1 == r2
+
+
+def _close(got, want, rtol=1e-13):
+    return np.linalg.norm(np.subtract(got, want)) <= rtol * np.linalg.norm(want)
+
+
+def test_column_forms_match_per_pair_forms(domain_cache, rng):
+    dom = domain_cache(8)
+    k = 5
+    raw = rng.standard_normal((dom.n_bulk, k))
+    Bt = rng.standard_normal((dom.n_bulk, k))
+    St = rng.standard_normal((dom.n_boundary, k))
+    B, S = verify._zero_mean(dom, raw, raw[dom.boundary_chain])
+    KB, KS = dom.K_bulk @ B, dom.K_surf @ S
+    a = verify._form_a(B, S, dom.K_bulk @ Bt, dom.K_surf @ St)
+    h = verify._inner_H(dom, B, S, Bt, St)
+    Gb, Gs = verify._subgrad(dom, KB, KS)
+    for j in range(k):
+        z = project_zero_mean(FieldPair.from_bulk(dom, raw[:, j]))
+        zt = FieldPair(Bt[:, j], St[:, j], dom)
+        assert _close(B[:, j], z.bulk) and _close(S[:, j], z.boundary)
+        assert _close(a[j], form_a(z, zt))
+        assert _close(h[j], inner_H(z, zt))
+        g = subgrad_phi(z)
+        assert _close(Gb[:, j], g.bulk) and _close(Gs[:, j], g.boundary)
+
+
+def _per_field_worst_slack(dom, n_fields, seed):
+    # the per-field loop that the column blocks replace: one draw, one mean
+    # removal and one V normalization per field
+    rng = np.random.Generator(np.random.Philox(seed))
+    cp = poincare_constant(dom)
+    worst = math.inf
+    for _ in range(n_fields):
+        z = project_zero_mean(FieldPair.from_bulk(dom, rng.standard_normal(dom.n_bulk)))
+        z = z * (1.0 / math.sqrt(max(inner_V(z, z), 1e-300)))
+        worst = min(worst, form_a(z, z) - cp * inner_V(z, z))
+    return worst
+
+
+def test_blocked_coercivity_slack_matches_per_field_loop(domain_cache):
+    dom = domain_cache(8)
+    n_fields = 37  # four full blocks and a partial one
+    assert n_fields % verify._BLOCK
+    report = appendix_checks(dom, n_field_samples=n_fields, n_pair_samples=3, seed=2024)
+    item = next(it for it in report.items if it.name == "sampled coercivity inequality")
+    got = float(re.search(r"worst slack = (\S+) over", item.detail).group(1))
+    assert got == pytest.approx(_per_field_worst_slack(dom, n_fields, 2024), rel=1e-12)
+
+
+def test_appendix_checks_memory_stays_blocked(domain_cache):
+    # the column blocks bound the sample storage; all 1000 samples at once
+    # would allocate about 56 MB at this mesh
+    dom = domain_cache(49)
+    tracemalloc.start()
+    try:
+        report = appendix_checks(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 4 * 2 ** 20
