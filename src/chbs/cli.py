@@ -314,22 +314,17 @@ def _atomic_write(path, text):
         raise
 
 
-def _fmt(value):
-    if type(value) is float:  # most cells; tested first for speed
-        return repr(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _rows_csv(columns, rows):
-    """CSV text: the ``columns`` header, then one line per row of values."""
+    """CSV text: the ``columns`` header, then one line per row of values.
+
+    Cells are str, int or float; ``csv.writer`` writes a float as repr does,
+    so the text round-trips.  numpy integer and float64 scalars write the
+    same; a bool would write as True or False, so callers pass int(flag).
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -30,6 +30,12 @@ stiffness Ac + c Mc factored: once per run, one complex factor when
 eps^2 < 4 tau and two real ones otherwise.  S0^-1 preconditions GMRES for
 the Newton directions and solves each Picard iterate exactly; a fresh LU of
 the reduced Newton matrix is the fallback when GMRES stalls.
+
+Newton starts from the old state, or from a start passed as ``step(...,
+start=(w0, mu0))``, whose w0 is first shifted to the conserved mean.  From
+its second step on, ``run`` passes the linear extrapolation 2 x_n - x_{n-1}
+of the last two levels, which is O(tau^2) from the new level on a smooth
+solution where the old state is O(tau), and so saves Newton iterations.
 """
 
 from __future__ import annotations
@@ -251,6 +257,8 @@ def initialize(config, u0, forcing_at_0=None):
 
     The conserved mean is recorded from the data; the potential, Yosida pair
     and mean offset are evaluated with a zero time-derivative surrogate.
+    Raises ConfigError if the forcing at t = 0 makes the potential or the
+    mean offset non-finite.
     """
     dom = u0.domain
     pair = config.graphs
@@ -274,7 +282,13 @@ def initialize(config, u0, forcing_at_0=None):
                    yosida_boundary(pair, config.eps, u0.boundary), dom)
     rest = _offset_pair(pair, xi, u0.bulk, u0.boundary, forcing_at_0)
     mu0 = subgrad_phi(v0) + rest
-    return SchemeState(v=v0, mu=mu0, xi=xi, omega=mean(rest), t=0.0, m0=m0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        omega = mean(rest)
+    if not (math.isfinite(omega) and np.isfinite(mu0.bulk).all()
+            and np.isfinite(mu0.boundary).all()):
+        raise ConfigError(f"the forcing at t = 0 gives a non-finite initial potential "
+                          f"or mean offset (omega = {omega!r})")
+    return SchemeState(v=v0, mu=mu0, xi=xi, omega=omega, t=0.0, m0=m0)
 
 
 # --- the nonlinear step -----------------------------------------------------
@@ -490,21 +504,30 @@ def _solve_picard(system, it, iters):
                     f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
 
 
-def step(state, config, f_next, *, lu=None):
+def step(state, config, f_next, *, lu=None, start=None):
     """Advance one time level.
 
     ``f_next`` is the forcing pair at the target time; backward Euler samples
     the forcing there.  ``lu`` holds the factors of the shifted stiffness
     matrices that give the Schur complement S0 (see ``_StepSystem``); ``run``
     passes them so that they are factored once per run, and a lone step
-    factors its own.
+    factors its own.  ``start`` is a pair of bulk arrays (w0, mu0) from which
+    the Newton iteration starts, by default the old state (v, mu).  A given
+    w0 is first shifted by the constant that restores the old combined mean,
+    so a step that converges at its start conserves the mean as every other
+    step does; the default start already has that mean and is not shifted.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
     system = _StepSystem(dom, config, state.m0, state.v.bulk,
                          _load_vector(dom, f_next), lu)
-    it, iters, lin_iters, lu_fallbacks = _solve_step(system, state.v.bulk, state.mu.bulk)
+    if start is None:
+        w0, mu0 = state.v.bulk, state.mu.bulk
+    else:
+        w0, mu0 = start
+        w0 = w0 + system.mass_shift(w0)
+    it, iters, lin_iters, lu_fallbacks = _solve_step(system, w0, mu0)
 
     u_star = (it.w if config.splitting == FULLY_IMPLICIT else state.v.bulk) + state.m0
     xi = FieldPair(it.xi_b, it.xi_g, dom)
@@ -537,8 +560,10 @@ def weak_residuals(state_prev, state_next, config, f_next):
 def run(config, u0, forcing=None):
     """Integrate from t = 0 to t_end, collecting states and monitor records.
 
-    ``forcing`` is an optional callable t -> FieldPair.  A failure in any
-    step ends the run and returns the partial trajectory flagged.
+    ``forcing`` is an optional callable t -> FieldPair.  From the second
+    step on, Newton starts from the linear extrapolation 2 x_n - x_{n-1} of
+    the last two levels, for x = v and mu.  A failure in any step ends the
+    run and returns the partial trajectory flagged.
     """
     dom = u0.domain
 
@@ -553,8 +578,12 @@ def run(config, u0, forcing=None):
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):
         f_next = f_at(k * config.tau)
+        start = None
+        if k > 1:
+            prev = traj.states[-2]
+            start = (2.0 * state.v.bulk - prev.v.bulk, 2.0 * state.mu.bulk - prev.mu.bulk)
         try:
-            state = step(state, config, f_next, lu=lu)
+            state = step(state, config, f_next, lu=lu, start=start)
             record = monitor_record(state, config)
         except ChbsError as exc:
             traj.aborted = True

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from chbs import scheme, spaces
-from chbs.cli import _KEYS, RunSpec, main, parse_config
+from chbs.cli import _KEYS, RunSpec, _rows_csv, main, parse_config
 from chbs.errors import ConfigError, NumericalError
 from chbs.scheme import MonitorRecord
 
@@ -110,6 +112,43 @@ def test_readme_config_block_is_the_defaults():
     assert not set(_KEYS) - shown
 
 
+# --- csv output ------------------------------------------------------------------
+
+def _per_cell_rows_csv(columns, rows):
+    """Reference writer: each cell formatted in Python before csv.writer."""
+    def fmt(value):
+        if type(value) is float:
+            return repr(value)
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_rows_csv_matches_per_cell_writer():
+    inf = float("inf")
+    rows = [(0, float("nan"), inf, -inf),
+            (1, -0.0, 5e-324, -5e-324),
+            (2, 0.1, 1e16, 1.7976931348623157e308),
+            (np.int64(3), np.float64(0.1), np.float64(-0.0), np.float64(1e-5)),
+            (np.int32(-4), np.float64("nan"), np.float64(-inf), 2 ** 70),
+            ("sampled coercivity inequality", True, False,
+             "worst slack = 0.21, c_p = 0.78")]
+    # the report call sites pass flags as int(flag)
+    converted = [tuple(int(v) if isinstance(v, bool) else v for v in row) for row in rows]
+    columns = ["item", "a", "b", "c"]
+    text = _rows_csv(columns, converted)
+    assert text == _per_cell_rows_csv(columns, rows)
+    assert '"worst slack = 0.21, c_p = 0.78"\r\n' in text
+
+
 # --- run subcommand ------------------------------------------------------------
 
 def test_run_writes_outputs_and_passes(tmp_path):
@@ -156,9 +195,12 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
 
 
 def test_run_non_finite_iterate_writes_flagged_partial_outputs(tmp_path, capsys):
-    # a forcing at the edge of the float range overflows the first Newton iterate
+    # a forcing at the edge of the float range from t = 0.001 on overflows the
+    # first Newton iterate; at t = 0 it is zero, so initialization succeeds
+    forcing = tmp_path / "forcing.csv"
+    forcing.write_text("".join(f"0.001,{node},1e308\n" for node in range(25)))
     cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n"
-                                 "[forcing]\npreset = constant\nvalue = 1e308\n")
+                                 f"[forcing]\npreset = csv\npath = {forcing}\n")
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -168,6 +210,19 @@ def test_run_non_finite_iterate_writes_flagged_partial_outputs(tmp_path, capsys)
     assert dict(zip(header.split(","), row.split(",")))["aborted"] == "1"
     assert "aborted: step 1 (t = 0.001): " in (out / "report.txt").read_text()
     assert "FAIL: all steps converged" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+def test_run_forcing_overflowing_at_t0_exits_2_before_any_step(tmp_path, capsys):
+    # the initial mean offset of a constant 1e308 forcing overflows to -inf
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n"
+                                 "[forcing]\npreset = constant\nvalue = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the forcing at t = 0 gives a non-finite")
+    assert "omega = -inf" in err
+    assert not (out / "monitors.csv").exists()
 
 
 def test_run_out_of_domain_init_exits_2(tmp_path, capsys):

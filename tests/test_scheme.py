@@ -298,6 +298,19 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     assert np.abs(nxt.v.bulk - clean.v.bulk).max() <= 1e-12
 
 
+def test_given_start_is_shifted_to_the_previous_mean(domain_cache, rng):
+    # a start at the solution but with its combined mean off by 1e-3: the
+    # shift restores the mean, so the step converges at its start
+    dom = domain_cache(9)
+    cfg = make_config()
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    cold = step(state, cfg, FieldPair.zeros(dom))
+    nxt = step(state, cfg, FieldPair.zeros(dom), start=(cold.v.bulk + 1e-3, cold.mu.bulk))
+    assert nxt.newton_iters == 0
+    assert abs(mean(nxt.v) - mean(state.v)) <= 1e-14
+    assert np.abs(nxt.v.bulk - cold.v.bulk).max() <= 1e-15
+
+
 # --- Schur factor -------------------------------------------------------------------
 
 @pytest.mark.parametrize("eps, tau, im_over_re", [
@@ -377,6 +390,45 @@ def test_run_flags_partial_trajectory_on_step_failure(domain_cache, rng):
     assert traj.aborted
     assert "converge" in traj.error
     assert len(traj.states) >= 1
+
+
+CUBIC_40 = GraphPair(polynomial_graph(pi_slope=-40.0), polynomial_graph(pi_slope=-40.0))
+
+
+def test_run_predictor_saves_newton_iterations(domain_cache, rng):
+    # phase separation at pi_slope -40: about 3 Newton iterations per step
+    # from the old state
+    dom = domain_cache(17)
+    cfg = make_config(eps=0.02, t_end=0.05, graphs=CUBIC_40)
+    traj = run(cfg, random_u0(dom, rng))
+    assert not traj.aborted and len(traj.states) == 51
+    # reference: every step started from the old state
+    state = traj.states[0]
+    cold_iters = 0
+    for _ in range(50):
+        state = step(state, cfg, FieldPair.zeros(dom))
+        cold_iters += state.newton_iters
+    assert sum(s.newton_iters for s in traj.states) <= 0.9 * cold_iters
+    final = traj.states[-1].v.bulk
+    assert np.abs(final - state.v.bulk).max() <= 1e-9 * np.abs(state.v.bulk).max()
+
+
+@pytest.mark.parametrize("graph", [obstacle_graph(pi_slope=-40.0), logarithmic_graph(c=20.0)],
+                         ids=["obstacle", "logarithmic"])
+def test_run_with_predictor_outside_graph_domain(domain_cache, rng, graph):
+    # the Yosida maps are defined on all of R, so a start outside [-1, 1]
+    # is harmless
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.02, t_end=0.05, graphs=GraphPair(graph, graph))
+    traj = run(cfg, random_u0(dom, rng))
+    assert not traj.aborted and len(traj.states) == 51
+    S = traj.states
+    predicted = max(np.abs(2.0 * b.v.bulk - a.v.bulk + b.m0).max() for a, b in zip(S, S[1:-1]))
+    assert predicted > 1.0
+    mass0 = traj.records[0].total_mass
+    assert max(abs(r.total_mass - mass0) for r in traj.records) <= 1e-9
+    energies = [r.energy for r in traj.records]
+    assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
 def test_run_is_deterministic(domain_cache, rng):
