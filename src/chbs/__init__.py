@@ -16,9 +16,8 @@ from .monotone import (GraphPair, GraphSpec, check_compatibility, envelope,
                        envelope_boundary, logarithmic_graph, minimal_section,
                        obstacle_graph, polynomial_graph, resolvent, yosida,
                        yosida_boundary)
-from .scheme import (CONVEX_SPLIT, FULLY_IMPLICIT, MonitorRecord, SchemeConfig,
-                     SchemeState, Trajectory, energy, initialize, run, step,
-                     weak_residuals)
+from .scheme import (MonitorRecord, SchemeConfig, SchemeState, Trajectory,
+                     energy, initialize, run, step, weak_residuals)
 from .spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,
                      inner_H, inner_V, mean, norm_V0, norm_V0_star,
                      norm_V_star, pairing, poincare_constant,

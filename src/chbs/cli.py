@@ -31,7 +31,7 @@ from .domain import build_unit_square
 from .errors import ChbsError, CompatibilityError, ConfigError
 from .monotone import (GraphPair, logarithmic_graph, obstacle_graph,
                        polynomial_graph)
-from .scheme import CONVEX_SPLIT, MonitorRecord, SchemeConfig, run
+from .scheme import MonitorRecord, SchemeConfig, run
 from .spaces import FieldPair, project_zero_mean
 
 
@@ -45,7 +45,6 @@ class RunSpec:
     t_end: float = 0.1
     newton_tol: float = 1e-10
     newton_max: int = 50
-    splitting: str = CONVEX_SPLIT
     eps_list: tuple = (0.5, 0.25, 0.125, 0.0625)
     bulk_kind: str = "polynomial"
     boundary_kind: str = "polynomial"
@@ -97,8 +96,7 @@ _FLOATS = ("a comma-separated list of finite numbers",
 _TEXT = ("text", str)
 _GRAPH = _choice(*_GRAPHS)
 
-# every config key: (section, key) -> (RunSpec field, parser); the splitting
-# name is checked by SchemeConfig
+# every config key: (section, key) -> (RunSpec field, parser)
 _KEYS = {
     ("mesh", "n"): ("mesh_n", _INT),
     ("scheme", "eps"): ("eps", _FLOAT),
@@ -106,7 +104,6 @@ _KEYS = {
     ("scheme", "t_end"): ("t_end", _FLOAT),
     ("scheme", "newton_tol"): ("newton_tol", _FLOAT),
     ("scheme", "newton_max"): ("newton_max", _INT),
-    ("scheme", "splitting"): ("splitting", _TEXT),
     ("scheme", "eps_list"): ("eps_list", _FLOATS),
     ("graphs", "bulk"): ("bulk_kind", _GRAPH),
     ("graphs", "boundary"): ("boundary_kind", _GRAPH),
@@ -204,7 +201,7 @@ def build_scheme_config(spec):
         raise ConfigError(str(exc)) from exc
     return SchemeConfig(eps=spec.eps, tau=spec.tau, t_end=spec.t_end,
                         graphs=graphs, newton_tol=spec.newton_tol,
-                        newton_max=spec.newton_max, splitting=spec.splitting)
+                        newton_max=spec.newton_max)
 
 
 def _is_number(text):

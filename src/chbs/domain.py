@@ -45,8 +45,6 @@ class DiscreteDomain:
         Nodes per side; the mesh width is h = 1/(n-1).
     coords : (n_bulk, 2) ndarray
         Node coordinates, node index = row*n + column.
-    triangles : (n_tri, 3) ndarray
-        Connectivity of the bulk triangulation.
     boundary_chain : (n_boundary,) ndarray
         Global bulk indices of the boundary nodes, ordered cyclically
         counterclockwise from the origin; doubles as the trace map.
@@ -64,7 +62,6 @@ class DiscreteDomain:
 
     n: int
     coords: np.ndarray
-    triangles: np.ndarray
     boundary_chain: np.ndarray
     K_bulk: sp.csr_matrix
     K_surf: sp.csr_matrix
@@ -172,8 +169,8 @@ def build_unit_square(n):
     saddle_lu = splu(saddle)
     vnorm_lu = splu((sp.diags(gc) + A).tocsc())
 
-    return DiscreteDomain(n=n, coords=coords, triangles=triangles,
-                          boundary_chain=chain, K_bulk=K_bulk, K_surf=K_surf,
+    return DiscreteDomain(n=n, coords=coords, boundary_chain=chain,
+                          K_bulk=K_bulk, K_surf=K_surf,
                           M_bulk=M_bulk, M_surf=M_surf, combined_mass=gc,
                           coupled_stiffness=A, saddle_lu=saddle_lu,
                           vnorm_lu=vnorm_lu)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 POLYNOMIAL = "polynomial"
 LOGARITHMIC = "logarithmic"
@@ -90,6 +89,11 @@ def obstacle_graph(pi_slope=-1.0):
 
 # --- single-valued evaluations per kind ---------------------------------
 
+def _xlogx(x):
+    """x*log(x) for x >= 0, with its limit 0 at x = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def beta_hat(g, r):
     """Convex primitive of the graph, +inf outside its closed domain."""
     arr = np.asarray(r, dtype=float)
@@ -98,7 +102,7 @@ def beta_hat(g, r):
     elif g.kind == LOGARITHMIC:
         inside = (arr >= -1.0) & (arr <= 1.0)
         safe = np.clip(arr, -1.0, 1.0)
-        vals = xlogy(1.0 + safe, 1.0 + safe) + xlogy(1.0 - safe, 1.0 - safe)
+        vals = _xlogx(1.0 + safe) + _xlogx(1.0 - safe)
         out = np.where(inside, vals, np.inf)
     else:  # obstacle: indicator of [-1, 1]
         inside = (arr >= -1.0) & (arr <= 1.0)

@@ -5,15 +5,16 @@ Each step solves the coupled nodal system for the zero-mean order parameter
 unknowns are two bulk-sized vectors)
 
     Mc (v' - v)/tau + Ac mu' = 0,
-    Mc mu' = eps Mc (v' - v)/tau + Ac v' + N(u') + P(u*) - F,
+    Mc mu' = eps Mc (v' - v)/tau + Ac v' + N(u') + P(u) - F,
 
 where Mc and Ac are the combined lumped mass and coupled stiffness in bulk
 coordinates, N collects the mass-weighted nodewise Yosida terms (bulk graph
 in the bulk, boundary graph with parameter eps*rho on the chain), P the
 perturbation terms, and F the load vector of the forcing pair sampled at the
-new time.  Under the default convex splitting the perturbation argument u*
-is the old state, which makes the discrete free energy nonincreasing for
-zero forcing; the fully implicit variant evaluates it at the new state.
+new time.  The convex part of the potential is implicit and the concave
+perturbation (pi_slope <= 0) is explicit, at the old state u: this convex
+splitting (Eyre) makes the discrete free energy nonincreasing for zero
+forcing at every tau.
 
 Testing the first equation with the constant pair shows the combined mean of
 ``v`` is conserved algebraically; every computed update is shifted by the
@@ -54,11 +55,8 @@ from .errors import ChbsError, CompatibilityError, ConfigError, StepError
 from .monotone import (GraphPair, beta_hat, envelope, envelope_boundary,
                        yosida, yosida_and_slope, yosida_boundary)
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
-                     norm_V0, norm_V0_star, project_zero_mean, subgrad_phi,
-                     _saddle_solve, is_trace_consistent)
-
-CONVEX_SPLIT = "convex_split"
-FULLY_IMPLICIT = "fully_implicit"
+                     norm_V0_star, project_zero_mean, subgrad_phi,
+                     _dual_norm_collapsed, is_trace_consistent)
 
 _PICARD_BUDGET_FACTOR = 20
 # Newton directions: GMRES relative tolerance, restart length, restart cycles
@@ -73,7 +71,9 @@ class SchemeConfig:
 
     ``eps`` weights both the time-derivative term of the potential equation
     and the Yosida regularization.  The conserved mean is not a parameter:
-    it is fixed by the initial data.
+    it is fixed by the initial data.  The perturbation is explicit in time
+    (convex splitting), which keeps the energy decaying for zero forcing
+    only when it is nonincreasing, so both graphs must have pi_slope <= 0.
     """
 
     eps: float
@@ -82,7 +82,6 @@ class SchemeConfig:
     graphs: GraphPair
     newton_tol: float = 1e-10
     newton_max: int = 50
-    splitting: str = CONVEX_SPLIT
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -95,9 +94,10 @@ class SchemeConfig:
         if not all(map(math.isfinite, (1.0 / self.tau, self.t_end / self.tau, ratio * ratio))):
             raise ConfigError("tau is too small: 1/tau, t_end/tau and (eps/tau)^2 "
                               "must be finite")
-        if self.splitting not in (CONVEX_SPLIT, FULLY_IMPLICIT):
-            raise ConfigError(f"splitting must be one of {CONVEX_SPLIT}, "
-                              f"{FULLY_IMPLICIT}; got {self.splitting!r}")
+        for name, g in (("bulk", self.graphs.bulk), ("boundary", self.graphs.boundary)):
+            if not g.pi_slope <= 0.0:
+                raise ConfigError(f"the convex split needs a nonincreasing perturbation: "
+                                  f"the {name} pi_slope must be <= 0, got {g.pi_slope!r}")
         if not self.newton_tol > 0.0:
             raise ConfigError("newton_tol must be positive")
         if self.newton_max < 1:
@@ -170,18 +170,6 @@ def _collapse(dom, bulk_vals, bnd_vals):
     return out
 
 
-def _load_vector(dom, f):
-    """Mass-weighted load of a forcing pair in bulk coordinates."""
-    if f is None:
-        return np.zeros(dom.n_bulk)
-    return _collapse(dom, f.bulk, f.boundary)
-
-
-def _perturbation_vector(dom, pair, u_bulk):
-    return _collapse(dom, pair.bulk.pi_slope * u_bulk,
-                     pair.boundary.pi_slope * u_bulk[dom.boundary_chain])
-
-
 def _offset_pair(pair, xi, u_bulk, u_bnd, f):
     """The pair xi + pi(u*) - f at perturbation argument u* = (u_bulk, u_bnd);
     its mean is the offset omega of a state.  ``f`` None is zero forcing."""
@@ -202,13 +190,14 @@ def _graph_terms(dom, pair, eps, u_bulk):
 
 # --- energy ----------------------------------------------------------------
 
-def _energy_parts(v, m0, config):
-    """The free energy at u = v + m0 and its two envelope integrals."""
+def _energy_parts(v, m0, config, a_vv):
+    """The free energy at u = v + m0 and its two envelope integrals, given
+    the gradient form a_vv = form_a(v, v)."""
     dom, pair = v.domain, config.graphs
     u_b, u_g = v.bulk + m0, v.boundary + m0
     env_bulk = float(dom.M_bulk @ envelope(pair.bulk, config.eps, u_b))
     env_surf = float(dom.M_surf @ envelope_boundary(pair, config.eps, u_g))
-    e = 0.5 * form_a(v, v) + env_bulk + env_surf
+    e = 0.5 * a_vv + env_bulk + env_surf
     # m0 * m0 rounds like numpy's square of u; the float power m0 ** 2 may not
     s_b, s_g, m0_sq = pair.bulk.pi_slope, pair.boundary.pi_slope, m0 * m0
     e += float(dom.M_bulk @ (0.5 * s_b * u_b ** 2 - 0.5 * s_b * m0_sq))
@@ -223,7 +212,7 @@ def energy(v, m0, config):
     the bulk, eps*rho on the boundary) plus the perturbation primitives
     normalized to vanish at m0.
     """
-    return _energy_parts(v, m0, config)[0]
+    return _energy_parts(v, m0, config, form_a(v, v))[0]
 
 
 def monitor_record(state, config):
@@ -231,12 +220,13 @@ def monitor_record(state, config):
     u_b = state.v.bulk + state.m0
     u_g = state.v.boundary + state.m0
     total_mass = integrate_bulk(dom, u_b) + integrate_surf(dom, u_g)
-    e, env_bulk, env_surf = _energy_parts(state.v, state.m0, config)
+    a_vv = form_a(state.v, state.v)
+    e, env_bulk, env_surf = _energy_parts(state.v, state.m0, config, a_vv)
     return MonitorRecord(
         t=state.t,
         total_mass=total_mass,
         energy=e,
-        norm_v_V0=norm_V0(state.v),
+        norm_v_V0=float(np.sqrt(max(a_vv, 0.0))),
         norm_v_V0star=norm_V0_star(as_functional(state.v)),
         norm_mu_V=float(np.sqrt(max(inner_V(state.mu, state.mu), 0.0))),
         l1_xi_bulk=float(dom.M_bulk @ np.abs(state.xi.bulk)),
@@ -293,16 +283,12 @@ def initialize(config, u0, forcing_at_0=None):
 
 # --- the nonlinear step -----------------------------------------------------
 
-def _dual_norm(dom, vec):
-    return math.sqrt(max(float(vec @ _saddle_solve(dom, vec)), 0.0))
-
-
 def _h_norm(dom, vec):
     return math.sqrt(float(vec @ (vec / dom.combined_mass)))
 
 
 # one evaluation at (w, mu): residuals and their norms, the Yosida pair, the
-# Jacobian diagonal d, the load g = N + P - F, and the terms of the scales
+# Jacobian diagonal d, g = N + P - F, and the terms of the scales
 _Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 xi_b xi_g d g terms1 terms2")
 
 
@@ -327,22 +313,24 @@ class _StepSystem:
 
     with dmu = (r2 + (eps Mc/tau + Ac + D) dw)/Mc.  D is the nodal Jacobian
     diagonal for Newton and 0 for Picard, where S(0) = S0.  Only D changes
-    between iterates and steps.  ``lu`` factors the shifted stiffness
-    matrices of ``picard_matrix`` on first use unless the run passes in the
-    factors it already holds.
+    between iterates and steps.  The load P(u) - F of the forcing pair
+    ``f_next`` (None is zero forcing) is fixed for the step and built once.
+    ``lu`` factors the shifted stiffness matrices of ``picard_matrix`` on
+    first use unless the run passes in the factors it already holds.
     """
 
-    def __init__(self, dom, config, m0, w_prev, f_vec, lu=None):
+    def __init__(self, dom, config, m0, w_prev, f_next, lu=None):
         self.dom = dom
         self.cfg = config
         self.m0 = m0
         self.w_prev = w_prev
-        self.f_vec = f_vec
         self.gc_tau = dom.combined_mass / config.tau
         self.mass_prev = float(dom.combined_mass @ w_prev)
-        self.implicit_pi = config.splitting == FULLY_IMPLICIT
-        self.pi_vec_prev = (None if self.implicit_pi else
-                            _perturbation_vector(dom, config.graphs, w_prev + m0))
+        pair, u_prev = config.graphs, w_prev + m0
+        self.load = _collapse(dom, pair.bulk.pi_slope * u_prev,
+                              pair.boundary.pi_slope * u_prev[dom.boundary_chain])
+        if f_next is not None:
+            self.load -= _collapse(dom, f_next.bulk, f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
         self._lu = lu
 
@@ -355,28 +343,23 @@ class _StepSystem:
     def residual(self, w, mu):
         if not (np.isfinite(w).all() and np.isfinite(mu).all()):
             raise StepError("nonlinear iterate is not finite")
-        dom, pair = self.dom, self.cfg.graphs
+        dom = self.dom
         gc, A = dom.combined_mass, dom.coupled_stiffness
-        u_b = w + self.m0
-        xi_b, xi_g, nvec, d = _graph_terms(dom, pair, self.cfg.eps, u_b)
-        pivec = self.pi_vec_prev
-        if self.implicit_pi:
-            pivec = _perturbation_vector(dom, pair, u_b)
-            d = d + _collapse(dom, pair.bulk.pi_slope, pair.boundary.pi_slope)
+        xi_b, xi_g, nvec, d = _graph_terms(dom, self.cfg.graphs, self.cfg.eps, w + self.m0)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = self.cfg.eps * gc_dw
-        gc_mu, a_mu, a_w, load = gc * mu, A @ mu, A @ w, pivec - self.f_vec
-        g = nvec + load
+        gc_mu, a_mu, a_w = gc * mu, A @ mu, A @ w
+        g = nvec + self.load
         R1 = gc_dw + a_mu
         R2 = gc_mu - (eps_dw + a_w + g)
-        return _Iterate(w, mu, R1, R2, _dual_norm(dom, R1), _h_norm(dom, R2),
-                        xi_b, xi_g, d, g, (gc_dw, a_mu), (gc_mu, a_w, nvec, load, eps_dw))
+        return _Iterate(w, mu, R1, R2, _dual_norm_collapsed(dom, R1), _h_norm(dom, R2),
+                        xi_b, xi_g, d, g, (gc_dw, a_mu), (gc_mu, a_w, nvec, self.load, eps_dw))
 
     def scales(self, it):
         # relative-residual scales from the individual term norms, capped at
         # 10 so accepted steps always satisfy the documented 10*newton_tol
         # bound on the weak-residual norms
-        s1 = max([1.0] + [_dual_norm(self.dom, t) for t in it.terms1])
+        s1 = max([1.0] + [_dual_norm_collapsed(self.dom, t) for t in it.terms1])
         s2 = max([1.0] + [_h_norm(self.dom, t) for t in it.terms2])
         return min(s1, 10.0), min(s2, 10.0)
 
@@ -520,8 +503,7 @@ def step(state, config, f_next, *, lu=None, start=None):
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
-    system = _StepSystem(dom, config, state.m0, state.v.bulk,
-                         _load_vector(dom, f_next), lu)
+    system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next, lu)
     if start is None:
         w0, mu0 = state.v.bulk, state.mu.bulk
     else:
@@ -529,9 +511,9 @@ def step(state, config, f_next, *, lu=None, start=None):
         w0 = w0 + system.mass_shift(w0)
     it, iters, lin_iters, lu_fallbacks = _solve_step(system, w0, mu0)
 
-    u_star = (it.w if config.splitting == FULLY_IMPLICIT else state.v.bulk) + state.m0
+    u_prev = state.v.bulk + state.m0
     xi = FieldPair(it.xi_b, it.xi_g, dom)
-    offset = _offset_pair(config.graphs, xi, u_star, u_star[dom.boundary_chain], f_next)
+    offset = _offset_pair(config.graphs, xi, u_prev, u_prev[dom.boundary_chain], f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
                        xi=xi,
@@ -551,8 +533,7 @@ def weak_residuals(state_prev, state_next, config, f_next):
     potential-equation residual.
     """
     dom = state_prev.v.domain
-    system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk,
-                         _load_vector(dom, f_next))
+    system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk, f_next)
     it = system.residual(state_next.v.bulk, state_next.mu.bulk)
     return it.r1, it.r2
 

@@ -14,6 +14,7 @@ All operations are pure given an immutable domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,14 +192,14 @@ def norm_V0(z):
     return float(np.sqrt(max(form_a(z, z), 0.0)))
 
 
-def _v0star_sq_collapsed(dom, ell_collapsed):
-    w = _saddle_solve(dom, ell_collapsed)
-    return max(float(ell_collapsed @ w), 0.0)
+def _dual_norm_collapsed(dom, ell_collapsed):
+    """sqrt(<ell, F^(-1) ell>) from the coefficients of ell in bulk coordinates."""
+    return math.sqrt(max(float(ell_collapsed @ _saddle_solve(dom, ell_collapsed)), 0.0))
 
 
 def norm_V0_star(ell):
     """Dual norm sqrt(<ell, F^(-1) ell>) on zero-mean functionals."""
-    return float(np.sqrt(_v0star_sq_collapsed(ell.domain, _collapse(ell))))
+    return _dual_norm_collapsed(ell.domain, _collapse(ell))
 
 
 def norm_V_star(ell):

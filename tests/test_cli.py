@@ -2,6 +2,8 @@ import csv
 import io
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,6 @@ def test_empty_config_uses_documented_defaults():
     spec = parse_config("")
     assert spec.mesh_n == 9
     assert spec.eps == 0.1
-    assert spec.splitting == "convex_split"
     assert spec.init_preset == "constant"
 
 
@@ -180,7 +181,7 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
     def broken(dom, rhs):
         raise NumericalError("mean-constrained stiffness solve lost accuracy")
 
-    monkeypatch.setattr(scheme, "_saddle_solve", broken)
+    monkeypatch.setattr(scheme, "_dual_norm_collapsed", broken)
     cfg = write_config(tmp_path, QUICK_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -288,6 +289,34 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[scheme]\neps = 2.0\n")
     assert main(["run", "--config", cfg, "--quiet"]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+def test_increasing_perturbation_exits_2_before_any_step(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[mesh]\nn = 17\n[scheme]\neps = 0.02\ntau = 2e-2\n"
+                                 "t_end = 0.4\n[graphs]\npi_slope = 40.0\n[init]\n"
+                                 "preset = random\nseed = 7919\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "nonincreasing perturbation" in err and "pi_slope must be <= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_splitting_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[scheme]\nsplitting = convex_split\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "unknown key 'splitting' in section [scheme]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chbs.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("section, key, raw", [

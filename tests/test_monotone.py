@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -326,6 +327,15 @@ def test_convex_primitive_vanishes_at_origin():
     from chbs.monotone import beta_hat
     for g in (POLY, LOG, OBST):
         assert beta_hat(g, 0.0) == 0.0
+
+
+def test_log_primitive_at_the_domain_endpoints():
+    # (1 -+ r) log(1 -+ r) takes its limit 0 at r = +-1, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = beta_hat(LOG, np.array([-1.0, 1.0, -1.5, 1.5]))
+    assert vals[0] == vals[1] == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    assert np.all(np.isinf(vals[2:]))
 
 
 # --- graph spec ----------------------------------------------------------------

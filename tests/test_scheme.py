@@ -9,8 +9,8 @@ from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError, StepError
 from chbs.monotone import (GraphPair, logarithmic_graph, obstacle_graph,
                            polynomial_graph, yosida, yosida_boundary)
-from chbs.scheme import (CONVEX_SPLIT, FULLY_IMPLICIT, SchemeConfig, energy,
-                         initialize, monitor_record, run, step, weak_residuals)
+from chbs.scheme import (SchemeConfig, energy, initialize, monitor_record, run,
+                         step, weak_residuals)
 from chbs.spaces import (FieldPair, as_functional, inner_H, mean, norm_V0,
                          norm_V0_star, project_zero_mean)
 
@@ -45,6 +45,15 @@ def test_config_rejects_bad_eps():
 def test_config_rejects_tau_that_overflows(kw):
     with pytest.raises(ConfigError, match="tau is too small"):
         make_config(**kw)
+
+
+@pytest.mark.parametrize("pair", [
+    GraphPair(polynomial_graph(40.0), polynomial_graph()),
+    GraphPair(obstacle_graph(), obstacle_graph(1e-3))], ids=["bulk", "boundary"])
+def test_config_rejects_increasing_perturbation(pair):
+    with pytest.raises(ConfigError, match="convex split needs a nonincreasing perturbation"):
+        make_config(graphs=pair)
+    make_config(graphs=GraphPair(obstacle_graph(0.0), obstacle_graph(0.0)))
 
 
 def test_config_equality_includes_pi_slope():
@@ -189,9 +198,8 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
     mu = np.zeros(nb)
     for _ in range(2000):
         u = w + m0
-        pivec = perturb(u) if cfg.splitting == FULLY_IMPLICIT else pi_prev
         rhs = np.concatenate([gc * w_prev / tau,
-                              nonlin(u) + pivec - fvec - eps * gc * w_prev / tau])
+                              nonlin(u) + pi_prev - fvec - eps * gc * w_prev / tau])
         sol = np.linalg.solve(system, rhs)
         w_new, mu_new = sol[:nb], sol[nb:]
         done = np.abs(w_new - w).max() <= tol
@@ -202,12 +210,10 @@ def dense_picard_step(dom, cfg, m0, w_prev, f_pair=None, tol=1e-12):
 
 
 # eps = 0.1, tau = 1e-3 gives a real pair of Schur shifts, eps = 0.02 a complex one
-@pytest.mark.parametrize("splitting, eps", [
-    (CONVEX_SPLIT, 0.1), (FULLY_IMPLICIT, 0.1), (CONVEX_SPLIT, 0.02), (FULLY_IMPLICIT, 0.02)],
-    ids=["convex_split", "fully_implicit", "convex_split-complex", "fully_implicit-complex"])
-def test_step_agrees_with_dense_picard_oracle(domain_cache, rng, splitting, eps):
+@pytest.mark.parametrize("eps", [0.1, 0.02], ids=["convex_split", "convex_split-complex"])
+def test_step_agrees_with_dense_picard_oracle(domain_cache, rng, eps):
     dom = domain_cache(5)
-    cfg = make_config(eps=eps, splitting=splitting, newton_tol=1e-12)
+    cfg = make_config(eps=eps, newton_tol=1e-12)
     u0 = random_u0(dom, rng, amplitude=0.3)
     state = initialize(cfg, u0)
     nxt = step(state, cfg, FieldPair.zeros(dom))
@@ -256,12 +262,12 @@ def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch
     assert abs(mean(nxt.v)) <= 1e-12
 
 
-@pytest.mark.parametrize("splitting", [CONVEX_SPLIT, FULLY_IMPLICIT])
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
-                         ids=["polynomial", "logarithmic", "obstacle"])
-def test_lu_fallback_matches_krylov_step(domain_cache, rng, monkeypatch, pair, splitting):
+                         ids=["polynomial-convex_split", "logarithmic-convex_split",
+                              "obstacle-convex_split"])
+def test_lu_fallback_matches_krylov_step(domain_cache, rng, monkeypatch, pair):
     dom = domain_cache(7)
-    cfg = make_config(graphs=pair, splitting=splitting, newton_tol=1e-12)
+    cfg = make_config(graphs=pair, newton_tol=1e-12)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
     krylov = step(state, cfg, FieldPair.zeros(dom))
     assert krylov.newton_iters > 0
@@ -429,6 +435,21 @@ def test_run_with_predictor_outside_graph_domain(domain_cache, rng, graph):
     assert max(abs(r.total_mass - mass0) for r in traj.records) <= 1e-9
     energies = [r.energy for r in traj.records]
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("tau", [2e-2, 1e-1])
+@pytest.mark.parametrize("graph", [polynomial_graph(-40.0), obstacle_graph(-40.0),
+                                   logarithmic_graph(c=20.0)],
+                         ids=["cubic", "obstacle", "logarithmic"])
+def test_energy_decays_at_large_tau(domain_cache, rng, graph, tau):
+    # the explicit concave perturbation keeps the energy nonincreasing at
+    # every tau, also far above the phase-separation time scale
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.02, tau=tau, t_end=20 * tau, graphs=GraphPair(graph, graph))
+    traj = run(cfg, random_u0(dom, rng))
+    assert not traj.aborted and len(traj.states) == 21
+    energies = [r.energy for r in traj.records]
+    assert max(b - a for a, b in zip(energies, energies[1:])) <= 1e-10
 
 
 def test_run_is_deterministic(domain_cache, rng):
