@@ -13,11 +13,10 @@ from .domain import DiscreteDomain, build_unit_square, integrate_bulk, integrate
 from .errors import (ChbsError, CompatibilityError, ConfigError,
                      NumericalError, StepError)
 from .monotone import (GraphPair, GraphSpec, check_compatibility, envelope,
-                       envelope_boundary, logarithmic_graph, minimal_section,
-                       obstacle_graph, polynomial_graph, resolvent, yosida,
-                       yosida_boundary)
+                       logarithmic_graph, minimal_section, obstacle_graph,
+                       polynomial_graph, resolvent, yosida, yosida_boundary)
 from .scheme import (MonitorRecord, SchemeConfig, SchemeState, Trajectory,
-                     energy, initialize, run, step, weak_residuals)
+                     initialize, run, step, weak_residuals)
 from .spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,
                      inner_H, inner_V, mean, norm_V0, norm_V0_star,
                      norm_V_star, pairing, poincare_constant,

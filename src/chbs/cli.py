@@ -215,27 +215,30 @@ def _is_number(text):
 def _read_csv(path, types):
     """Rows of a CSV file, each converted by ``types``, one per column.
 
-    A first row whose first cell is not a number is a header and is
-    skipped.  An unreadable file, a short row or any other row that does
-    not convert (a nan or inf value among them) is a configuration error.
+    Blank lines are skipped, and so is a first non-empty row whose first
+    cell is not a number: a header.  An unreadable file, a short row, any
+    other row that does not convert (a nan or inf value among them) and a
+    row repeating the cells before the last of an earlier row are errors.
     """
-    rows = []
+    rows = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for k, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
+            for k, row in enumerate(filter(None, csv.reader(fh))):
                 if len(row) >= len(types):
                     try:
-                        rows.append(tuple(t(v) for t, v in zip(types, row)))
-                        continue
+                        vals = tuple(t(v) for t, v in zip(types, row))
                     except ValueError:
                         if k == 0 and not _is_number(row[0]):
                             continue  # header row
+                    else:
+                        if vals[:-1] in rows:
+                            raise ConfigError(f"{path}: duplicate row {row!r}")
+                        rows[vals[:-1]] = vals
+                        continue
                 raise ConfigError(f"{path}: malformed row {row!r}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
-    return rows
+    return list(rows.values())
 
 
 def build_initial(spec, dom):
@@ -299,9 +302,13 @@ def _data(spec, dom):
 # --- output helpers ----------------------------------------------------------
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` by a rename, with the mode ``open`` would give."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=".tmp_chbs_")
     try:
+        umask = os.umask(0)  # read only by setting it; the CLI runs one thread
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -19,9 +19,10 @@ unregularized graphs.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
-kind needs an entry in ``_DOMAINS`` and a branch in ``beta_hat``,
-``minimal_section``, ``resolvent`` and ``yosida_and_slope``; no other
-families are assumed.
+kind needs an entry in ``_DOMAINS``, a branch in ``beta_hat``,
+``minimal_section`` and ``resolvent``, and its Yosida slope in
+``yosida_and_slope``; ``yosida`` and ``envelope`` follow from the
+resolvent and ``beta_hat``.  No other families are assumed.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ def yosida(g, eps, r):
 
 
 def yosida_and_slope(g, eps, r):
-    """Yosida approximation and its derivative from one resolvent evaluation.
+    """Resolvent J, Yosida approximation (r - J)/eps and its derivative, from
+    one resolvent evaluation; a caller that keeps J can build the envelope
+    |r - J|^2/(2*eps) + beta_hat(J) of ``envelope`` without solving again.
 
     Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J));
     the logarithmic one is 2/(1 - J**2 + 2*eps), finite also at J = +-1.
@@ -239,8 +242,8 @@ def yosida_and_slope(g, eps, r):
     else:
         slope = 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)
     if np.ndim(r) == 0:
-        return float(xi), float(slope)
-    return xi, slope
+        return float(j), float(xi), float(slope)
+    return j, xi, slope
 
 
 def envelope(g, eps, r):
@@ -317,11 +320,6 @@ class GraphPair:
 def yosida_boundary(pair, eps, r):
     """Boundary Yosida approximation with effective parameter eps*rho."""
     return yosida(pair.boundary, eps * pair.rho, r)
-
-
-def envelope_boundary(pair, eps, r):
-    """Moreau envelope of the boundary primitive at parameter eps*rho."""
-    return envelope(pair.boundary, eps * pair.rho, r)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,9 @@ start=(w0, mu0))``, whose w0 is first shifted to the conserved mean.  From
 its second step on, ``run`` passes the linear extrapolation 2 x_n - x_{n-1}
 of the last two levels, which is O(tau^2) from the new level on a smooth
 solution where the old state is O(tau), and so saves Newton iterations.
+
+Each iterate solves one resolvent J per graph for N and its slopes; the
+accepted state keeps J, from which ``monitor_record`` builds the envelopes.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .domain import integrate_bulk, integrate_surf
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
-from .monotone import (GraphPair, beta_hat, envelope, envelope_boundary,
-                       yosida, yosida_and_slope, yosida_boundary)
+from .monotone import GraphPair, beta_hat, yosida_and_slope
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
                      norm_V0_star, project_zero_mean, subgrad_phi,
                      _dual_norm_collapsed, is_trace_consistent)
@@ -106,16 +108,18 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One time level: zero-mean order parameter, potential, Yosida values.
+    """One time level: zero-mean order parameter, potential, graph values.
 
-    ``xi`` holds the nodewise Yosida evaluations of u = v + m0 (bulk graph in
-    the bulk slot, boundary graph with parameter eps*rho in the boundary
-    slot).  ``m0`` is the conserved combined mean of the run.
+    ``j`` and ``xi`` hold the nodewise resolvents and Yosida values of
+    u = v + m0 (bulk graph in the bulk slot, boundary graph with parameter
+    eps*rho in the boundary slot); at t = 0, ``xi`` is taken at the data u0.
+    ``m0`` is the conserved combined mean of the run.
     """
 
     v: FieldPair
     mu: FieldPair
     xi: FieldPair
+    j: FieldPair
     omega: float
     t: float
     m0: float
@@ -179,49 +183,33 @@ def _offset_pair(pair, xi, u_bulk, u_bnd, f):
                      xi.boundary + pair.boundary.pi_slope * u_bnd - f.boundary, dom)
 
 
-def _graph_terms(dom, pair, eps, u_bulk):
-    """Yosida pair at bulk values u, its mass-weighted collapse, and the
-    collapsed Yosida slopes; one resolvent evaluation per graph."""
-    xi_b, slope_b = yosida_and_slope(pair.bulk, eps, u_bulk)
-    xi_g, slope_g = yosida_and_slope(pair.boundary, eps * pair.rho,
-                                     u_bulk[dom.boundary_chain])
-    return xi_b, xi_g, _collapse(dom, xi_b, xi_g), _collapse(dom, slope_b, slope_g)
+def _graph_terms(dom, pair, eps, u_bulk, u_bnd):
+    """Resolvent, Yosida and Yosida-slope pairs of the bulk graph at eps and
+    the boundary graph at eps*rho; one resolvent evaluation per graph."""
+    bulk = yosida_and_slope(pair.bulk, eps, u_bulk)
+    bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u_bnd)
+    return [FieldPair(b, g, dom) for b, g in zip(bulk, bnd)]
 
 
-# --- energy ----------------------------------------------------------------
+# --- monitor -----------------------------------------------------------------
 
-def _energy_parts(v, m0, config, a_vv):
-    """The free energy at u = v + m0 and its two envelope integrals, given
-    the gradient form a_vv = form_a(v, v)."""
-    dom, pair = v.domain, config.graphs
-    u_b, u_g = v.bulk + m0, v.boundary + m0
-    env_bulk = float(dom.M_bulk @ envelope(pair.bulk, config.eps, u_b))
-    env_surf = float(dom.M_surf @ envelope_boundary(pair, config.eps, u_g))
+def monitor_record(state, config):
+    """The monitor scalars of a state.  The energy's lumped envelopes
+    |u - J|^2/(2 eps) + beta_hat(J) (eps*rho on the boundary) use the kept J."""
+    dom, pair, m0, j = state.v.domain, config.graphs, state.m0, state.j
+    u_b, u_g = state.v.bulk + m0, state.v.boundary + m0
+    total_mass = integrate_bulk(dom, u_b) + integrate_surf(dom, u_g)
+    a_vv = form_a(state.v, state.v)
+    eps_g = config.eps * pair.rho
+    env_bulk = float(dom.M_bulk @ ((u_b - j.bulk) ** 2 / (2.0 * config.eps)
+                                   + beta_hat(pair.bulk, j.bulk)))
+    env_surf = float(dom.M_surf @ ((u_g - j.boundary) ** 2 / (2.0 * eps_g)
+                                   + beta_hat(pair.boundary, j.boundary)))
     e = 0.5 * a_vv + env_bulk + env_surf
     # m0 * m0 rounds like numpy's square of u; the float power m0 ** 2 may not
     s_b, s_g, m0_sq = pair.bulk.pi_slope, pair.boundary.pi_slope, m0 * m0
     e += float(dom.M_bulk @ (0.5 * s_b * u_b ** 2 - 0.5 * s_b * m0_sq))
     e += float(dom.M_surf @ (0.5 * s_g * u_g ** 2 - 0.5 * s_g * m0_sq))
-    return e, env_bulk, env_surf
-
-
-def energy(v, m0, config):
-    """Discrete free energy of the state u = v + m0.
-
-    Gradient part plus lumped Moreau-envelope integrals (parameter eps in
-    the bulk, eps*rho on the boundary) plus the perturbation primitives
-    normalized to vanish at m0.
-    """
-    return _energy_parts(v, m0, config, form_a(v, v))[0]
-
-
-def monitor_record(state, config):
-    dom = state.v.domain
-    u_b = state.v.bulk + state.m0
-    u_g = state.v.boundary + state.m0
-    total_mass = integrate_bulk(dom, u_b) + integrate_surf(dom, u_g)
-    a_vv = form_a(state.v, state.v)
-    e, env_bulk, env_surf = _energy_parts(state.v, state.m0, config, a_vv)
     return MonitorRecord(
         t=state.t,
         total_mass=total_mass,
@@ -246,7 +234,8 @@ def initialize(config, u0, forcing_at_0=None):
     """Build the initial state from trace-consistent initial data.
 
     The conserved mean is recorded from the data; the potential, Yosida pair
-    and mean offset are evaluated with a zero time-derivative surrogate.
+    and mean offset are evaluated at the data with a zero time-derivative
+    surrogate, and the resolvent pair at the level v0 + m0.
     Raises ConfigError if the forcing at t = 0 makes the potential or the
     mean offset non-finite.
     """
@@ -268,8 +257,8 @@ def initialize(config, u0, forcing_at_0=None):
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
 
     v0 = project_zero_mean(u0)
-    xi = FieldPair(yosida(pair.bulk, config.eps, u0.bulk),
-                   yosida_boundary(pair, config.eps, u0.boundary), dom)
+    xi = _graph_terms(dom, pair, config.eps, u0.bulk, u0.boundary)[1]
+    j = _graph_terms(dom, pair, config.eps, v0.bulk + m0, v0.boundary + m0)[0]
     rest = _offset_pair(pair, xi, u0.bulk, u0.boundary, forcing_at_0)
     mu0 = subgrad_phi(v0) + rest
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -278,7 +267,7 @@ def initialize(config, u0, forcing_at_0=None):
             and np.isfinite(mu0.boundary).all()):
         raise ConfigError(f"the forcing at t = 0 gives a non-finite initial potential "
                           f"or mean offset (omega = {omega!r})")
-    return SchemeState(v=v0, mu=mu0, xi=xi, omega=omega, t=0.0, m0=m0)
+    return SchemeState(v=v0, mu=mu0, xi=xi, j=j, omega=omega, t=0.0, m0=m0)
 
 
 # --- the nonlinear step -----------------------------------------------------
@@ -287,9 +276,9 @@ def _h_norm(dom, vec):
     return math.sqrt(float(vec @ (vec / dom.combined_mass)))
 
 
-# one evaluation at (w, mu): residuals and their norms, the Yosida pair, the
-# Jacobian diagonal d, g = N + P - F, and the terms of the scales
-_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 xi_b xi_g d g terms1 terms2")
+# one evaluation at (w, mu): residuals and their norms, the resolvent and
+# Yosida pairs, the Jacobian diagonal d, g = N + P - F, and the scale terms
+_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 j xi d g terms1 terms2")
 
 
 def _shifts(eps, tau):
@@ -345,7 +334,9 @@ class _StepSystem:
             raise StepError("nonlinear iterate is not finite")
         dom = self.dom
         gc, A = dom.combined_mass, dom.coupled_stiffness
-        xi_b, xi_g, nvec, d = _graph_terms(dom, self.cfg.graphs, self.cfg.eps, w + self.m0)
+        u = w + self.m0
+        j, xi, slope = _graph_terms(dom, self.cfg.graphs, self.cfg.eps, u, u[dom.boundary_chain])
+        nvec, d = _collapse(dom, xi.bulk, xi.boundary), _collapse(dom, slope.bulk, slope.boundary)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = self.cfg.eps * gc_dw
         gc_mu, a_mu, a_w = gc * mu, A @ mu, A @ w
@@ -353,7 +344,7 @@ class _StepSystem:
         R1 = gc_dw + a_mu
         R2 = gc_mu - (eps_dw + a_w + g)
         return _Iterate(w, mu, R1, R2, _dual_norm_collapsed(dom, R1), _h_norm(dom, R2),
-                        xi_b, xi_g, d, g, (gc_dw, a_mu), (gc_mu, a_w, nvec, self.load, eps_dw))
+                        j, xi, d, g, (gc_dw, a_mu), (gc_mu, a_w, nvec, self.load, eps_dw))
 
     def scales(self, it):
         # relative-residual scales from the individual term norms, capped at
@@ -512,11 +503,11 @@ def step(state, config, f_next, *, lu=None, start=None):
     it, iters, lin_iters, lu_fallbacks = _solve_step(system, w0, mu0)
 
     u_prev = state.v.bulk + state.m0
-    xi = FieldPair(it.xi_b, it.xi_g, dom)
-    offset = _offset_pair(config.graphs, xi, u_prev, u_prev[dom.boundary_chain], f_next)
+    offset = _offset_pair(config.graphs, it.xi, u_prev, u_prev[dom.boundary_chain], f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
-                       xi=xi,
+                       xi=it.xi,
+                       j=it.j,
                        omega=mean(offset),
                        t=state.t + config.tau,
                        m0=state.m0,

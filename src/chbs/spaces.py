@@ -84,11 +84,11 @@ class DualPair:
     domain: object
 
 
-def is_trace_consistent(z, tol=_TRACE_TOL):
+def is_trace_consistent(z):
     """Whether the boundary component equals the trace of the bulk one."""
     scale = 1.0 + float(np.max(np.abs(z.bulk), initial=0.0))
     gap = np.max(np.abs(z.boundary - z.bulk[z.domain.boundary_chain]), initial=0.0)
-    return gap <= tol * scale
+    return gap <= _TRACE_TOL * scale
 
 
 def _require_trace_consistent(z, what):

@@ -167,6 +167,19 @@ def test_run_writes_outputs_and_passes(tmp_path):
     assert not leftovers
 
 
+def test_run_outputs_keep_the_umask(tmp_path):
+    cfg = write_config(tmp_path, QUICK_RUN)
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert len(modes) == 6  # monitors, three snapshots, two reports
+    assert modes == dict.fromkeys(modes, 0o644)
+
+
 def test_run_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, QUICK_RUN)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -483,8 +496,14 @@ path = {forcing_path}
     ("forcing", "t,node,value\n0.0,3,nan\n", "malformed row ['0.0', '3', 'nan']"),
     ("forcing", "0.0,3,inf\n", "malformed row ['0.0', '3', 'inf']"),
     ("init", "node,value\n0,nan\n", "malformed row ['0', 'nan']"),
+    # the header is the first non-empty row, so the short row is the culprit
+    ("init", "\nnode,value\n3\n", "malformed row ['3']"),
+    ("init", "node,value\n3,0.1\n4,0.0\n3,0.2\n", "duplicate row ['3', '0.2']"),
+    # times compare as numbers: 0 and 0.0 are one time
+    ("forcing", "t,node,value\n0.0,3,0.5\n0,3,0.25\n", "duplicate row ['0', '3', '0.25']"),
 ], ids=["init-missing", "forcing-missing", "init-short-row", "forcing-short-row",
-        "forcing-nan-value", "forcing-inf-first-row", "init-nan-value"])
+        "forcing-nan-value", "forcing-inf-first-row", "init-nan-value",
+        "init-header-after-blank-line", "init-duplicate-node", "forcing-duplicate-row"])
 def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     path = tmp_path / f"{section}.csv"
     if text is not None:
@@ -494,6 +513,18 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_csv_header_after_blank_lines_is_skipped(tmp_path):
+    init_path = tmp_path / "init.csv"
+    n_bulk = 25  # the n = 5 mesh
+    init_path.write_text("\n\nnode,value\n" + "".join(f"{k},0.0\n" for k in range(n_bulk)))
+    forcing_path = tmp_path / "forcing.csv"
+    forcing_path.write_text("\nt,node,value\n0.0,3,0.5\n")
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n"
+                                 f"[init]\npreset = csv\npath = {init_path}\n"
+                                 f"[forcing]\npreset = csv\npath = {forcing_path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("kind", ["config", "init", "forcing"])

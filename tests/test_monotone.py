@@ -10,10 +10,9 @@ from scipy.optimize import brentq
 from scipy.stats import qmc
 
 from chbs.monotone import (GraphPair, GraphSpec, beta_hat,
-                           check_compatibility, envelope, envelope_boundary,
-                           logarithmic_graph, minimal_section, obstacle_graph,
-                           polynomial_graph, resolvent, yosida,
-                           yosida_and_slope, yosida_boundary)
+                           check_compatibility, envelope, logarithmic_graph,
+                           minimal_section, obstacle_graph, polynomial_graph,
+                           resolvent, yosida, yosida_and_slope, yosida_boundary)
 
 POLY = polynomial_graph()
 LOG = logarithmic_graph()
@@ -168,7 +167,8 @@ def test_log_resolvent_saturates_with_finite_slope(r):
     # s = artanh(j) is about (|r| - 1)/(2 eps) = 2.5e5 or more, where tanh is 1.0
     eps = 1e-6
     assert resolvent(LOG, eps, r) == math.copysign(1.0, r)
-    xi, slope = yosida_and_slope(LOG, eps, r)
+    j, xi, slope = yosida_and_slope(LOG, eps, r)
+    assert j == math.copysign(1.0, r)
     assert math.isfinite(xi) and slope == 1.0 / eps
 
 
@@ -440,21 +440,17 @@ def test_yosida_slope_matches_finite_differences():
     h = 1e-6
     for g, eps in ((POLY, 0.3), (LOG, 0.3)):
         fd = (yosida(g, eps, r + h) - yosida(g, eps, r - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - yosida_and_slope(g, eps, r)[1])) < 1e-5
+        assert np.max(np.abs(fd - yosida_and_slope(g, eps, r)[2])) < 1e-5
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_yosida_and_slope_matches_yosida(kind):
     g, window, _ = KINDS[kind]
     r = sobol_points(window[0] - 1.0, window[1] + 1.0, m=7)
-    xi, slope = yosida_and_slope(g, 0.2, r)
+    j, xi, slope = yosida_and_slope(g, 0.2, r)
+    np.testing.assert_array_equal(j, resolvent(g, 0.2, r))
     np.testing.assert_array_equal(xi, yosida(g, 0.2, r))
     assert np.all((slope >= 0.0) & (slope <= 1.0 / 0.2))
-    xi0, slope0 = yosida_and_slope(g, 0.2, 0.5)
-    assert xi0 == yosida(g, 0.2, 0.5) and isinstance(slope0, float)
-
-
-def test_envelope_boundary_uses_scaled_parameter():
-    pair = GraphPair(bulk=OBST, boundary=OBST, rho=2.0, c0=0.0)
-    # envelope at parameter eps*rho = 1: (3-1)^2/2 = 2
-    assert envelope_boundary(pair, 0.5, 3.0) == pytest.approx(2.0, abs=1e-14)
+    j0, xi0, slope0 = yosida_and_slope(g, 0.2, 0.5)
+    assert j0 == resolvent(g, 0.2, 0.5) and xi0 == yosida(g, 0.2, 0.5)
+    assert all(isinstance(x, float) for x in (j0, xi0, slope0))

@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
+from chbs import monotone
 from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError, StepError
-from chbs.monotone import (GraphPair, logarithmic_graph, obstacle_graph,
-                           polynomial_graph, yosida, yosida_boundary)
-from chbs.scheme import (SchemeConfig, energy, initialize, monitor_record, run,
-                         step, weak_residuals)
-from chbs.spaces import (FieldPair, as_functional, inner_H, mean, norm_V0,
+from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_graph,
+                           polynomial_graph, resolvent, yosida, yosida_boundary)
+from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
+                         weak_residuals)
+from chbs.spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V0,
                          norm_V0_star, project_zero_mean)
 
 POLY_PAIR = GraphPair(polynomial_graph(), polynomial_graph())
@@ -138,6 +139,9 @@ def test_step_xi_matches_nodewise_yosida_and_domination(domain_cache, rng):
     np.testing.assert_allclose(nxt.xi.boundary,
                                yosida_boundary(pair, cfg.eps, u_b[dom.boundary_chain]),
                                rtol=0, atol=1e-14)
+    # the kept resolvent pair is the one the Yosida pair came from
+    np.testing.assert_array_equal(nxt.j.bulk, resolvent(pair.bulk, cfg.eps, u_b))
+    np.testing.assert_array_equal(nxt.xi.bulk, (u_b - nxt.j.bulk) / cfg.eps)
     trace_xi = nxt.xi.bulk[dom.boundary_chain]
     assert np.all(np.abs(trace_xi) <= pair.rho * np.abs(nxt.xi.boundary)
                   + pair.c0 + 1e-10)
@@ -541,9 +545,46 @@ def test_interpolation_constant_finite_and_stable(domain_cache, delta):
 
 
 def test_energy_matches_monitor_record(domain_cache, rng):
+    # rho != 1: the boundary envelope must use the parameter eps*rho
     dom = domain_cache(5)
-    cfg = make_config()
-    state = initialize(cfg, random_u0(dom, rng))
-    rec = monitor_record(state, cfg)
-    assert rec.energy == pytest.approx(energy(state.v, state.m0, cfg), rel=1e-14)
-    assert rec.t == 0.0
+    pair = GraphPair(polynomial_graph(pi_slope=-2.0), polynomial_graph(pi_slope=-0.5),
+                     rho=3.0)
+    cfg = make_config(graphs=pair, eps=0.2)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.8, m0=0.1))
+    for state in (state, step(state, cfg, FieldPair.zeros(dom))):
+        rec = monitor_record(state, cfg)
+        m0, u = state.m0, state.v + state.m0 * FieldPair.constant(dom, 1.0)
+        env_bulk = float(dom.M_bulk @ envelope(pair.bulk, cfg.eps, u.bulk))
+        env_surf = float(dom.M_surf @ envelope(pair.boundary, cfg.eps * pair.rho, u.boundary))
+        perturbation = sum(float(weights @ (0.5 * g.pi_slope * (vals ** 2 - m0 ** 2)))
+                           for weights, g, vals in ((dom.M_bulk, pair.bulk, u.bulk),
+                                                    (dom.M_surf, pair.boundary, u.boundary)))
+        reference = 0.5 * form_a(state.v, state.v) + env_bulk + env_surf + perturbation
+        assert rec.energy == pytest.approx(reference, rel=1e-13)
+        assert rec.envelope_integral_bulk == pytest.approx(env_bulk, rel=1e-13)
+        assert rec.envelope_integral_surf == pytest.approx(env_surf, rel=1e-13)
+        unscaled = float(dom.M_surf @ envelope(pair.boundary, cfg.eps, u.boundary))
+        assert abs(unscaled - env_surf) > 1e-6 * env_surf
+    assert rec.t == cfg.tau
+
+
+def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
+    # each residual evaluates the two graphs once; initialize evaluates them
+    # at the data u0 and at v0 + m0; monitor records reuse the kept pair
+    counts = {"resolvent": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(monotone, "resolvent", counting("resolvent", monotone.resolvent))
+    monkeypatch.setattr(scheme_module._StepSystem, "residual",
+                        counting("residual", scheme_module._StepSystem.residual))
+    dom = domain_cache(5)
+    cfg = make_config(eps=0.05, t_end=3e-3)
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.5))
+    assert not traj.aborted and len(traj.states) == 4
+    assert counts["residual"] >= 3
+    assert counts["resolvent"] == 2 * counts["residual"] + 4
