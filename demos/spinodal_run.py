@@ -11,7 +11,6 @@ import numpy as np
 
 from chbs import (FieldPair, GraphPair, SchemeConfig, build_unit_square,
                   polynomial_graph, project_zero_mean, run)
-from chbs.domain import write_field_csv
 
 dom = build_unit_square(17)
 graphs = GraphPair(polynomial_graph(), polynomial_graph())
@@ -36,5 +35,8 @@ print("energy nonincreasing at every step, mass conserved to "
       f"{max(abs(r.total_mass - mass0) for r in traj.records):.1e}")
 
 out = "spinodal_final.csv"
-write_field_csv(dom, traj.states[-1].v.bulk + traj.m0, out)
+np.savetxt(out, np.column_stack([np.arange(dom.n_bulk), dom.coords,
+                                 traj.states[-1].v.bulk + traj.m0]),
+           fmt=["%d", "%.17g", "%.17g", "%.17g"], delimiter=",", header="node,x,y,value",
+           comments="")
 print(f"final order parameter written to {out}")

@@ -18,7 +18,7 @@ from .monotone import (GraphPair, GraphSpec, check_compatibility, envelope,
 from .scheme import (MonitorRecord, SchemeConfig, SchemeState, Trajectory,
                      initialize, run, step, weak_residuals)
 from .spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,
-                     inner_H, inner_V, mean, norm_V0, norm_V0_star,
+                     inner_H, inner_V, mean, norm_V0_star,
                      norm_V_star, pairing, poincare_constant,
                      project_zero_mean, solve_F_inverse, subgrad_phi)
 from .verify import (AppendixReport, AprioriTable, ContDepReport,

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -33,36 +33,6 @@ from .monotone import (GraphPair, logarithmic_graph, obstacle_graph,
                        polynomial_graph)
 from .scheme import MonitorRecord, SchemeConfig, run
 from .spaces import FieldPair, project_zero_mean
-
-
-@dataclass
-class RunSpec:
-    """Validated run description with documented defaults."""
-
-    mesh_n: int = 9
-    eps: float = 0.1
-    tau: float = 1e-3
-    t_end: float = 0.1
-    newton_tol: float = 1e-10
-    newton_max: int = 50
-    eps_list: tuple = (0.5, 0.25, 0.125, 0.0625)
-    bulk_kind: str = "polynomial"
-    boundary_kind: str = "polynomial"
-    rho: float = 1.0
-    c0: float = 0.0
-    pi_slope: float = -1.0
-    log_c: float = 1.0
-    init_preset: str = "constant"
-    init_value: float = 0.0
-    init_mean: float = 0.0
-    init_amplitude: float = 0.05
-    init_path: Optional[str] = None
-    seed: Optional[int] = None
-    forcing_preset: str = "zero"
-    forcing_value: float = 0.0
-    forcing_path: Optional[str] = None
-    stride: int = 50
-    out_dir: str = "out"
 
 
 _GRAPHS = {
@@ -96,42 +66,67 @@ _FLOATS = ("a comma-separated list of finite numbers",
 _TEXT = ("text", str)
 _GRAPH = _choice(*_GRAPHS)
 
-# every config key: (section, key) -> (RunSpec field, parser)
-_KEYS = {
-    ("mesh", "n"): ("mesh_n", _INT),
-    ("scheme", "eps"): ("eps", _FLOAT),
-    ("scheme", "tau"): ("tau", _FLOAT),
-    ("scheme", "t_end"): ("t_end", _FLOAT),
-    ("scheme", "newton_tol"): ("newton_tol", _FLOAT),
-    ("scheme", "newton_max"): ("newton_max", _INT),
-    ("scheme", "eps_list"): ("eps_list", _FLOATS),
-    ("graphs", "bulk"): ("bulk_kind", _GRAPH),
-    ("graphs", "boundary"): ("boundary_kind", _GRAPH),
-    ("graphs", "rho"): ("rho", _FLOAT),
-    ("graphs", "c0"): ("c0", _FLOAT),
-    ("graphs", "pi_slope"): ("pi_slope", _FLOAT),
-    ("graphs", "log_c"): ("log_c", _FLOAT),
-    ("init", "preset"): ("init_preset", _choice("constant", "random", "csv")),
-    ("init", "value"): ("init_value", _FLOAT),
-    ("init", "mean"): ("init_mean", _FLOAT),
-    ("init", "amplitude"): ("init_amplitude", _FLOAT),
-    ("init", "seed"): ("seed", _INT),
-    ("init", "path"): ("init_path", _TEXT),
-    ("forcing", "preset"): ("forcing_preset", _choice("zero", "constant", "csv")),
-    ("forcing", "value"): ("forcing_value", _FLOAT),
-    ("forcing", "path"): ("forcing_path", _TEXT),
-    ("output", "stride"): ("stride", _INT),
-    ("output", "dir"): ("out_dir", _TEXT),
-}
+
+# value bounds: (what the parsed value must satisfy, value -> bool)
+def _at_least(low):
+    return ("must be nonnegative" if low == 0 else f"must be at least {low}",
+            lambda value: value >= low)
+
+
+_EACH_IN_UNIT = ("entries must lie in (0,1]", lambda vals: all(0.0 < v <= 1.0 for v in vals))
+
+
+def _key(section, key, default, parser, bound=None):
+    """A RunSpec field read from ``key`` in ``[section]`` by ``parser`` and
+    checked against ``bound``; the declaration of that config key."""
+    return field(default=default,
+                 metadata={"key": (section, key), "parser": parser, "bound": bound})
+
+
+@dataclass
+class RunSpec:
+    """Validated run description.  Each field is the one declaration of its
+    config key: section, key, documented default, parser and bound."""
+
+    mesh_n: int = _key("mesh", "n", 9, _INT, _at_least(3))
+    eps: float = _key("scheme", "eps", 0.1, _FLOAT)
+    tau: float = _key("scheme", "tau", 1e-3, _FLOAT)
+    t_end: float = _key("scheme", "t_end", 0.1, _FLOAT)
+    newton_tol: float = _key("scheme", "newton_tol", 1e-10, _FLOAT)
+    newton_max: int = _key("scheme", "newton_max", 50, _INT)
+    eps_list: tuple = _key("scheme", "eps_list", (0.5, 0.25, 0.125, 0.0625), _FLOATS,
+                           _EACH_IN_UNIT)
+    bulk_kind: str = _key("graphs", "bulk", "polynomial", _GRAPH)
+    boundary_kind: str = _key("graphs", "boundary", "polynomial", _GRAPH)
+    rho: float = _key("graphs", "rho", 1.0, _FLOAT)
+    c0: float = _key("graphs", "c0", 0.0, _FLOAT)
+    pi_slope: float = _key("graphs", "pi_slope", -1.0, _FLOAT)
+    log_c: float = _key("graphs", "log_c", 1.0, _FLOAT)
+    init_preset: str = _key("init", "preset", "constant", _choice("constant", "random", "csv"))
+    init_value: float = _key("init", "value", 0.0, _FLOAT)
+    init_mean: float = _key("init", "mean", 0.0, _FLOAT)
+    init_amplitude: float = _key("init", "amplitude", 0.05, _FLOAT, _at_least(0))
+    init_path: Optional[str] = _key("init", "path", None, _TEXT)
+    seed: Optional[int] = _key("init", "seed", None, _INT, _at_least(0))
+    forcing_preset: str = _key("forcing", "preset", "zero", _choice("zero", "constant", "csv"))
+    forcing_value: float = _key("forcing", "value", 0.0, _FLOAT)
+    forcing_path: Optional[str] = _key("forcing", "path", None, _TEXT)
+    stride: int = _key("output", "stride", 50, _INT, _at_least(1))
+    out_dir: str = _key("output", "dir", "out", _TEXT)
+
+
+# every config key: (section, key) -> its RunSpec field
+_KEYS = {f.metadata["key"]: f for f in fields(RunSpec)}
 _SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text):
     """Parse sectioned key=value text into a validated RunSpec.
 
-    Unknown sections, unknown keys and duplicate keys are errors; parse
-    errors carry the line number.  The graph pair and the scheme config
-    are built once to run their own checks.
+    Unknown sections, unknown keys and duplicate keys are errors; parse and
+    bound errors carry the line number.  The checks that tie keys together
+    follow, and the graph pair and the scheme config are built once to run
+    their own checks.
     """
     values = {}
     section = None
@@ -152,25 +147,19 @@ def parse_config(text):
         key, raw = key.strip(), raw.strip()
         if (section, key) not in _KEYS:
             raise ConfigError(f"line {ln}: unknown key '{key}' in section [{section}]")
-        name, (what, parse) = _KEYS[section, key]
-        if name in values:
+        f = _KEYS[section, key]
+        if f.name in values:
             raise ConfigError(f"line {ln}: duplicate key '{key}' in section [{section}]")
+        (what, parse), bound = f.metadata["parser"], f.metadata["bound"]
         try:
-            values[name] = parse(raw)
+            value = parse(raw)
         except ValueError:
             raise ConfigError(f"line {ln}: {key} must be {what}, got {raw!r}") from None
+        if bound and not bound[1](value):
+            raise ConfigError(f"line {ln}: {key} {bound[0]}, got {raw!r}")
+        values[f.name] = value
 
     spec = RunSpec(**values)
-    if spec.mesh_n < 3:
-        raise ConfigError("n must be at least 3")
-    if any(not 0.0 < e <= 1.0 for e in spec.eps_list):
-        raise ConfigError("eps_list entries must lie in (0,1]")
-    if spec.init_amplitude < 0.0:
-        raise ConfigError("amplitude must be nonnegative")
-    if spec.seed is not None and spec.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if spec.stride < 1:
-        raise ConfigError("stride must be at least 1")
     if spec.init_preset == "random" and spec.seed is None:
         raise ConfigError("seed is required when the random init preset is used")
     if spec.init_preset == "csv" and not spec.init_path:
@@ -183,7 +172,7 @@ def parse_config(text):
 
 def load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
@@ -222,7 +211,7 @@ def _read_csv(path, types):
     """
     rows = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for k, row in enumerate(filter(None, csv.reader(fh))):
                 if len(row) >= len(types):
                     try:
@@ -408,8 +397,9 @@ def cmd_eps_study(args):
 
 def cmd_cont_dep(args):
     (spec1, spec2), out_dir, dom = _setup(args)
-    for (section, key), (name, _) in _KEYS.items():
-        if section not in ("init", "forcing") and getattr(spec1, name) != getattr(spec2, name):
+    for (section, key), f in _KEYS.items():
+        if (section not in ("init", "forcing")
+                and getattr(spec1, f.name) != getattr(spec2, f.name)):
             raise ConfigError(f"cont-dep configs may differ only in [init] and "
                               f"[forcing]; '{key}' in [{section}] differs")
     report = verify.continuous_dependence_experiment(

@@ -25,7 +25,6 @@ across threads.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,16 +189,3 @@ def integrate_surf(dom, trace_field):
     if trace_field.shape != (dom.n_boundary,):
         raise ValueError(f"boundary field has shape {trace_field.shape}, expected ({dom.n_boundary},)")
     return float(dom.M_surf @ trace_field)
-
-
-def write_field_csv(dom, values, path):
-    """Export a bulk nodal field as CSV rows (node, x, y, value)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (dom.n_bulk,):
-        raise ValueError(f"field has shape {values.shape}, expected ({dom.n_bulk},)")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y", "value"])
-        for k in range(dom.n_bulk):
-            writer.writerow([k, repr(float(dom.coords[k, 0])),
-                             repr(float(dom.coords[k, 1])), repr(float(values[k]))])

@@ -112,8 +112,8 @@ class SchemeState:
 
     ``j`` and ``xi`` hold the nodewise resolvents and Yosida values of
     u = v + m0 (bulk graph in the bulk slot, boundary graph with parameter
-    eps*rho in the boundary slot); at t = 0, ``xi`` is taken at the data u0.
-    ``m0`` is the conserved combined mean of the run.
+    eps*rho in the boundary slot).  ``m0`` is the conserved combined mean of
+    the run.
     """
 
     v: FieldPair
@@ -233,9 +233,9 @@ def monitor_record(state, config):
 def initialize(config, u0, forcing_at_0=None):
     """Build the initial state from trace-consistent initial data.
 
-    The conserved mean is recorded from the data; the potential, Yosida pair
-    and mean offset are evaluated at the data with a zero time-derivative
-    surrogate, and the resolvent pair at the level v0 + m0.
+    The conserved mean is recorded from the data; the resolvent and Yosida
+    pairs, the potential and the mean offset are evaluated at the level
+    v0 + m0 with a zero time-derivative surrogate.
     Raises ConfigError if the forcing at t = 0 makes the potential or the
     mean offset non-finite.
     """
@@ -257,9 +257,9 @@ def initialize(config, u0, forcing_at_0=None):
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
 
     v0 = project_zero_mean(u0)
-    xi = _graph_terms(dom, pair, config.eps, u0.bulk, u0.boundary)[1]
-    j = _graph_terms(dom, pair, config.eps, v0.bulk + m0, v0.boundary + m0)[0]
-    rest = _offset_pair(pair, xi, u0.bulk, u0.boundary, forcing_at_0)
+    u_b, u_g = v0.bulk + m0, v0.boundary + m0
+    j, xi, _ = _graph_terms(dom, pair, config.eps, u_b, u_g)
+    rest = _offset_pair(pair, xi, u_b, u_g, forcing_at_0)
     mu0 = subgrad_phi(v0) + rest
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         omega = mean(rest)

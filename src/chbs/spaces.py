@@ -187,11 +187,6 @@ def solve_F_inverse(ell):
     return FieldPair.from_bulk(dom, w)
 
 
-def norm_V0(z):
-    """Gradient seminorm sqrt(a(z, z))."""
-    return float(np.sqrt(max(form_a(z, z), 0.0)))
-
-
 def _dual_norm_collapsed(dom, ell_collapsed):
     """sqrt(<ell, F^(-1) ell>) from the coefficients of ell in bulk coordinates."""
     return math.sqrt(max(float(ell_collapsed @ _saddle_solve(dom, ell_collapsed)), 0.0))

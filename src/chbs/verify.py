@@ -128,26 +128,6 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
 
 # --- uniform-bound table ------------------------------------------------------
 
-_TABLE_COLUMNS = [
-    "eps",
-    "sqrt_eps_max_v_H0",
-    "max_v_V0star",
-    "l2_v_V0",
-    "l1l1_xi_bulk",
-    "l1l1_xi_surf",
-    "l2l1_xi_bulk",
-    "l2l1_xi_surf",
-    "l2h_xi_bulk",
-    "l2h_xi_surf",
-    "max_env_bulk",
-    "max_env_surf",
-    "l2_omega",
-    "l2_mu_V",
-    "l2_dq_V0star",
-    "sqrt_eps_l2_dq_H0",
-]
-
-
 @dataclass(frozen=True)
 class AprioriTable:
     """Discrete-in-time norms of the uniformly bounded quantities, per run."""
@@ -211,9 +191,10 @@ def _table_row(traj):
 
 
 def apriori_bound_table(trajs):
-    """Tabulate the discrete analogs of the uniformly bounded norms."""
+    """Tabulate the discrete analogs of the uniformly bounded norms of one or
+    more trajectories; the columns are the keys of a row, in order."""
     rows = tuple(_table_row(t) for t in trajs)
-    return AprioriTable(columns=tuple(_TABLE_COLUMNS), rows=rows)
+    return AprioriTable(columns=tuple(rows[0]), rows=rows)
 
 
 # --- vanishing regularization -------------------------------------------------

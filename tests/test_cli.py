@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import os
@@ -11,7 +12,8 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from chbs import scheme, spaces
-from chbs.cli import _KEYS, RunSpec, _rows_csv, main, parse_config
+from chbs.cli import (_KEYS, RunSpec, _rows_csv, build_forcing, load_config, main,
+                      parse_config)
 from chbs.errors import ConfigError, NumericalError
 from chbs.scheme import MonitorRecord
 
@@ -94,6 +96,26 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, raw, message", [
+    ("mesh", "n", "2", "must be at least 3"),
+    ("scheme", "eps_list", "0.5,2", "entries must lie in (0,1]"),
+    ("init", "amplitude", "-1", "must be nonnegative"),
+    ("init", "seed", "-1", "must be nonnegative"),
+    ("output", "stride", "0", "must be at least 1"),
+], ids=["n", "eps_list", "amplitude", "seed", "stride"])
+def test_out_of_bound_value_exits_2_naming_key_and_line(tmp_path, capsys, section, key,
+                                                       raw, message):
+    cfg = write_config(tmp_path, f"# one key out of bounds\n[{section}]\n{key} = {raw}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {key} {message}, got {raw!r}\n"
+
+
+def test_utf8_bom_config_parses_as_without_it(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + QUICK_RUN.lstrip().encode())
+    assert load_config(str(path)) == parse_config(QUICK_RUN)
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("n = 5\n")
@@ -110,7 +132,7 @@ def test_readme_config_block_is_the_defaults():
             section = match.group(1)
         elif match:
             shown.add((section, match.group(2)))
-    assert not set(_KEYS) - shown
+    assert shown == set(_KEYS)
 
 
 # --- csv output ------------------------------------------------------------------
@@ -479,7 +501,6 @@ path = {forcing_path}
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
 
-    from chbs.cli import build_forcing, load_config
     spec = load_config(cfg)
     forcing = build_forcing(spec, dom)
     f0 = forcing(0.001)
@@ -525,6 +546,16 @@ def test_csv_header_after_blank_lines_is_skipped(tmp_path):
                                  f"[init]\npreset = csv\npath = {init_path}\n"
                                  f"[forcing]\npreset = csv\npath = {forcing_path}\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_headerless_utf8_bom_forcing_csv_keeps_every_row(tmp_path, domain_cache):
+    forcing_path = tmp_path / "forcing.csv"
+    forcing_path.write_bytes(codecs.BOM_UTF8 + b"0.0,3,5.0\n0.002,4,1.0\n")
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[scheme]\nt_end = 0.004\n"
+                                 f"[forcing]\npreset = csv\npath = {forcing_path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    forcing = build_forcing(load_config(cfg), domain_cache(5))
+    assert forcing(0.001).bulk[3] == 5.0 and forcing(0.003).bulk[4] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["config", "init", "forcing"])

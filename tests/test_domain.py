@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chbs.domain import (build_unit_square, integrate_bulk, integrate_surf,
-                         write_field_csv)
+from chbs.domain import build_unit_square, integrate_bulk, integrate_surf
 from chbs.errors import ConfigError
 
 
@@ -138,11 +137,3 @@ def test_combined_operators_consistent(domain_cache, rng):
     gc[dom.boundary_chain] += dom.M_surf
     np.testing.assert_allclose(dom.combined_mass, gc, rtol=0, atol=0)
 
-
-def test_write_field_csv(tmp_path, domain_cache):
-    dom = domain_cache(3)
-    field_path = tmp_path / "field.csv"
-    write_field_csv(dom, np.arange(9.0), field_path)
-    lines = field_path.read_text().strip().splitlines()
-    assert lines[0] == "node,x,y,value"
-    assert len(lines) == 10

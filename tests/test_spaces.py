@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from chbs import spaces
 from chbs.errors import NumericalError
 from chbs.spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,
-                         inner_H, inner_V, mean, norm_V0, norm_V0_star,
+                         inner_H, inner_V, mean, norm_V0_star,
                          norm_V_star, pairing, poincare_constant,
                          project_zero_mean, solve_F_inverse, subgrad_phi)
 
@@ -175,7 +177,8 @@ def test_solve_F_inverse_n3_dense_augmented_oracle(domain_cache, rng):
 
 def test_norms_vanish_on_zero(domain_cache):
     dom = domain_cache(3)
-    assert norm_V0(FieldPair.zeros(dom)) == 0.0
+    z = FieldPair.zeros(dom)
+    assert math.sqrt(form_a(z, z)) == 0.0
     assert norm_V0_star(DualPair(np.zeros(dom.n_bulk), np.zeros(dom.n_boundary), dom)) == 0.0
 
 
@@ -183,7 +186,7 @@ def test_dual_norm_matches_primal_through_F(domain_cache, rng):
     dom = domain_cache(5)
     for _ in range(10):
         z = random_zero_mean(dom, rng)
-        assert norm_V0_star(apply_F(z)) == pytest.approx(norm_V0(z), rel=1e-10)
+        assert norm_V0_star(apply_F(z)) == pytest.approx(math.sqrt(form_a(z, z)), rel=1e-10)
 
 
 def test_dual_norm_positive_on_n3(domain_cache, rng):
@@ -208,7 +211,8 @@ def test_cauchy_schwarz_in_duality(domain_cache, rng):
     dom = domain_cache(5)
     for _ in range(20):
         z, w = random_zero_mean(dom, rng), random_zero_mean(dom, rng)
-        assert abs(pairing(apply_F(z), w)) <= norm_V0(z) * norm_V0(w) * (1 + 1e-12)
+        bound = math.sqrt(form_a(z, z)) * math.sqrt(form_a(w, w))
+        assert abs(pairing(apply_F(z), w)) <= bound * (1 + 1e-12)
 
 
 def test_v_star_norm_dense_oracle(domain_cache, rng):
