@@ -277,7 +277,9 @@ def build_forcing(spec, dom):
     zero = FieldPair.zeros(dom)
 
     def forcing(t):
-        k = bisect.bisect_right(times, t + 1e-12)  # table times <= t
+        # table times <= t, up to the rounding of a level's clock: it adds tau
+        # once per step and so drifts by about 1e-16 * t per step from k * tau
+        k = bisect.bisect_right(times, t + 1e-12 + 1e-9 * abs(t))
         return pairs[k - 1] if k else zero
 
     return forcing
@@ -291,19 +293,23 @@ def _data(spec, dom):
 # --- output helpers ----------------------------------------------------------
 
 def _atomic_write(path, text):
-    """Write ``text`` to ``path`` by a rename, with the mode ``open`` would give."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".tmp_chbs_")
+    """Write ``text`` to ``path`` by a rename, with the mode ``open`` would
+    give.  A failure removes the temp file; an OSError raises ConfigError."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp_chbs_")
         umask = os.umask(0)  # read only by setting it; the CLI runs one thread
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -19,7 +19,8 @@ unregularized graphs.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
-kind needs an entry in ``_DOMAINS``, a branch in ``beta_hat``,
+kind needs an entry in ``_DOMAINS`` (its endpoints, and whether the finite
+ones are excluded from the domain), a branch in ``beta_hat``,
 ``minimal_section`` and ``resolvent``, and its Yosida slope in
 ``yosida_and_slope``; ``yosida`` and ``envelope`` follow from the
 resolvent and ``beta_hat``.  No other families are assumed.
@@ -35,11 +36,12 @@ POLYNOMIAL = "polynomial"
 LOGARITHMIC = "logarithmic"
 OBSTACLE = "obstacle"
 
-# effective domain endpoints of each graph kind; each domain contains 0
+# effective domain of each graph kind: its endpoints, and whether the finite
+# ones are excluded (an open domain); each domain contains 0
 _DOMAINS = {
-    POLYNOMIAL: (-np.inf, np.inf),
-    LOGARITHMIC: (-1.0, 1.0),
-    OBSTACLE: (-1.0, 1.0),
+    POLYNOMIAL: (-np.inf, np.inf, False),
+    LOGARITHMIC: (-1.0, 1.0, True),
+    OBSTACLE: (-1.0, 1.0, False),
 }
 
 
@@ -57,6 +59,8 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in _DOMAINS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
+        if not np.isfinite(self.pi_slope):
+            raise ValueError(f"pi_slope must be finite, got {self.pi_slope!r}")
 
     @property
     def domain_lo(self):
@@ -78,8 +82,8 @@ def logarithmic_graph(c=1.0):
     The perturbation is pi(r) = -2*c*r; ``c`` is the constant breaking the
     convexity of the logarithmic well.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < np.inf:
+        raise ValueError("c must be positive and finite")
     return GraphSpec(LOGARITHMIC, -2.0 * c)
 
 
@@ -121,13 +125,13 @@ def minimal_section(g, r):
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("minimal_section: input must be finite")
+    lo, hi, is_open = _DOMAINS[g.kind]
+    if np.any((arr <= lo) | (arr >= hi) if is_open else (arr < lo) | (arr > hi)):
+        shown = f"({lo:g}, {hi:g})" if is_open else f"[{lo:g}, {hi:g}]"
+        raise ValueError(f"minimal_section: input outside the effective domain {shown}")
     if g.kind == OBSTACLE:
-        if np.any((arr < -1.0) | (arr > 1.0)):
-            raise ValueError("minimal_section: input outside the effective domain [-1, 1]")
         out = np.zeros_like(arr)
     elif g.kind == LOGARITHMIC:
-        if np.any((arr <= -1.0) | (arr >= 1.0)):
-            raise ValueError("minimal_section: input outside the effective domain (-1, 1)")
         out = np.log1p(arr) - np.log1p(-arr)
     else:
         out = arr ** 3
@@ -216,15 +220,13 @@ def yosida(g, eps, r):
 
     Monotone nondecreasing in r and Lipschitz with constant 1/eps.
     """
-    j = resolvent(g, eps, r)
-    out = (np.asarray(r, dtype=float) - j) / eps
-    return float(out) if np.ndim(r) == 0 else out
+    return yosida_and_slope(g, eps, r)[1]
 
 
 def yosida_and_slope(g, eps, r):
     """Resolvent J, Yosida approximation (r - J)/eps and its derivative, from
     one resolvent evaluation; a caller that keeps J can build the envelope
-    |r - J|^2/(2*eps) + beta_hat(J) of ``envelope`` without solving again.
+    of ``envelope`` with ``_envelope_at`` without solving again.
 
     Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J));
     the logarithmic one is 2/(1 - J**2 + 2*eps), finite also at J = +-1.
@@ -253,10 +255,13 @@ def envelope(g, eps, r):
     result is nonnegative, bounded above by beta_hat(r), and its derivative
     in r is the Yosida approximation.
     """
-    j = resolvent(g, eps, r)
-    arr = np.asarray(r, dtype=float)
-    out = (arr - j) ** 2 / (2.0 * eps) + beta_hat(g, j)
+    out = _envelope_at(g, eps, np.asarray(r, dtype=float), resolvent(g, eps, r))
     return float(out) if np.ndim(r) == 0 else out
+
+
+def _envelope_at(g, eps, r, j):
+    """|r - j|^2/(2*eps) + beta_hat(j): the envelope at r from its resolvent j."""
+    return (r - j) ** 2 / (2.0 * eps) + beta_hat(g, j)
 
 
 # --- bulk/boundary pair ---------------------------------------------------
@@ -278,31 +283,28 @@ class GraphPair:
     c0: float = 0.0
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
-        if self.c0 < 0.0:
-            raise ValueError("c0 must be nonnegative")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0.0 <= self.c0 < np.inf:
+            raise ValueError("c0 must be nonnegative and finite")
         self._validate_containment()
         self._validate_domination()
 
     def _validate_containment(self):
-        bnd, blk = self.boundary, self.bulk
-        if bnd.domain_lo < blk.domain_lo or bnd.domain_hi > blk.domain_hi:
-            raise ValueError("boundary graph domain must be contained in the bulk one")
+        blk_lo, blk_hi, blk_open = _DOMAINS[self.bulk.kind]
+        lo, hi, bnd_open = _DOMAINS[self.boundary.kind]
         # a closed boundary endpoint may not sit on an open bulk endpoint
-        bulk_open = blk.kind == LOGARITHMIC
-        bnd_closed = bnd.kind != LOGARITHMIC
-        if bulk_open and bnd_closed:
-            if bnd.domain_lo == blk.domain_lo or bnd.domain_hi == blk.domain_hi:
-                raise ValueError("boundary graph domain must be contained in the bulk one")
+        shared = blk_open and not bnd_open and (lo == blk_lo or hi == blk_hi)
+        if lo < blk_lo or hi > blk_hi or shared:
+            raise ValueError("boundary graph domain must be contained in the bulk one")
 
     def _validate_domination(self):
-        lo, hi = self.boundary.domain_lo, self.boundary.domain_hi
+        lo, hi, is_open = _DOMAINS[self.boundary.kind]
         if not np.isfinite(lo):
             lo = -10.0
         if not np.isfinite(hi):
             hi = 10.0
-        if self.boundary.kind == LOGARITHMIC:
+        if is_open:
             # open endpoints carry no finite minimal section
             lo, hi = lo + 1e-9, hi - 1e-9
         samples = np.linspace(lo, hi, 2001)

@@ -33,7 +33,7 @@ the Newton directions and solves each Picard iterate exactly; a fresh LU of
 the reduced Newton matrix is the fallback when GMRES stalls.
 
 Newton starts from the old state, or from a start passed as ``step(...,
-start=(w0, mu0))``, whose w0 is first shifted to the conserved mean.  From
+start=(w0, mu0))``; either w0 is first shifted to the conserved mean.  From
 its second step on, ``run`` passes the linear extrapolation 2 x_n - x_{n-1}
 of the last two levels, which is O(tau^2) from the new level on a smooth
 solution where the old state is O(tau), and so saves Newton iterations.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -55,10 +55,10 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .domain import integrate_bulk, integrate_surf
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
-from .monotone import GraphPair, beta_hat, yosida_and_slope
+from .monotone import GraphPair, _envelope_at, beta_hat, yosida_and_slope
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
                      norm_V0_star, project_zero_mean, subgrad_phi,
-                     _dual_norm_collapsed, is_trace_consistent)
+                     _collapse, _dual_norm_collapsed, is_trace_consistent)
 
 _PICARD_BUDGET_FACTOR = 20
 # Newton directions: GMRES relative tolerance, restart length, restart cycles
@@ -88,10 +88,10 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ConfigError("eps must lie in (0,1]")
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be positive")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be nonnegative")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError("tau must be positive and finite")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigError("t_end must be nonnegative and finite")
         ratio = self.eps / self.tau
         if not all(map(math.isfinite, (1.0 / self.tau, self.t_end / self.tau, ratio * ratio))):
             raise ConfigError("tau is too small: 1/tau, t_end/tau and (eps/tau)^2 "
@@ -100,8 +100,8 @@ class SchemeConfig:
             if not g.pi_slope <= 0.0:
                 raise ConfigError(f"the convex split needs a nonincreasing perturbation: "
                                   f"the {name} pi_slope must be <= 0, got {g.pi_slope!r}")
-        if not self.newton_tol > 0.0:
-            raise ConfigError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ConfigError("newton_tol must be positive and finite")
         if self.newton_max < 1:
             raise ConfigError("newton_max must be at least 1")
 
@@ -154,25 +154,17 @@ class MonitorRecord:
 
 @dataclass
 class Trajectory:
-    """A completed (or aborted) run: states, records, and forcing samples."""
+    """A completed (or aborted) run: states and monitor records."""
 
     config: SchemeConfig
     m0: float
     states: List[SchemeState]
     records: List[MonitorRecord]
-    f_hist: List[FieldPair] = field(default_factory=list)
     aborted: bool = False
     error: Optional[str] = None
 
 
 # --- nodewise assembly helpers -------------------------------------------
-
-def _collapse(dom, bulk_vals, bnd_vals):
-    """Mass-weighted collapse of bulk and chain nodal values onto bulk nodes."""
-    out = dom.M_bulk * bulk_vals
-    out[dom.boundary_chain] += dom.M_surf * bnd_vals
-    return out
-
 
 def _offset_pair(pair, xi, u_bulk, u_bnd, f):
     """The pair xi + pi(u*) - f at perturbation argument u* = (u_bulk, u_bnd);
@@ -200,11 +192,9 @@ def monitor_record(state, config):
     u_b, u_g = state.v.bulk + m0, state.v.boundary + m0
     total_mass = integrate_bulk(dom, u_b) + integrate_surf(dom, u_g)
     a_vv = form_a(state.v, state.v)
-    eps_g = config.eps * pair.rho
-    env_bulk = float(dom.M_bulk @ ((u_b - j.bulk) ** 2 / (2.0 * config.eps)
-                                   + beta_hat(pair.bulk, j.bulk)))
-    env_surf = float(dom.M_surf @ ((u_g - j.boundary) ** 2 / (2.0 * eps_g)
-                                   + beta_hat(pair.boundary, j.boundary)))
+    env_bulk = float(dom.M_bulk @ _envelope_at(pair.bulk, config.eps, u_b, j.bulk))
+    env_surf = float(dom.M_surf @ _envelope_at(pair.boundary, config.eps * pair.rho,
+                                               u_g, j.boundary))
     e = 0.5 * a_vv + env_bulk + env_surf
     # m0 * m0 rounds like numpy's square of u; the float power m0 ** 2 may not
     s_b, s_g, m0_sq = pair.bulk.pi_slope, pair.boundary.pi_slope, m0 * m0
@@ -245,12 +235,15 @@ def initialize(config, u0, forcing_at_0=None):
         raise ValueError("initialize: initial data must be trace-consistent")
     for name, g, vals in (("bulk", pair.bulk, u0.bulk),
                           ("boundary", pair.boundary, u0.boundary)):
-        bad = ~np.isfinite(beta_hat(g, vals))
+        with np.errstate(over="ignore"):  # reported below
+            bad = ~np.isfinite(beta_hat(g, vals))
         if bad.any():
             node = int(np.argmax(bad))
+            value = float(vals[node])
+            fault = ("has a non-finite convex primitive" if g.domain_lo <= value <= g.domain_hi
+                     else "lies outside the effective domain")
             raise CompatibilityError(
-                f"initial value {float(vals[node])!r} at {name} node {node} lies "
-                f"outside the effective domain of the {name} graph")
+                f"initial value {value!r} at {name} node {node} {fault} of the {name} graph")
     m0 = mean(u0)
     if not pair.boundary.domain_lo < m0 < pair.boundary.domain_hi:
         raise CompatibilityError(
@@ -316,10 +309,10 @@ class _StepSystem:
         self.gc_tau = dom.combined_mass / config.tau
         self.mass_prev = float(dom.combined_mass @ w_prev)
         pair, u_prev = config.graphs, w_prev + m0
-        self.load = _collapse(dom, pair.bulk.pi_slope * u_prev,
-                              pair.boundary.pi_slope * u_prev[dom.boundary_chain])
+        self.load = _collapse(dom, dom.M_bulk * (pair.bulk.pi_slope * u_prev),
+                              dom.M_surf * (pair.boundary.pi_slope * u_prev[dom.boundary_chain]))
         if f_next is not None:
-            self.load -= _collapse(dom, f_next.bulk, f_next.boundary)
+            self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
         self._lu = lu
 
@@ -336,7 +329,9 @@ class _StepSystem:
         gc, A = dom.combined_mass, dom.coupled_stiffness
         u = w + self.m0
         j, xi, slope = _graph_terms(dom, self.cfg.graphs, self.cfg.eps, u, u[dom.boundary_chain])
-        nvec, d = _collapse(dom, xi.bulk, xi.boundary), _collapse(dom, slope.bulk, slope.boundary)
+        m_b, m_s = dom.M_bulk, dom.M_surf
+        nvec = _collapse(dom, m_b * xi.bulk, m_s * xi.boundary)
+        d = _collapse(dom, m_b * slope.bulk, m_s * slope.boundary)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = self.cfg.eps * gc_dw
         gc_mu, a_mu, a_w = gc * mu, A @ mu, A @ w
@@ -427,13 +422,14 @@ def _newton_direction(system, it):
 
 
 def _solve_step(system, w0, mu0):
-    """Damped Newton with Picard fallback.
+    """Damped Newton with Picard fallback from (w0, mu0), w0 first shifted to
+    the conserved mean.
 
     Returns (iterate, nonlinear iterations, GMRES iterations, LU fallbacks).
     """
     cfg = system.cfg
     tol = cfg.newton_tol
-    it = system.residual(w0.copy(), mu0.copy())
+    it = system.residual(w0 + system.mass_shift(w0), mu0.copy())
     iters = lin_iters = lu_fallbacks = 0
     for _ in range(cfg.newton_max):
         if system.converged(it):
@@ -486,20 +482,16 @@ def step(state, config, f_next, *, lu=None, start=None):
     matrices that give the Schur complement S0 (see ``_StepSystem``); ``run``
     passes them so that they are factored once per run, and a lone step
     factors its own.  ``start`` is a pair of bulk arrays (w0, mu0) from which
-    the Newton iteration starts, by default the old state (v, mu).  A given
+    the Newton iteration starts, by default the old state (v, mu).  Either
     w0 is first shifted by the constant that restores the old combined mean,
     so a step that converges at its start conserves the mean as every other
-    step does; the default start already has that mean and is not shifted.
+    step does; for the old state that constant is exactly 0.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
     system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next, lu)
-    if start is None:
-        w0, mu0 = state.v.bulk, state.mu.bulk
-    else:
-        w0, mu0 = start
-        w0 = w0 + system.mass_shift(w0)
+    w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
     it, iters, lin_iters, lu_fallbacks = _solve_step(system, w0, mu0)
 
     u_prev = state.v.bulk + state.m0
@@ -532,24 +524,22 @@ def weak_residuals(state_prev, state_next, config, f_next):
 def run(config, u0, forcing=None):
     """Integrate from t = 0 to t_end, collecting states and monitor records.
 
-    ``forcing`` is an optional callable t -> FieldPair.  From the second
-    step on, Newton starts from the linear extrapolation 2 x_n - x_{n-1} of
-    the last two levels, for x = v and mu.  A failure in any step ends the
-    run and returns the partial trajectory flagged.
+    ``forcing`` is an optional callable t -> FieldPair, sampled at the time
+    t recorded by each level; None is zero forcing.  From the second step
+    on, Newton starts from the linear extrapolation 2 x_n - x_{n-1} of the
+    last two levels, for x = v and mu.  A failure in any step ends the run
+    and returns the partial trajectory flagged.
     """
     dom = u0.domain
-
-    def f_at(t):
-        return forcing(t) if forcing is not None else FieldPair.zeros(dom)
-
-    state = initialize(config, u0, forcing_at_0=f_at(0.0))
+    state = initialize(config, u0, None if forcing is None else forcing(0.0))
     traj = Trajectory(config=config, m0=state.m0, states=[state],
                       records=[monitor_record(state, config)])
     # S0 is the same at every step: factor its shifted stiffness once per run
     lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):
-        f_next = f_at(k * config.tau)
+        t = state.t + config.tau  # the time step() gives the new level
+        f_next = None if forcing is None else forcing(t)
         start = None
         if k > 1:
             prev = traj.states[-2]
@@ -559,9 +549,8 @@ def run(config, u0, forcing=None):
             record = monitor_record(state, config)
         except ChbsError as exc:
             traj.aborted = True
-            traj.error = f"step {k} (t = {k * config.tau!r}): {exc}"
+            traj.error = f"step {k} (t = {t!r}): {exc}"
             break
-        traj.f_hist.append(f_next)
         traj.states.append(state)
         traj.records.append(record)
     return traj

@@ -91,11 +91,6 @@ def is_trace_consistent(z):
     return gap <= _TRACE_TOL * scale
 
 
-def _require_trace_consistent(z, what):
-    if not is_trace_consistent(z):
-        raise ValueError(f"{what}: pair is not trace-consistent")
-
-
 def inner_H(z, w):
     """Combined square-integrable inner product with lumped masses."""
     dom = z.domain
@@ -136,12 +131,12 @@ def pairing(ell, z):
     return float(ell.bulk @ z.bulk + ell.boundary @ z.boundary)
 
 
-def _collapse(ell):
-    """Coefficients of a functional restricted to trace-consistent pairs."""
-    dom = ell.domain
-    out = ell.bulk.copy()
-    out[dom.boundary_chain] += ell.boundary
-    return out
+def _collapse(dom, bulk, boundary):
+    """Bulk-node coefficients of the functional with coefficients (bulk,
+    boundary) restricted to trace-consistent pairs: each boundary-chain
+    coefficient is added, in place, to its bulk node.  Returns ``bulk``."""
+    bulk[dom.boundary_chain] += boundary
+    return bulk
 
 
 def apply_F(z):
@@ -150,7 +145,8 @@ def apply_F(z):
     Returns the functional a(z, .); pairing it with z gives the squared
     gradient norm.
     """
-    _require_trace_consistent(z, "apply_F")
+    if not is_trace_consistent(z):
+        raise ValueError("apply_F: pair is not trace-consistent")
     if abs(mean(z)) > _MEAN_TOL * (1.0 + float(np.max(np.abs(z.bulk), initial=0.0))):
         raise ValueError("apply_F: pair must have zero combined mean")
     dom = z.domain
@@ -183,7 +179,7 @@ def solve_F_inverse(ell):
     scale = float(np.sum(np.abs(ell.bulk)) + np.sum(np.abs(ell.boundary)))
     if abs(total) > 1e-8 * max(1.0, scale):
         raise ValueError("solve_F_inverse: functional does not annihilate constants")
-    w = _saddle_solve(dom, _collapse(ell))
+    w = _saddle_solve(dom, _collapse(dom, ell.bulk.copy(), ell.boundary))
     return FieldPair.from_bulk(dom, w)
 
 
@@ -194,13 +190,13 @@ def _dual_norm_collapsed(dom, ell_collapsed):
 
 def norm_V0_star(ell):
     """Dual norm sqrt(<ell, F^(-1) ell>) on zero-mean functionals."""
-    return _dual_norm_collapsed(ell.domain, _collapse(ell))
+    return _dual_norm_collapsed(ell.domain, _collapse(ell.domain, ell.bulk.copy(), ell.boundary))
 
 
 def norm_V_star(ell):
     """Dual norm of a functional over the full trace-consistent space."""
     dom = ell.domain
-    c = _collapse(ell)
+    c = _collapse(dom, ell.bulk.copy(), ell.boundary)
     return float(np.sqrt(max(c @ dom.vnorm_lu.solve(c), 0.0)))
 
 
@@ -245,12 +241,7 @@ def subgrad_phi(z):
     Returns the H-representer of a(z, .): the mass-weighted image of the
     stiffness application with its combined mean removed, so that
     inner_H(subgrad_phi(z), w) = a(z, w) for every zero-mean
-    trace-consistent w.
+    trace-consistent w.  The preconditions are those of ``apply_F``.
     """
-    _require_trace_consistent(z, "subgrad_phi")
-    if abs(mean(z)) > _MEAN_TOL * (1.0 + float(np.max(np.abs(z.bulk), initial=0.0))):
-        raise ValueError("subgrad_phi: pair must have zero combined mean")
-    dom = z.domain
-    out = FieldPair((dom.K_bulk @ z.bulk) / dom.M_bulk,
-                    (dom.K_surf @ z.boundary) / dom.M_surf, dom)
-    return project_zero_mean(out)
+    ell, dom = apply_F(z), z.domain
+    return project_zero_mean(FieldPair(ell.bulk / dom.M_bulk, ell.boundary / dom.M_surf, dom))

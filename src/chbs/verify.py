@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .scheme import run
-from .spaces import (as_functional, form_a, inner_H, mean, norm_V0_star,
+from .spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V0_star,
                      norm_V_star, poincare_constant)
 
 __all__ = [
@@ -62,29 +62,25 @@ class ContDepReport:
         return lines
 
 
-def _ratio_curve(traj1, traj2):
-    """sup_t of LHS/RHS for one pair of aligned trajectories."""
+def _ratio_curve(traj1, traj2, f1, f2):
+    """sup_t of LHS/RHS for one pair of aligned trajectories, whose forcing
+    callables f1 and f2 are sampled at the time of each level."""
     tau = traj1.config.tau
     d0 = traj1.states[0].v - traj2.states[0].v
-    rhs0 = norm_V0_star(as_functional(d0)) ** 2
+    rhs0 = rhs = norm_V0_star(as_functional(d0)) ** 2
     lhs_acc = 0.0
     rhs_acc = 0.0
     # at t = 0 the ratio is rhs0/rhs0
     sup = 1.0 if rhs0 > _RHS_FLOOR else 0.0
-    nsteps = min(len(traj1.states), len(traj2.states)) - 1
-    rhs_final = rhs0
-    for k in range(1, nsteps + 1):
-        diff = traj1.states[k].v - traj2.states[k].v
+    for s1, s2 in zip(traj1.states[1:], traj2.states[1:]):
+        diff = s1.v - s2.v
         lhs_acc += tau * form_a(diff, diff)
         lhs = norm_V0_star(as_functional(diff)) ** 2 + lhs_acc
-        fdiff = traj1.f_hist[k - 1] - traj2.f_hist[k - 1]
-        rhs_acc += tau * norm_V_star(as_functional(fdiff)) ** 2
+        rhs_acc += tau * norm_V_star(as_functional(f1(s1.t) - f2(s1.t))) ** 2
         rhs = rhs0 + rhs_acc
-        rhs_final = rhs
-        if rhs <= _RHS_FLOOR:
-            continue
-        sup = max(sup, lhs / rhs)
-    return sup, rhs_final <= _RHS_FLOOR
+        if rhs > _RHS_FLOOR:
+            sup = max(sup, lhs / rhs)
+    return sup, rhs <= _RHS_FLOOR
 
 
 def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
@@ -109,10 +105,12 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
     trajs = [run(replace(config, tau=tau), u0, f)
              for tau in taus for u0, f in ((u01, f1), (u02, f2))]
     aborted = any(t.aborted for t in trajs)
+    zero = FieldPair.zeros(u01.domain)
+    f1, f2 = (f if f is not None else (lambda t: zero) for f in (f1, f2))
     sups = []
     degenerate = False
     for i in range(len(taus)):
-        sup, degen = _ratio_curve(trajs[2 * i], trajs[2 * i + 1])
+        sup, degen = _ratio_curve(trajs[2 * i], trajs[2 * i + 1], f1, f2)
         sups.append(sup)
         if i == 0:
             degenerate = degen

@@ -291,6 +291,16 @@ def test_uncreatable_output_dir_exits_2_before_running(tmp_path, monkeypatch, ca
         assert "cannot write" in capsys.readouterr().err
 
 
+def test_unwritable_output_file_exits_2_naming_it(tmp_path, capsys):
+    # a directory in the place of monitors.csv cannot be replaced by a file
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n")
+    out = tmp_path / "out"
+    (out / "monitors.csv").mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert f"error: cannot write {out / 'monitors.csv'}: " in capsys.readouterr().err
+    assert not [p for p in os.listdir(out) if p.startswith(".tmp_chbs_")]
+
+
 def test_empty_output_dir_is_the_working_directory(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n[output]\ndir =\n")
     monkeypatch.chdir(tmp_path)
@@ -556,6 +566,23 @@ def test_headerless_utf8_bom_forcing_csv_keeps_every_row(tmp_path, domain_cache)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     forcing = build_forcing(load_config(cfg), domain_cache(5))
     assert forcing(0.001).bulk[3] == 5.0 and forcing(0.003).bulk[4] == 1.0
+
+
+@pytest.mark.parametrize("steps", [15998, 100000])
+def test_csv_forcing_row_applies_at_the_accumulated_level_time(tmp_path, domain_cache, steps):
+    # a level's clock adds tau once per step; after 15998 steps of 1e-3 it
+    # reads 3.4e-12 below 15.998, after 10**5 steps 1.1e-10 above 100
+    row_t = steps * 1e-3
+    forcing_path = tmp_path / "forcing.csv"
+    forcing_path.write_text(f"t,node,value\n0.0,3,5.0\n{row_t!r},3,1.0\n")
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n"
+                                 f"[forcing]\npreset = csv\npath = {forcing_path}\n")
+    forcing = build_forcing(load_config(cfg), domain_cache(5))
+    t = 0.0
+    for _ in range(steps):
+        t += 1e-3
+    assert t != row_t
+    assert forcing(t).bulk[3] == 1.0 and forcing(t - 1e-3).bulk[3] == 5.0
 
 
 @pytest.mark.parametrize("kind", ["config", "init", "forcing"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from chbs import monotone
+from chbs.domain import build_unit_square
 from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError, StepError
 from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_graph,
@@ -63,6 +65,35 @@ def test_config_equality_includes_pi_slope():
     b = make_config(graphs=GraphPair(polynomial_graph(-1.0), polynomial_graph(-40.0)))
     assert a != b
     assert a == make_config(graphs=GraphPair(polynomial_graph(-1.0), polynomial_graph(-1.0)))
+
+
+def _cubic_init(value):
+    dom = build_unit_square(3)
+    return initialize(make_config(), FieldPair.constant(dom, value))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: make_config(newton_tol=math.inf), ConfigError, "newton_tol must be positive and finite"),
+    (lambda: make_config(t_end=math.nan), ConfigError, "t_end must be nonnegative and finite"),
+    (lambda: make_config(t_end=math.inf), ConfigError, "t_end must be nonnegative and finite"),
+    (lambda: make_config(tau=math.inf), ConfigError, "tau must be positive and finite"),
+    (lambda: GraphPair(polynomial_graph(), polynomial_graph(), c0=math.nan), ValueError,
+     "c0 must be nonnegative and finite"),
+    (lambda: GraphPair(polynomial_graph(), polynomial_graph(), c0=math.inf), ValueError,
+     "c0 must be nonnegative and finite"),
+    (lambda: GraphPair(polynomial_graph(), polynomial_graph(), rho=math.inf), ValueError,
+     "rho must be positive and finite"),
+    (lambda: logarithmic_graph(c=math.nan), ValueError, "c must be positive and finite"),
+    (lambda: polynomial_graph(pi_slope=-math.inf), ValueError, "pi_slope must be finite"),
+    (lambda: _cubic_init(1e100), CompatibilityError,
+     r"initial value 1e\+100 at bulk node 0 has a non-finite convex primitive of the bulk graph"),
+], ids=["newton_tol-inf", "t_end-nan", "t_end-inf", "tau-inf", "c0-nan", "c0-inf", "rho-inf",
+        "log_c-nan", "pi_slope-inf", "cubic-init-1e100"])
+def test_non_finite_value_is_rejected_naming_its_field(build, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and without an overflow warning on the way
+        with pytest.raises(error, match=message):
+            build()
 
 
 # --- initialization --------------------------------------------------------------
@@ -309,6 +340,21 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     assert np.abs(nxt.v.bulk - clean.v.bulk).max() <= 1e-12
 
 
+def test_default_start_is_the_old_state(domain_cache, rng):
+    # the old state already has the conserved mean: its shift is exactly 0
+    dom = domain_cache(9)
+    cfg = make_config()
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3, m0=0.1))
+    lone = step(state, cfg, None)
+    given = step(state, cfg, None, start=(state.v.bulk, state.mu.bulk))
+    for name in ("v", "mu", "xi", "j"):
+        for part in ("bulk", "boundary"):
+            a, b = getattr(getattr(lone, name), part), getattr(getattr(given, name), part)
+            assert a.tobytes() == b.tobytes()
+    assert (lone.omega, lone.t, lone.newton_iters, lone.lin_iters) == \
+        (given.omega, given.t, given.newton_iters, given.lin_iters)
+
+
 def test_given_start_is_shifted_to_the_previous_mean(domain_cache, rng):
     # a start at the solution but with its combined mean off by 1e-3: the
     # shift restores the mean, so the step converges at its start
@@ -380,6 +426,21 @@ def test_run_constant_equilibrium_records_identical(domain_cache):
         assert rec.energy == first.energy
         assert rec.omega == first.omega
         assert rec.newton_iters == 0
+
+
+def test_run_samples_forcing_at_each_recorded_time(domain_cache):
+    # a level's time accumulates tau, so after 10 steps of 1e-3 it is
+    # 0.010000000000000002, not 10 * 1e-3 = 0.01
+    dom = domain_cache(5)
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return FieldPair.constant(dom, 0.1)
+
+    traj = run(make_config(t_end=0.01), FieldPair.constant(dom, 0.2), forcing)
+    assert len(traj.states) == 11
+    assert calls == [s.t for s in traj.states]
 
 
 def test_run_energy_decay_and_mass(domain_cache, rng):

@@ -168,10 +168,10 @@ def test_table_omega_column_matches_recomputation(domain_cache, rng):
     u0 = 0.2 * project_zero_mean(noise)
     traj = run(cfg, u0)
     pair = cfg.graphs
+    f = FieldPair.zeros(dom)  # the run is unforced
     for k in range(1, len(traj.states)):
         state = traj.states[k]
         u_star = traj.states[k - 1].v.bulk + state.m0  # explicit perturbation
-        f = traj.f_hist[k - 1]
         recomputed = mean(FieldPair(
             state.xi.bulk + pair.bulk.pi_slope * u_star - f.bulk,
             state.xi.boundary + pair.boundary.pi_slope * u_star[dom.boundary_chain] - f.boundary,
