@@ -18,7 +18,7 @@ forcing at every tau.
 
 Testing the first equation with the constant pair shows the combined mean of
 ``v`` is conserved algebraically; every computed update is shifted by the
-constant that restores the mean, whichever linear solver produced it.  The
+constant that restores the mean, whether Newton or Picard produced it.  The
 solver is a damped Newton iteration with a Picard fallback for the kinked
 obstacle graph.  Mc is diagonal, so every linear system eliminates mu
 exactly.  What remains is bulk-sized, and its constant part, the Schur
@@ -28,18 +28,14 @@ complement
 
 with c1, c2 the roots of x^2 - (eps/tau) x + 1/tau, needs only the shifted
 stiffness Ac + c Mc factored: once per run, one complex factor when
-eps^2 < 4 tau and two real ones otherwise.  S0^-1 preconditions GMRES for
-the Newton directions and solves each Picard iterate exactly; a fresh LU of
-the reduced Newton matrix is the fallback when GMRES stalls.
+eps^2 < 4 tau and two real ones otherwise.  Conjugate gradients on the
+symmetrized Newton system give each Newton direction from one S0 solve per
+iteration, and each Picard iterate is one exact S0 solve; a CG stall or a
+failed line search hands the step to the Picard iteration.
 
-Newton starts from the old state, or from a start passed as ``step(...,
-start=(w0, mu0))``; either w0 is first shifted to the conserved mean.  From
-its second step on, ``run`` passes the linear extrapolation 2 x_n - x_{n-1}
-of the last two levels, which is O(tau^2) from the new level on a smooth
-solution where the old state is O(tau), and so saves Newton iterations.
-
-Each iterate solves one resolvent J per graph for N and its slopes; the
-accepted state keeps J, from which ``monitor_record`` builds the envelopes.
+From its second step on, ``run`` starts Newton from the linear extrapolation
+2 x_n - x_{n-1} of the last two levels, which is O(tau^2) from the new level
+on a smooth solution where the old state is O(tau), and so saves iterations.
 """
 
 from __future__ import annotations
@@ -51,20 +47,20 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .domain import integrate_bulk, integrate_surf
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
 from .monotone import GraphPair, _envelope_at, beta_hat, yosida_and_slope
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
                      norm_V0_star, project_zero_mean, subgrad_phi,
-                     _collapse, _dual_norm_collapsed, is_trace_consistent)
+                     _collapse, _dual_norm_collapsed, _has_nonzero_mean,
+                     is_trace_consistent)
 
 _PICARD_BUDGET_FACTOR = 20
-# Newton directions: GMRES relative tolerance, restart length, restart cycles
-_GMRES_RTOL = 1e-10
-_GMRES_RESTART = 20
-_GMRES_MAXITER = 5
+# Newton directions: CG relative tolerance and iteration cap
+_CG_RTOL = 1e-10
+_CG_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,10 @@ class SchemeConfig:
             raise ConfigError("tau must be positive and finite")
         if not 0.0 <= self.t_end < math.inf:
             raise ConfigError("t_end must be nonnegative and finite")
+        lam3 = 3.0 * self.eps * min(1.0, self.graphs.rho)
+        if not (lam3 > 0.0 and math.isfinite(math.sqrt(1.0 / lam3) / lam3)):
+            raise ConfigError("eps is too small: the cubic resolvent scale "
+                              "(3 eps min(1, rho))^(-3/2) must be finite")
         ratio = self.eps / self.tau
         if not all(map(math.isfinite, (1.0 / self.tau, self.t_end / self.tau, ratio * ratio))):
             raise ConfigError("tau is too small: 1/tau, t_end/tau and (eps/tau)^2 "
@@ -125,7 +125,6 @@ class SchemeState:
     m0: float
     newton_iters: int = 0
     lin_iters: int = 0
-    lu_fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ class MonitorRecord:
     omega: float
     newton_iters: int
     lin_iters: int
-    lu_fallbacks: int
 
     @classmethod
     def fields(cls):
@@ -214,7 +212,6 @@ def monitor_record(state, config):
         omega=state.omega,
         newton_iters=state.newton_iters,
         lin_iters=state.lin_iters,
-        lu_fallbacks=state.lu_fallbacks,
     )
 
 
@@ -250,6 +247,9 @@ def initialize(config, u0, forcing_at_0=None):
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
 
     v0 = project_zero_mean(u0)
+    if _has_nonzero_mean(v0):
+        raise CompatibilityError(f"initial data: its mean {m0!r} is too large to remove; "
+                                 f"a mean of {mean(v0)!r} is left")
     u_b, u_g = v0.bulk + m0, v0.boundary + m0
     j, xi, _ = _graph_terms(dom, pair, config.eps, u_b, u_g)
     rest = _offset_pair(pair, xi, u_b, u_g, forcing_at_0)
@@ -393,67 +393,62 @@ class _StepSystem:
 
 
 def _newton_direction(system, it):
-    """Newton direction at an iterate: (dw, dmu, GMRES iterations, LU fallback).
+    """(Newton direction dw, CG iterations) at an iterate, or None if CG stalls.
 
-    GMRES solves the reduced system for dw, preconditioned by the exact
-    S0^-1; if it does not converge, a fresh LU of the assembled S(D) solves
-    instead.  dw is shifted so the combined mean stays exact before dmu is
-    back-substituted, so the pair solves the Newton system for the shifted dw.
+    S(D) = S0 + Ac Mc^-1 D, and G = S0^-1 Ac Mc^-1 is symmetric positive
+    semidefinite as S0 Mc^-1 is a polynomial in Ac Mc^-1.  With b = S0^-1 rhs
+    and s = sqrt(D) (monotone graphs have Yosida slopes D >= 0), S(D) dw = rhs
+    is the SPD system (I + s G s) z = s b for z = s dw, and dw = b - G (s z).
+    Where D = 0, CG takes no iteration and dw = b.
     """
-    nb, A = system.dom.n_bulk, system.dom.coupled_stiffness
-    shape = (nb, nb)
-    r2 = -it.R2
-    rhs = system.reduce(-it.R1, r2)
+    gc, A = system.dom.combined_mass, system.dom.coupled_stiffness
+    s = np.sqrt(it.d)
 
-    def reduced(x):
-        # S(D) x = Mc x/tau + Ac mu(x), mu(x) the back-substitution with r2 = 0
-        return system.gc_tau * x + A @ system.potential(0.0, x, it.d)
+    def gram(x):
+        return system.schur_solve(A @ (x / gc))
 
+    b = system.schur_solve(system.reduce(-it.R1, -it.R2))
     history = []
-    dw, info = gmres(
-        LinearOperator(shape, matvec=reduced, dtype=float),
-        rhs, rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-        M=LinearOperator(shape, matvec=system.schur_solve, dtype=float),
-        callback=history.append, callback_type="pr_norm")
+    op = LinearOperator((s.size, s.size), matvec=lambda p: p + s * gram(s * p), dtype=float)
+    z, info = cg(op, s * b, rtol=_CG_RTOL, maxiter=_CG_MAXITER, callback=history.append)
     if info != 0:
-        dw = splu(system.jacobian(it)).solve(rhs)
-    dw = dw + system.mass_shift(it.w + dw)
-    return dw, system.potential(r2, dw, it.d), len(history), int(info != 0)
+        return None
+    return b - gram(s * z), len(history)
 
 
 def _solve_step(system, w0, mu0):
     """Damped Newton with Picard fallback from (w0, mu0), w0 first shifted to
-    the conserved mean.
+    the conserved mean, as is each direction dw before dmu is back-substituted.
 
-    Returns (iterate, nonlinear iterations, GMRES iterations, LU fallbacks).
+    Returns (iterate, nonlinear iterations, CG iterations).
     """
     cfg = system.cfg
-    tol = cfg.newton_tol
     it = system.residual(w0 + system.mass_shift(w0), mu0.copy())
-    iters = lin_iters = lu_fallbacks = 0
+    iters = lin_iters = 0
     for _ in range(cfg.newton_max):
         if system.converged(it):
-            return it, iters, lin_iters, lu_fallbacks
-        dw, dmu, n_lin, fallback = _newton_direction(system, it)
-        lin_iters += n_lin
-        lu_fallbacks += fallback
-        merit = math.hypot(it.r1, it.r2)
-        lam = 1.0
-        accepted = False
-        for _halving in range(6):
-            trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
-            merit_try = math.hypot(trial.r1, trial.r2)
-            if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= tol:
-                accepted = True
-                break
-            lam *= 0.5
-        iters += 1
-        if not accepted:
+            return it, iters, lin_iters
+        direction, trial = _newton_direction(system, it), None
+        if direction is not None:
+            dw, n_lin = direction
+            lin_iters += n_lin
+            dw = dw + system.mass_shift(it.w + dw)
+            dmu = system.potential(-it.R2, dw, it.d)
+            merit = math.hypot(it.r1, it.r2)
+            for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+                trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
+                merit_try = math.hypot(trial.r1, trial.r2)
+                if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= cfg.newton_tol:
+                    break
+            else:
+                trial = None
+            iters += 1
+        if trial is None:  # CG stalled or the line search failed
             it, iters = _solve_picard(system, it, iters)
-            return it, iters, lin_iters, lu_fallbacks
+            return it, iters, lin_iters
         it = trial
     if system.converged(it):
-        return it, iters, lin_iters, lu_fallbacks
+        return it, iters, lin_iters
     raise StepError(f"Newton did not converge in {cfg.newton_max} iterations "
                     f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
 
@@ -492,7 +487,7 @@ def step(state, config, f_next, *, lu=None, start=None):
     dom = state.v.domain
     system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next, lu)
     w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
-    it, iters, lin_iters, lu_fallbacks = _solve_step(system, w0, mu0)
+    it, iters, lin_iters = _solve_step(system, w0, mu0)
 
     u_prev = state.v.bulk + state.m0
     offset = _offset_pair(config.graphs, it.xi, u_prev, u_prev[dom.boundary_chain], f_next)
@@ -504,8 +499,7 @@ def step(state, config, f_next, *, lu=None, start=None):
                        t=state.t + config.tau,
                        m0=state.m0,
                        newton_iters=iters,
-                       lin_iters=lin_iters,
-                       lu_fallbacks=lu_fallbacks)
+                       lin_iters=lin_iters)
 
 
 def weak_residuals(state_prev, state_next, config, f_next):

@@ -139,6 +139,11 @@ def _collapse(dom, bulk, boundary):
     return bulk
 
 
+def _has_nonzero_mean(z):
+    """Whether the combined mean of z exceeds the rounding of its values."""
+    return abs(mean(z)) > _MEAN_TOL * (1.0 + float(np.max(np.abs(z.bulk), initial=0.0)))
+
+
 def apply_F(z):
     """Riesz image of a zero-mean trace-consistent pair under the a-form.
 
@@ -147,7 +152,7 @@ def apply_F(z):
     """
     if not is_trace_consistent(z):
         raise ValueError("apply_F: pair is not trace-consistent")
-    if abs(mean(z)) > _MEAN_TOL * (1.0 + float(np.max(np.abs(z.bulk), initial=0.0))):
+    if _has_nonzero_mean(z):
         raise ValueError("apply_F: pair must have zero combined mean")
     dom = z.domain
     return DualPair(dom.K_bulk @ z.bulk, dom.K_surf @ z.boundary, dom)

@@ -277,6 +277,14 @@ value = 1.5
     assert "initial value 1.5 at bulk node" in capsys.readouterr().err
 
 
+def test_run_init_mean_too_large_to_remove_exits_2(tmp_path, capsys):
+    # the combined mean of this constant rounds one ulp (8.0) off, so removing
+    # it leaves a constant that the zero-mean fluctuation may not have
+    cfg = write_config(tmp_path, "[init]\npreset = constant\nvalue = -5.85089496629928e+16\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "error: initial data: its mean -5.85" in capsys.readouterr().err
+
+
 def test_uncreatable_output_dir_exits_2_before_running(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

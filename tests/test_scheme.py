@@ -51,6 +51,30 @@ def test_config_rejects_tau_that_overflows(kw):
         make_config(**kw)
 
 
+@pytest.mark.parametrize("kw", [dict(eps=1e-320), dict(eps=1e-300),
+                                # the boundary graph's parameter eps*rho is the smaller
+                                dict(graphs=GraphPair(polynomial_graph(), polynomial_graph(),
+                                                      rho=1e-250, c0=1e300)),
+                                # and 3 eps rho underflows to 0
+                                dict(eps=1e-30, graphs=GraphPair(polynomial_graph(),
+                                                                 polynomial_graph(),
+                                                                 rho=1e-300, c0=1e300))],
+                         ids=["eps-1e-320", "eps-1e-300", "eps-rho-1e-251", "eps-rho-0"])
+def test_config_rejects_eps_that_overflows(kw):
+    with pytest.raises(ConfigError, match="eps is too small"):
+        make_config(**kw)
+
+
+@pytest.mark.parametrize("pair", [POLY_PAIR, OBST_PAIR], ids=["polynomial", "obstacle"])
+def test_eps_just_above_its_bound_runs_without_warnings(domain_cache, rng, pair):
+    # (3 eps)^(-3/2) overflows below eps = 1.0465e-206
+    cfg = make_config(eps=1.1e-206, t_end=0.005, graphs=pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(cfg, random_u0(domain_cache(5), rng, amplitude=0.3))
+    assert not traj.aborted and len(traj.states) == 6
+
+
 @pytest.mark.parametrize("pair", [
     GraphPair(polynomial_graph(40.0), polynomial_graph()),
     GraphPair(obstacle_graph(), obstacle_graph(1e-3))], ids=["bulk", "boundary"])
@@ -277,7 +301,7 @@ def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
     zero = np.zeros(dom.n_bulk)
     monkeypatch.setattr(scheme_module, "_newton_direction",
-                        lambda system, it: (zero, zero, 0, 0))
+                        lambda system, it: (zero, 0))
     picard_calls = []
     solve_picard = scheme_module._solve_picard
 
@@ -299,25 +323,44 @@ def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch
 
 
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
-                         ids=["polynomial-convex_split", "logarithmic-convex_split",
-                              "obstacle-convex_split"])
-def test_lu_fallback_matches_krylov_step(domain_cache, rng, monkeypatch, pair):
+                         ids=["polynomial", "logarithmic", "obstacle"])
+@pytest.mark.parametrize("eps, tau, factors", [(0.02, 1e-3, 1), (0.5, 1e-2, 2)],
+                         ids=["complex-shifts", "real-shifts"])
+def test_cg_direction_matches_dense_solve(domain_cache, rng, pair, eps, tau, factors):
     dom = domain_cache(7)
-    cfg = make_config(graphs=pair, newton_tol=1e-12)
+    cfg = make_config(graphs=pair, eps=eps, tau=tau)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
-    krylov = step(state, cfg, FieldPair.zeros(dom))
-    assert krylov.newton_iters > 0
-    assert krylov.lin_iters > 0 and krylov.lu_fallbacks == 0
-    # GMRES that never converges: every direction comes from a fresh LU
-    monkeypatch.setattr(scheme_module, "gmres",
-                        lambda A, b, **kw: (np.zeros_like(b), 1))
-    direct = step(state, cfg, FieldPair.zeros(dom))
-    assert direct.lu_fallbacks == direct.newton_iters > 0
-    assert direct.newton_iters <= krylov.newton_iters
-    assert np.abs(direct.v.bulk - krylov.v.bulk).max() <= 1e-12
-    assert np.abs(direct.mu.bulk - krylov.mu.bulk).max() <= 1e-12
-    mass_prev = monitor_record(state, cfg).total_mass
-    assert abs(monitor_record(direct, cfg).total_mass - mass_prev) <= 1e-12
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+    assert len(system.lu) == factors
+    # a perturbed iterate that leaves [-1, 1], so D is nonzero for the obstacle too
+    w = state.v.bulk + 0.9 * (2.0 * rng.random(dom.n_bulk) - 1.0)
+    it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk))
+    dw, n_lin = scheme_module._newton_direction(system, it)
+    assert n_lin > 0
+    ref = np.linalg.solve(system.jacobian(it).toarray(), system.reduce(-it.R1, -it.R2))
+    assert np.abs(dw - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_cg_stall_falls_back_to_picard(domain_cache, rng, monkeypatch):
+    dom = domain_cache(7)
+    cfg = make_config(newton_tol=1e-12)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
+    monkeypatch.setattr(scheme_module, "_newton_direction", lambda system, it: None)
+    picard_calls = []
+    solve_picard = scheme_module._solve_picard
+
+    def counted(*args):
+        picard_calls.append(1)
+        return solve_picard(*args)
+
+    monkeypatch.setattr(scheme_module, "_solve_picard", counted)
+    nxt = step(state, cfg, FieldPair.zeros(dom))
+    assert picard_calls == [1]
+    assert nxt.lin_iters == 0 and nxt.newton_iters > 0
+    r1, r2 = weak_residuals(state, nxt, cfg, FieldPair.zeros(dom))
+    assert r1 <= 10.0 * cfg.newton_tol
+    assert r2 <= 10.0 * cfg.newton_tol
+    assert abs(mean(nxt.v)) <= 1e-12
 
 
 def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, monkeypatch):
@@ -326,14 +369,13 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     cfg = make_config(newton_tol=1e-12)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
     clean = step(state, cfg, FieldPair.zeros(dom))
-    gmres = scheme_module.gmres
+    newton_direction = scheme_module._newton_direction
 
-    def offset_gmres(A, b, **kw):
-        x, info = gmres(A, b, **kw)
-        x[:dom.n_bulk] += 1e-3
-        return x, info
+    def offset_direction(system, it):
+        dw, n_lin = newton_direction(system, it)
+        return dw + 1e-3, n_lin
 
-    monkeypatch.setattr(scheme_module, "gmres", offset_gmres)
+    monkeypatch.setattr(scheme_module, "_newton_direction", offset_direction)
     nxt = step(state, cfg, FieldPair.zeros(dom))
     assert nxt.newton_iters == clean.newton_iters  # no Picard fallback
     assert abs(mean(nxt.v)) <= 1e-15
