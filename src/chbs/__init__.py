@@ -9,7 +9,7 @@ and an experiment harness checking conservation, two-run stability, and
 vanishing-regularization behavior.
 """
 
-from .domain import DiscreteDomain, build_unit_square, integrate_bulk, integrate_surf
+from .domain import DiscreteDomain, build_unit_square
 from .errors import (ChbsError, CompatibilityError, ConfigError,
                      NumericalError, StepError)
 from .monotone import (GraphPair, GraphSpec, check_compatibility, envelope,

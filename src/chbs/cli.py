@@ -242,11 +242,12 @@ def build_initial(spec, dom):
     seen = np.zeros(dom.n_bulk, dtype=bool)
     for node, value in _read_csv(spec.init_path, (int, _finite)):
         if not 0 <= node < dom.n_bulk:
-            raise ConfigError(f"init csv names node {node}, mesh has {dom.n_bulk} bulk nodes")
+            raise ConfigError(f"{spec.init_path}: node {node} out of range, "
+                              f"mesh has {dom.n_bulk} bulk nodes")
         values[node] = value
         seen[node] = True
     if not seen.all():
-        raise ConfigError(f"init csv is missing {int((~seen).sum())} bulk nodes")
+        raise ConfigError(f"{spec.init_path}: missing {int((~seen).sum())} bulk nodes")
     return FieldPair.from_bulk(dom, values)
 
 

@@ -15,12 +15,12 @@ and mass conservation exact at the algebraic level.
 
 Construction also caches two sparse LU factorizations used throughout.
 The mean-constrained saddle system inverts the coupled stiffness on
-zero-mean fields: the Riesz-map inverse and the zero-mean dual norm in
-:mod:`chbs.spaces`, the step residual norms in :mod:`chbs.scheme`, and the
-Lanczos eigensolve of the coercivity constant all solve with it.  The full
-coupled V-norm matrix serves the dual norm over the whole space.  A
-:class:`DiscreteDomain` is immutable after construction and shareable
-across threads.
+zero-mean fields through its one, accuracy-guarded solve path
+``chbs.spaces._saddle_solve``: the Riesz-map inverse, the zero-mean dual
+norm (monitor, studies, step residual r1) and the Lanczos eigensolve of the
+coercivity constant.  The full coupled V-norm matrix serves the dual norm
+over the whole space.  A :class:`DiscreteDomain` is immutable after
+construction and shareable across threads.
 """
 
 from __future__ import annotations
@@ -80,16 +80,8 @@ class DiscreteDomain:
         return self.boundary_chain.shape[0]
 
     @property
-    def volume(self):
-        return float(self.M_bulk.sum())
-
-    @property
-    def surface(self):
-        return float(self.M_surf.sum())
-
-    @property
     def total_measure(self):
-        return self.volume + self.surface
+        return float(self.M_bulk.sum()) + float(self.M_surf.sum())
 
 
 def _boundary_chain(n):
@@ -174,18 +166,3 @@ def build_unit_square(n):
                           coupled_stiffness=A, saddle_lu=saddle_lu,
                           vnorm_lu=vnorm_lu)
 
-
-def integrate_bulk(dom, field):
-    """Lumped quadrature of a bulk nodal field over the square."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != (dom.n_bulk,):
-        raise ValueError(f"bulk field has shape {field.shape}, expected ({dom.n_bulk},)")
-    return float(dom.M_bulk @ field)
-
-
-def integrate_surf(dom, trace_field):
-    """Lumped quadrature of a boundary-chain field over the boundary."""
-    trace_field = np.asarray(trace_field, dtype=float)
-    if trace_field.shape != (dom.n_boundary,):
-        raise ValueError(f"boundary field has shape {trace_field.shape}, expected ({dom.n_boundary},)")
-    return float(dom.M_surf @ trace_field)

@@ -216,15 +216,15 @@ def poincare_constant(dom):
     sends constants to zero and so deflates the null mode of A.  Lanczos
     (ARPACK) finds the top eigenvalue 1/mu2 of the symmetrized operator
     v -> M^(1/2) A0^(-1) M^(1/2) v from a fixed start vector, so repeated
-    calls return the same bits.  Raises NumericalError when the eigensolve
-    does not converge or its result is not finite and positive.
+    calls return the same bits.  Raises NumericalError when a saddle solve
+    loses accuracy, or the eigensolve does not converge or its result is not
+    finite and positive.
     """
     root = np.sqrt(dom.combined_mass)
     nb = dom.n_bulk
 
     def apply(v):
-        rhs = np.concatenate([root * np.ravel(v), [0.0]])
-        return root * dom.saddle_lu.solve(rhs)[:-1]
+        return root * _saddle_solve(dom, root * np.ravel(v))
 
     x, y = dom.coords[:, 0], dom.coords[:, 1]
     v0 = root * (np.cos(np.pi * x) + 0.1 * y)

@@ -212,7 +212,7 @@ def test_run_byte_identical_reruns(tmp_path):
 
 
 def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatch, capsys):
-    # the step residual norms solve with the mean-constrained stiffness
+    # the step residual norm r1 solves with the mean-constrained stiffness
     def broken(dom, rhs):
         raise NumericalError("mean-constrained stiffness solve lost accuracy")
 
@@ -227,6 +227,25 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
     header, row = (out / "report.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["aborted"] == "1"
     assert "aborted: step 1 (t = 0.001): mean-constrained" in (out / "report.txt").read_text()
+    assert "FAIL: all steps converged" in capsys.readouterr().out
+
+
+def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, monkeypatch,
+                                                                   capsys):
+    # no Newton direction hands every step to Picard, whose budget is then
+    # one iteration per allowed Newton iteration
+    monkeypatch.setattr(scheme, "_newton_direction", lambda system, it: None)
+    monkeypatch.setattr(scheme, "_PICARD_BUDGET_FACTOR", 1)
+    cfg = write_config(tmp_path, QUICK_RUN.replace("[scheme]\n", "[scheme]\nnewton_max = 2\n"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    monitors = (out / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 2  # header + the initial record
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["aborted"] == "1"
+    assert re.search(r"^aborted: step 1 \(t = 0\.001\): Picard fallback did not converge "
+                     r"in 2 iterations \(residuals \S+e[-+]\d+, \S+e[-+]\d+\)$",
+                     (out / "report.txt").read_text(), re.M)
     assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
@@ -342,6 +361,25 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[scheme]\neps = 2.0\n")
     assert main(["run", "--config", cfg, "--quiet"]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[init]\npreset = csv\n", "path is required when the csv init preset is used"),
+    ("[forcing]\npreset = csv\n", "path is required when the csv forcing preset is used"),
+    ("[graphs]\nbulk = obstacle\nboundary = polynomial\n",
+     "boundary graph domain must be contained in the bulk one"),
+    ("[graphs]\nrho = 0\n", "rho must be positive and finite"),
+    ("[graphs]\nboundary = obstacle\nrho = 0.001\n",
+     "(rho, c0) = (0.001, 0.0) do not dominate the bulk graph"),
+    ("[scheme]\nnewton_max = 0\n", "newton_max must be at least 1"),
+], ids=["init-csv-without-path", "forcing-csv-without-path", "bulk-domain-too-small",
+        "rho-zero", "rho-too-small", "newton-max-zero"])
+def test_inconsistent_config_exits_2_before_any_step(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n{text}")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_increasing_perturbation_exits_2_before_any_step(tmp_path, capsys):
@@ -540,9 +578,14 @@ path = {forcing_path}
     ("init", "node,value\n3,0.1\n4,0.0\n3,0.2\n", "duplicate row ['3', '0.2']"),
     # times compare as numbers: 0 and 0.0 are one time
     ("forcing", "t,node,value\n0.0,3,0.5\n0,3,0.25\n", "duplicate row ['0', '3', '0.25']"),
+    # the n = 5 mesh has 25 bulk nodes (ids 0..24) and 16 boundary ones (25..40)
+    ("init", "node,value\n0,0.1\n", "missing 24 bulk nodes"),
+    ("init", "node,value\n25,0.1\n", "node 25 out of range, mesh has 25 bulk nodes"),
+    ("forcing", "t,node,value\n0.0,41,0.5\n", "node id 41 out of range"),
 ], ids=["init-missing", "forcing-missing", "init-short-row", "forcing-short-row",
         "forcing-nan-value", "forcing-inf-first-row", "init-nan-value",
-        "init-header-after-blank-line", "init-duplicate-node", "forcing-duplicate-row"])
+        "init-header-after-blank-line", "init-duplicate-node", "forcing-duplicate-row",
+        "init-missing-nodes", "init-node-out-of-range", "forcing-node-out-of-range"])
 def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     path = tmp_path / f"{section}.csv"
     if text is not None:
@@ -550,7 +593,7 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, section, text, message):
     cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[{section}]\npreset = csv\npath = {path}\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and str(path) in err
     assert "Traceback" not in err
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chbs.domain import build_unit_square, integrate_bulk, integrate_surf
+from chbs.domain import build_unit_square
 from chbs.errors import ConfigError
 
 
@@ -70,22 +70,14 @@ def test_boundary_chain_is_cyclic_and_on_boundary(domain_cache):
 
 def test_integrate_constants(domain_cache):
     dom = domain_cache(6)
-    assert integrate_bulk(dom, np.ones(dom.n_bulk)) == pytest.approx(1.0, abs=1e-12)
-    assert integrate_surf(dom, np.ones(dom.n_boundary)) == pytest.approx(4.0, abs=1e-12)
+    assert float(dom.M_bulk @ np.ones(dom.n_bulk)) == pytest.approx(1.0, abs=1e-12)
+    assert float(dom.M_surf @ np.ones(dom.n_boundary)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_integrate_linear_field_exact(domain_cache):
     # lumped P1 quadrature integrates linears exactly: int x over the square
     dom = domain_cache(6)
-    assert integrate_bulk(dom, dom.coords[:, 0]) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_integrate_shape_errors(domain_cache):
-    dom = domain_cache(3)
-    with pytest.raises(ValueError):
-        integrate_bulk(dom, np.ones(4))
-    with pytest.raises(ValueError):
-        integrate_surf(dom, np.ones(dom.n_bulk))
+    assert float(dom.M_bulk @ dom.coords[:, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def _a_form(dom, z_bulk):

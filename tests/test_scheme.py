@@ -15,8 +15,8 @@ from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_grap
                            polynomial_graph, resolvent, yosida, yosida_boundary)
 from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
                          weak_residuals)
-from chbs.spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V0_star,
-                         project_zero_mean)
+from chbs.spaces import (FieldPair, _dual_norm_collapsed, as_functional, form_a, inner_H,
+                         mean, norm_V0_star, project_zero_mean)
 
 POLY_PAIR = GraphPair(polynomial_graph(), polynomial_graph())
 OBST_PAIR = GraphPair(obstacle_graph(), obstacle_graph())
@@ -408,6 +408,43 @@ def test_given_start_is_shifted_to_the_previous_mean(domain_cache, rng):
     assert nxt.newton_iters == 0
     assert abs(mean(nxt.v) - mean(state.v)) <= 1e-14
     assert np.abs(nxt.v.bulk - cold.v.bulk).max() <= 1e-15
+
+
+def test_step_converged_by_its_last_newton_update_is_accepted(domain_cache, rng):
+    # this step takes 3 Newton updates: with newton_max = 3 the loop ends
+    # before it tests the third, and the check after the loop accepts it
+    dom = domain_cache(9)
+    cfg = make_config(graphs=CUBIC_40, eps=0.02, tau=1e-3)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    free = step(state, cfg, None)
+    assert free.newton_iters == 3
+    last = step(state, replace(cfg, newton_max=3), None)
+    assert (last.newton_iters, last.lin_iters) == (free.newton_iters, free.lin_iters)
+    assert last.v.bulk.tobytes() == free.v.bulk.tobytes()
+    assert last.mu.bulk.tobytes() == free.mu.bulk.tobytes()
+    with pytest.raises(StepError, match=r"Newton did not converge in 2 iterations"):
+        step(state, replace(cfg, newton_max=2), None)
+
+
+@pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
+                         ids=["polynomial", "logarithmic", "obstacle"])
+@pytest.mark.parametrize("eps, tau", [(0.02, 1e-3), (0.5, 1e-2)],
+                         ids=["complex-shifts", "real-shifts"])
+@pytest.mark.parametrize("mu_shift", [0.0, 1e3], ids=["mu", "shifted-mu"])
+def test_r1_terms_match_the_solves_they_replace(domain_cache, rng, pair, eps, tau, mu_shift):
+    # the V0* norms of Ac mu and Mc dw/tau by the Riesz identity against
+    # one mean-constrained solve each
+    dom = domain_cache(9)
+    cfg = make_config(graphs=pair, eps=eps, tau=tau)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+    w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
+    it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk) + mu_shift)
+    a_mu_sq, dw_sq = system.r1_terms(it)
+    got = np.sqrt(np.maximum([a_mu_sq, dw_sq], 0.0))
+    ref = np.array([_dual_norm_collapsed(dom, it.a_mu),
+                    _dual_norm_collapsed(dom, it.R1 - it.a_mu)])
+    assert np.abs(got - ref).max() <= 1e-10 * ref.max()
 
 
 # --- Schur factor -------------------------------------------------------------------
