@@ -47,8 +47,9 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
+from .domain import splu
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
 from .monotone import GraphPair, _envelope_at, beta_hat, yosida_and_slope
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from chbs import domain, scheme
 from chbs.domain import build_unit_square
 from chbs.errors import ConfigError
+from chbs.monotone import GraphPair, polynomial_graph
+from chbs.spaces import DualPair, norm_V_star
 
 
 def test_counting_n3(domain_cache):
@@ -129,3 +134,56 @@ def test_combined_operators_consistent(domain_cache, rng):
     gc[dom.boundary_chain] += dom.M_surf
     np.testing.assert_allclose(dom.combined_mass, gc, rtol=0, atol=0)
 
+
+# --- sparse factors ----------------------------------------------------------------
+
+def _step_system(dom, eps, tau):
+    config = scheme.SchemeConfig(eps=eps, tau=tau, t_end=tau,
+                                 graphs=GraphPair(polynomial_graph(), polynomial_graph()))
+    return scheme._StepSystem(dom, config, 0.0, np.zeros(dom.n_bulk), None)
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_step_solver_factors_with_the_domain_order():
+    assert scheme.splu is domain.splu
+
+
+def test_minimum_degree_order_bounds_the_fill(domain_cache):
+    # SuperLU's default COLAMD order stores 223,700 and 232,152 nonzeros here
+    dom = domain_cache(65)
+    (lu,) = _step_system(dom, 0.02, 1e-3).lu
+    assert _fill(lu) <= 150_000
+    assert _fill(dom.saddle_lu) <= 160_000
+
+
+def test_every_factor_solves_to_rounding(domain_cache, rng):
+    dom = domain_cache(33)
+    gc, A = dom.combined_mass, dom.coupled_stiffness
+    # the saddle system borders the stiffness with the mass column; the
+    # multiplier is the last unknown
+    saddle = sp.bmat([[A, gc[:, None]], [gc[None, :], None]], format="csr")
+    cases = [(saddle, dom.saddle_lu), (sp.diags(gc) + A, dom.vnorm_lu)]
+    for eps, tau in [(0.02, 1e-3), (0.5, 1e-2)]:  # one complex shift, a real pair
+        system = _step_system(dom, eps, tau)
+        cases += list(zip(system.picard_matrix(), system.lu))
+    assert len(cases) == 5
+    for matrix, lu in cases:
+        b = rng.standard_normal(matrix.shape[0])
+        assert np.linalg.norm(matrix @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_vnorm_factor_is_built_on_first_use(rng):
+    dom = build_unit_square(9)
+    assert "vnorm_lu" not in vars(dom)
+    ell = DualPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
+    norm = norm_V_star(ell)
+    assert "vnorm_lu" in vars(dom)
+    # oracle: SciPy's default-ordered factor of Mc + Ac
+    c = ell.bulk.copy()
+    c[dom.boundary_chain] += ell.boundary
+    vnorm = (sp.diags(dom.combined_mass) + dom.coupled_stiffness).tocsc()
+    oracle = float(np.sqrt(c @ scipy.sparse.linalg.splu(vnorm).solve(c)))
+    assert norm == pytest.approx(oracle, rel=1e-13, abs=0)
