@@ -19,15 +19,15 @@ unregularized graphs.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
-kind needs an entry in ``_DOMAINS`` (its endpoints, and whether the finite
-ones are excluded from the domain), a branch in ``beta_hat``,
-``minimal_section`` and ``resolvent``, and its Yosida slope in
-``yosida_and_slope``; ``yosida`` and ``envelope`` follow from the
-resolvent and ``beta_hat``.  No other families are assumed.
+kind is one entry in ``_KINDS``: its effective domain and, on it, the convex
+primitive, the minimal section, the resolvent and the Yosida slope;
+``yosida`` and ``envelope`` follow from the resolvent and ``beta_hat``.  No
+other families are assumed.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,109 +36,13 @@ POLYNOMIAL = "polynomial"
 LOGARITHMIC = "logarithmic"
 OBSTACLE = "obstacle"
 
-# effective domain of each graph kind: its endpoints, and whether the finite
-# ones are excluded (an open domain); each domain contains 0
-_DOMAINS = {
-    POLYNOMIAL: (-np.inf, np.inf, False),
-    LOGARITHMIC: (-1.0, 1.0, True),
-    OBSTACLE: (-1.0, 1.0, False),
-}
 
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """A maximal monotone graph of one ``kind`` (``polynomial``,
-    ``logarithmic`` or ``obstacle``) with the linear perturbation
-    pi(r) = pi_slope*r.  The kind fixes the effective domain, whose endpoints
-    ``domain_lo`` and ``domain_hi`` may be ``+-inf``.
-    """
-
-    kind: str
-    pi_slope: float
-
-    def __post_init__(self):
-        if self.kind not in _DOMAINS:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        if not np.isfinite(self.pi_slope):
-            raise ValueError(f"pi_slope must be finite, got {self.pi_slope!r}")
-
-    @property
-    def domain_lo(self):
-        return _DOMAINS[self.kind][0]
-
-    @property
-    def domain_hi(self):
-        return _DOMAINS[self.kind][1]
-
-
-def polynomial_graph(pi_slope=-1.0):
-    """Cubic graph beta(r) = r**3 on R; default perturbation pi(r) = -r."""
-    return GraphSpec(POLYNOMIAL, float(pi_slope))
-
-
-def logarithmic_graph(c=1.0):
-    """Logarithmic graph beta(r) = ln((1+r)/(1-r)) on (-1, 1).
-
-    The perturbation is pi(r) = -2*c*r; ``c`` is the constant breaking the
-    convexity of the logarithmic well.
-    """
-    if not 0.0 < c < np.inf:
-        raise ValueError("c must be positive and finite")
-    return GraphSpec(LOGARITHMIC, -2.0 * c)
-
-
-def obstacle_graph(pi_slope=-1.0):
-    """Obstacle graph beta = subdifferential of the indicator of [-1, 1]."""
-    return GraphSpec(OBSTACLE, float(pi_slope))
-
-
-# --- single-valued evaluations per kind ---------------------------------
+# --- the kinds: private helpers and the table ----------------------------
 
 def _xlogx(x):
     """x*log(x) for x >= 0, with its limit 0 at x = 0."""
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
-
-def beta_hat(g, r):
-    """Convex primitive of the graph, +inf outside its closed domain."""
-    arr = np.asarray(r, dtype=float)
-    if g.kind == POLYNOMIAL:
-        out = 0.25 * arr ** 4
-    elif g.kind == LOGARITHMIC:
-        inside = (arr >= -1.0) & (arr <= 1.0)
-        safe = np.clip(arr, -1.0, 1.0)
-        vals = _xlogx(1.0 + safe) + _xlogx(1.0 - safe)
-        out = np.where(inside, vals, np.inf)
-    else:  # obstacle: indicator of [-1, 1]
-        inside = (arr >= -1.0) & (arr <= 1.0)
-        out = np.where(inside, 0.0, np.inf)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def minimal_section(g, r):
-    """Least-modulus element of beta(r); requires r in the effective domain.
-
-    Single-valued graphs return beta(r).  The obstacle graph returns 0
-    everywhere on [-1, 1], including the endpoints, where 0 is the element
-    of smallest modulus of the vertical segments.
-    """
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("minimal_section: input must be finite")
-    lo, hi, is_open = _DOMAINS[g.kind]
-    if np.any((arr <= lo) | (arr >= hi) if is_open else (arr < lo) | (arr > hi)):
-        shown = f"({lo:g}, {hi:g})" if is_open else f"[{lo:g}, {hi:g}]"
-        raise ValueError(f"minimal_section: input outside the effective domain {shown}")
-    if g.kind == OBSTACLE:
-        out = np.zeros_like(arr)
-    elif g.kind == LOGARITHMIC:
-        out = np.log1p(arr) - np.log1p(-arr)
-    else:
-        out = arr ** 3
-    return float(out) if np.ndim(r) == 0 else out
-
-
-# --- resolvent, Yosida approximation, Moreau envelope --------------------
 
 def _resolvent_cubic(eps, r):
     """Closed-form root of eps*j**3 + j = r.
@@ -183,6 +87,108 @@ def _resolvent_log(eps, r):
         t = np.maximum(t, t_nxt)
 
 
+def _slope_cubic(eps, r, j):
+    """Yosida slope beta'(j)/(1 + eps*beta'(j)) of the cubic graph at j = J(r)."""
+    bp = 3.0 * j ** 2
+    return bp / (1.0 + eps * bp)
+
+
+# each kind: its effective domain [lo, hi], open if the finite endpoints are
+# excluded, which contains 0; and on it the convex primitive(r), the minimal
+# section(r), the resolvent(eps, r) and the Yosida slope(eps, r, J)
+_Kind = namedtuple("_Kind", "lo hi open primitive section resolvent slope")
+
+_KINDS = {
+    POLYNOMIAL: _Kind(-np.inf, np.inf, False, lambda r: 0.25 * r ** 4, lambda r: r ** 3,
+                      _resolvent_cubic, _slope_cubic),
+    LOGARITHMIC: _Kind(-1.0, 1.0, True, lambda r: _xlogx(1.0 + r) + _xlogx(1.0 - r),
+                       lambda r: np.log1p(r) - np.log1p(-r), _resolvent_log,
+                       lambda eps, r, j: 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)),
+    # the indicator of [-1, 1]; the slope takes the surrogate 0 at the kinks +-1
+    OBSTACLE: _Kind(-1.0, 1.0, False, np.zeros_like, np.zeros_like,
+                    lambda eps, r: np.clip(r, -1.0, 1.0),
+                    lambda eps, r, j: np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)),
+}
+
+
+@dataclass(frozen=True)
+class GraphSpec:
+    """A maximal monotone graph of one ``kind`` (``polynomial``,
+    ``logarithmic`` or ``obstacle``) with the linear perturbation
+    pi(r) = pi_slope*r.  The kind fixes the effective domain, whose endpoints
+    ``domain_lo`` and ``domain_hi`` may be ``+-inf``.
+    """
+
+    kind: str
+    pi_slope: float
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+        if not np.isfinite(self.pi_slope):
+            raise ValueError(f"pi_slope must be finite, got {self.pi_slope!r}")
+
+    @property
+    def domain_lo(self):
+        return _KINDS[self.kind].lo
+
+    @property
+    def domain_hi(self):
+        return _KINDS[self.kind].hi
+
+
+def polynomial_graph(pi_slope=-1.0):
+    """Cubic graph beta(r) = r**3 on R; default perturbation pi(r) = -r."""
+    return GraphSpec(POLYNOMIAL, float(pi_slope))
+
+
+def logarithmic_graph(c=1.0):
+    """Logarithmic graph beta(r) = ln((1+r)/(1-r)) on (-1, 1).
+
+    The perturbation is pi(r) = -2*c*r; ``c`` is the constant breaking the
+    convexity of the logarithmic well.
+    """
+    if not 0.0 < c < np.inf:
+        raise ValueError("c must be positive and finite")
+    return GraphSpec(LOGARITHMIC, -2.0 * c)
+
+
+def obstacle_graph(pi_slope=-1.0):
+    """Obstacle graph beta = subdifferential of the indicator of [-1, 1]."""
+    return GraphSpec(OBSTACLE, float(pi_slope))
+
+
+# --- single-valued evaluations per kind ---------------------------------
+
+def beta_hat(g, r):
+    """Convex primitive of the graph, +inf outside its closed domain."""
+    k = _KINDS[g.kind]
+    arr = np.asarray(r, dtype=float)
+    inside = (arr >= k.lo) & (arr <= k.hi)
+    out = np.where(inside, k.primitive(np.clip(arr, k.lo, k.hi)), np.inf)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def minimal_section(g, r):
+    """Least-modulus element of beta(r); requires r in the effective domain.
+
+    Single-valued graphs return beta(r).  The obstacle graph returns 0
+    everywhere on [-1, 1], including the endpoints, where 0 is the element
+    of smallest modulus of the vertical segments.
+    """
+    arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("minimal_section: input must be finite")
+    k = _KINDS[g.kind]
+    if np.any((arr <= k.lo) | (arr >= k.hi) if k.open else (arr < k.lo) | (arr > k.hi)):
+        shown = f"({k.lo:g}, {k.hi:g})" if k.open else f"[{k.lo:g}, {k.hi:g}]"
+        raise ValueError(f"minimal_section: input outside the effective domain {shown}")
+    out = k.section(arr)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+# --- resolvent, Yosida approximation, Moreau envelope --------------------
+
 def resolvent(g, eps, r):
     """Resolvent (I + eps*beta)^(-1) applied elementwise.
 
@@ -206,12 +212,7 @@ def resolvent(g, eps, r):
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("resolvent: input must be finite")
-    if g.kind == OBSTACLE:
-        out = np.clip(arr, -1.0, 1.0)
-    elif g.kind == POLYNOMIAL:
-        out = _resolvent_cubic(eps, arr)
-    else:
-        out = _resolvent_log(eps, arr)
+    out = _KINDS[g.kind].resolvent(eps, arr)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -220,7 +221,8 @@ def yosida(g, eps, r):
 
     Monotone nondecreasing in r and Lipschitz with constant 1/eps.
     """
-    return yosida_and_slope(g, eps, r)[1]
+    out = (np.asarray(r, dtype=float) - resolvent(g, eps, r)) / eps
+    return float(out) if np.ndim(r) == 0 else out
 
 
 def yosida_and_slope(g, eps, r):
@@ -236,13 +238,7 @@ def yosida_and_slope(g, eps, r):
     j = resolvent(g, eps, r)
     arr = np.asarray(r, dtype=float)
     xi = (arr - j) / eps
-    if g.kind == OBSTACLE:
-        slope = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
-    elif g.kind == POLYNOMIAL:
-        bp = 3.0 * j ** 2
-        slope = bp / (1.0 + eps * bp)
-    else:
-        slope = 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)
+    slope = _KINDS[g.kind].slope(eps, arr, j)
     if np.ndim(r) == 0:
         return float(j), float(xi), float(slope)
     return j, xi, slope
@@ -265,6 +261,15 @@ def _envelope_at(g, eps, r, j):
 
 
 # --- bulk/boundary pair ---------------------------------------------------
+
+def _worst_slack(pair, b, g):
+    """Index and value of the least slack rho*g + c0 - b over samples of the
+    bulk and boundary moduli b, g; an overflowing rho*g is infinite slack."""
+    with np.errstate(over="ignore"):
+        slack = pair.rho * g + pair.c0 - b
+    i = int(np.argmin(slack))
+    return i, float(slack[i])
+
 
 @dataclass(frozen=True)
 class GraphPair:
@@ -291,29 +296,21 @@ class GraphPair:
         self._validate_domination()
 
     def _validate_containment(self):
-        blk_lo, blk_hi, blk_open = _DOMAINS[self.bulk.kind]
-        lo, hi, bnd_open = _DOMAINS[self.boundary.kind]
+        blk, bnd = _KINDS[self.bulk.kind], _KINDS[self.boundary.kind]
         # a closed boundary endpoint may not sit on an open bulk endpoint
-        shared = blk_open and not bnd_open and (lo == blk_lo or hi == blk_hi)
-        if lo < blk_lo or hi > blk_hi or shared:
+        shared = blk.open and not bnd.open and (bnd.lo == blk.lo or bnd.hi == blk.hi)
+        if bnd.lo < blk.lo or bnd.hi > blk.hi or shared:
             raise ValueError("boundary graph domain must be contained in the bulk one")
 
     def _validate_domination(self):
-        lo, hi, is_open = _DOMAINS[self.boundary.kind]
-        if not np.isfinite(lo):
-            lo = -10.0
-        if not np.isfinite(hi):
-            hi = 10.0
-        if is_open:
-            # open endpoints carry no finite minimal section
-            lo, hi = lo + 1e-9, hi - 1e-9
-        samples = np.linspace(lo, hi, 2001)
+        k = _KINDS[self.boundary.kind]
+        pad = 1e-9 if k.open else 0.0  # open endpoints carry no finite minimal section
+        samples = np.linspace(max(k.lo, -10.0) + pad, min(k.hi, 10.0) - pad, 2001)
         b = np.abs(minimal_section(self.bulk, samples))
         g = np.abs(minimal_section(self.boundary, samples))
-        slack = self.rho * g + self.c0 - b
-        worst = slack.min()
+        i, worst = _worst_slack(self, b, g)
         if worst < -1e-12 * max(1.0, float(np.max(b))):
-            r_bad = float(samples[int(np.argmin(slack))])
+            r_bad = float(samples[i])
             raise ValueError(
                 f"(rho, c0) = ({self.rho}, {self.c0}) do not dominate the bulk graph: "
                 f"|beta°({r_bad:.6g})| exceeds rho*|beta_bnd°| + c0 by {-worst:.3e}")
@@ -348,8 +345,6 @@ def check_compatibility(pair, eps, samples):
         return CompatibilityReport(True, np.inf, np.nan, 0)
     b = np.abs(yosida(pair.bulk, eps, arr))
     g = np.abs(yosida_boundary(pair, eps, arr))
-    slack = pair.rho * g + pair.c0 - b
-    k = int(np.argmin(slack))
-    worst = float(slack[k])
+    i, worst = _worst_slack(pair, b, g)
     tol = 1e-9 * max(1.0, float(np.max(b)))
-    return CompatibilityReport(worst >= -tol, worst, float(arr[k]), arr.size)
+    return CompatibilityReport(worst >= -tol, worst, float(arr[i]), arr.size)

@@ -92,6 +92,10 @@ class SchemeConfig:
         if not (lam3 > 0.0 and math.isfinite(math.sqrt(1.0 / lam3) / lam3)):
             raise ConfigError("eps is too small: the cubic resolvent scale "
                               "(3 eps min(1, rho))^(-3/2) must be finite")
+        p3 = 1.0 / (3.0 * (self.eps * max(1.0, self.graphs.rho)))
+        if p3 * math.sqrt(p3) == 0.0:
+            raise ConfigError("rho is too large: the cubic resolvent scale "
+                              "(3 eps max(1, rho))^(-3/2) must be nonzero")
         ratio = self.eps / self.tau
         if not all(map(math.isfinite, (1.0 / self.tau, self.t_end / self.tau, ratio * ratio))):
             raise ConfigError("tau is too small: 1/tau, t_end/tau and (eps/tau)^2 "

@@ -372,8 +372,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     ("[graphs]\nboundary = obstacle\nrho = 0.001\n",
      "(rho, c0) = (0.001, 0.0) do not dominate the bulk graph"),
     ("[scheme]\nnewton_max = 0\n", "newton_max must be at least 1"),
+    ("[scheme]\nt_end = 0.002\n[graphs]\nrho = 1e300\n", "rho is too large"),
+    ("[scheme]\nt_end = 0.002\n[graphs]\nrho = 1e308\n", "rho is too large"),
 ], ids=["init-csv-without-path", "forcing-csv-without-path", "bulk-domain-too-small",
-        "rho-zero", "rho-too-small", "newton-max-zero"])
+        "rho-zero", "rho-too-small", "newton-max-zero", "rho-1e300", "rho-1e308"])
 def test_inconsistent_config_exits_2_before_any_step(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, f"[mesh]\nn = 5\n{text}")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2

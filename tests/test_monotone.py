@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import qmc
 
+from chbs import monotone
 from chbs.monotone import (GraphPair, GraphSpec, beta_hat,
                            check_compatibility, envelope, logarithmic_graph,
                            minimal_section, obstacle_graph, polynomial_graph,
@@ -338,6 +339,18 @@ def test_log_primitive_at_the_domain_endpoints():
     assert np.all(np.isinf(vals[2:]))
 
 
+@pytest.mark.parametrize("kind", list(monotone._KINDS))
+def test_beta_hat_is_finite_exactly_on_the_closed_domain(kind):
+    g = GraphSpec(kind, -1.0)
+    for end, outward in ((g.domain_lo, -math.inf), (g.domain_hi, math.inf)):
+        if math.isfinite(end):
+            assert math.isfinite(beta_hat(g, end))
+            assert beta_hat(g, np.nextafter(end, outward)) == math.inf
+        else:
+            assert beta_hat(g, end) == math.inf
+    assert beta_hat(g, math.nan) == math.inf
+
+
 # --- graph spec ----------------------------------------------------------------
 
 def test_graph_spec_equality_includes_pi_slope():
@@ -374,6 +387,8 @@ def test_graph_pair_validates_domination_constants():
     with pytest.raises(ValueError):
         GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=0.0)
     GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=1.0)
+    # rho*|beta_bnd°| overflows to +inf: infinite slack, not a RuntimeWarning
+    GraphPair(bulk=POLY, boundary=POLY, rho=1e308)
 
 
 def _doctored_pair(pair, c0):
@@ -438,9 +453,10 @@ def test_check_compatibility_rejects_bad_eps():
 def test_yosida_slope_matches_finite_differences():
     r = sobol_points(-3.0, 3.0, m=7)
     h = 1e-6
-    for g, eps in ((POLY, 0.3), (LOG, 0.3)):
-        fd = (yosida(g, eps, r + h) - yosida(g, eps, r - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - yosida_and_slope(g, eps, r)[2])) < 1e-5
+    for g, eps in ((POLY, 0.3), (LOG, 0.3), (OBST, 0.3)):
+        x = r[np.abs(np.abs(r) - 1.0) > 1e-3] if g is OBST else r  # off the kinks at +-1
+        fd = (yosida(g, eps, x + h) - yosida(g, eps, x - h)) / (2.0 * h)
+        assert np.max(np.abs(fd - yosida_and_slope(g, eps, x)[2])) < 1e-5
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

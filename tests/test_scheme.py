@@ -65,6 +65,24 @@ def test_config_rejects_eps_that_overflows(kw):
         make_config(**kw)
 
 
+@pytest.mark.parametrize("eps, rho", [(0.1, 1e217), (0.1, 1e300), (1.0, 1e308)],
+                         ids=["rho-1e217", "rho-1e300", "3-eps-rho-overflows"])
+def test_config_rejects_rho_whose_resolvent_scale_underflows(eps, rho):
+    # (3 eps rho)^(-3/2) = 0 makes the cubic resolvent divide 0 by 0 at r = 0
+    with pytest.raises(ConfigError, match="rho is too large"):
+        make_config(eps=eps, graphs=GraphPair(polynomial_graph(), polynomial_graph(), rho=rho))
+
+
+def test_rho_at_its_bound_runs_without_warnings(domain_cache):
+    # at eps = 0.1 the scale (3 eps rho)^(-3/2) is the least subnormal at rho = 1e216
+    cfg = make_config(t_end=0.002, graphs=GraphPair(polynomial_graph(), polynomial_graph(),
+                                                    rho=1e216))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(cfg, FieldPair.constant(domain_cache(5), 0.0))
+    assert not traj.aborted and len(traj.states) == 3
+
+
 @pytest.mark.parametrize("pair", [POLY_PAIR, OBST_PAIR], ids=["polynomial", "obstacle"])
 def test_eps_just_above_its_bound_runs_without_warnings(domain_cache, rng, pair):
     # (3 eps)^(-3/2) overflows below eps = 1.0465e-206
