@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import functools
 import io
 import math
 import os
@@ -333,12 +334,18 @@ def _monitors_csv(records):
     return _rows_csv(fields, ([getattr(rec, f) for f in fields] for rec in records))
 
 
+@functools.lru_cache(maxsize=1)
+def _snapshot_prefixes(dom):
+    """The node, x and y cells of each snapshot row, formatted once per mesh."""
+    return [f"{k},{x!r},{y!r}," for k, (x, y) in enumerate(dom.coords.tolist())]
+
+
 def _snapshot_csv(dom, state):
+    """The text ``_rows_csv`` writes for the node, x, y, u and mu columns."""
     u = state.v.bulk + state.m0
-    return _rows_csv(["node", "x", "y", "u", "mu"],
-                     zip(range(dom.n_bulk), dom.coords[:, 0].tolist(),
-                         dom.coords[:, 1].tolist(), u.tolist(),
-                         state.mu.bulk.tolist()))
+    return "node,x,y,u,mu\r\n" + "".join(
+        f"{p}{a!r},{m!r}\r\n"
+        for p, a, m in zip(_snapshot_prefixes(dom), u.tolist(), state.mu.bulk.tolist()))
 
 
 # --- subcommands -------------------------------------------------------------

@@ -29,9 +29,12 @@ complement
 with c1, c2 the roots of x^2 - (eps/tau) x + 1/tau, needs only the shifted
 stiffness Ac + c Mc factored: once per run, one complex factor when
 eps^2 < 4 tau and two real ones otherwise.  Conjugate gradients on the
-symmetrized Newton system give each Newton direction from one S0 solve per
-iteration, and each Picard iterate is one exact S0 solve; a CG stall or a
-failed line search hands the step to the Picard iteration.
+symmetrized Newton system give each Newton direction, each iteration one
+shifted solve over a complex pair (two and a stiffness product over a real
+one), and stop at an Eisenstat-Walker forcing tolerance, so a direction is
+only as accurate as its iterate needs.  Each Picard iterate is one exact S0
+solve; a CG stall or a failed line search hands the step to the Picard
+iteration.
 
 From its second step on, ``run`` starts Newton from the linear extrapolation
 2 x_n - x_{n-1} of the last two levels, which is O(tau^2) from the new level
@@ -47,7 +50,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .domain import splu
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
@@ -58,8 +60,11 @@ from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
                      is_trace_consistent)
 
 _PICARD_BUDGET_FACTOR = 20
-# Newton directions: CG relative tolerance and iteration cap
+# Newton directions: the relative CG tolerance of a full-accuracy solve, which
+# also floors the forcing term, the forcing term's first and largest value,
+# and the CG iteration cap
 _CG_RTOL = 1e-10
+_CG_ETA_MAX = 1e-4
 _CG_MAXITER = 200
 
 
@@ -274,8 +279,9 @@ def _h_norm(dom, vec):
 
 
 # one evaluation at (w, mu): residuals and their norms, the resolvent and
-# Yosida pairs, the Jacobian diagonal d, g = N + P - F, Ac mu, and the terms of R2
-_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 j xi d g a_mu terms2")
+# Yosida pairs, the Jacobian diagonal d, g = N + P - F, mu less its Mc-weighted
+# mean, Ac mu, and the terms of R2
+_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 j xi d g mu_c a_mu terms2")
 
 
 def _shifts(eps, tau):
@@ -338,21 +344,23 @@ class _StepSystem:
         d = _collapse(dom, m_b * slope.bulk, m_s * slope.boundary)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = self.cfg.eps * gc_dw
-        gc_mu, a_mu, a_w = gc * mu, A @ mu, A @ w
+        # Ac annihilates constants: centring mu first keeps a large mean of mu
+        # out of the rounding of Ac mu
+        mu_c = mu - float(gc @ mu) / float(gc.sum())
+        gc_mu, a_mu, a_w = gc * mu, A @ mu_c, A @ w
         g = nvec + self.load
         R1 = gc_dw + a_mu
         R2 = gc_mu - (eps_dw + a_w + g)
         return _Iterate(w, mu, R1, R2, _dual_norm_collapsed(dom, R1), _h_norm(dom, R2),
-                        j, xi, d, g, a_mu, (gc_mu, a_w, nvec, self.load, eps_dw))
+                        j, xi, d, g, mu_c, a_mu, (gc_mu, a_w, nvec, self.load, eps_dw))
 
     def r1_terms(self, it):
         """Squared V0* norms of the terms Ac mu and Mc dw/tau of R1, with no
-        solve: the mean-constrained inverse of Ac maps Ac mu to mu less its
-        Mc-weighted mean, so |Ac mu|^2 = mu.(Ac mu) and
-        |Mc dw/tau|^2 = r1^2 - 2 R1.(mu - mean) + |Ac mu|^2."""
-        gc = self.dom.combined_mass
-        a_mu_sq = float(it.mu @ it.a_mu)
-        cross = float(it.R1 @ (it.mu - float(gc @ it.mu) / float(gc.sum())))
+        solve: the mean-constrained inverse of Ac maps Ac mu to mu_c, mu less
+        its Mc-weighted mean, so |Ac mu|^2 = mu_c.(Ac mu) and
+        |Mc dw/tau|^2 = r1^2 - 2 R1.mu_c + |Ac mu|^2."""
+        a_mu_sq = float(it.mu_c @ it.a_mu)
+        cross = float(it.R1 @ it.mu_c)
         return a_mu_sq, it.r1 * it.r1 - 2.0 * cross + a_mu_sq
 
     def scales(self, it):
@@ -391,6 +399,17 @@ class _StepSystem:
             return -lus[0].solve(x).imag / self.shifts[0].imag
         return lus[1].solve(self.dom.combined_mass * lus[0].solve(x))
 
+    def gram(self, x):
+        """G x = S0^-1 Ac Mc^-1 x.  Over a complex pair, x/((x + c1)(x + c2)) =
+        Im(c1/(x + c1))/Im c1 makes it one shifted solve,
+        Im(c1 (Ac + c1 Mc)^-1 x)/Im c1.  A real pair keeps the product form:
+        its partial fractions divide by c1 - c2, which is 0 at a double root."""
+        lus = self.lu
+        if len(lus) == 1:
+            c = self.shifts[0]
+            return (c * lus[0].solve(x)).imag / c.imag
+        return self.schur_solve(self.dom.coupled_stiffness @ (x / self.dom.combined_mass))
+
     def jacobian(self, it):
         """The reduced Newton matrix S(D), assembled."""
         gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
@@ -403,49 +422,67 @@ class _StepSystem:
         return [(A + sp.diags(c * gc)).tocsc() for c in self.shifts]
 
 
-def _newton_direction(system, it):
+def _newton_direction(system, it, rtol=_CG_RTOL):
     """(Newton direction dw, CG iterations) at an iterate, or None if CG stalls.
 
     S(D) = S0 + Ac Mc^-1 D, and G = S0^-1 Ac Mc^-1 is symmetric positive
     semidefinite as S0 Mc^-1 is a polynomial in Ac Mc^-1.  With b = S0^-1 rhs
     and s = sqrt(D) (monotone graphs have Yosida slopes D >= 0), S(D) dw = rhs
     is the SPD system (I + s G s) z = s b for z = s dw, and dw = b - G (s z).
-    Where D = 0, CG takes no iteration and dw = b.
+    CG runs on it until its residual is ``rtol`` times |s b|; each iteration
+    applies G once, to s p, and G (s z) is accumulated from those products,
+    so z itself is never formed.  Where D = 0, CG takes no iteration and dw = b.
     """
-    gc, A = system.dom.combined_mass, system.dom.coupled_stiffness
     s = np.sqrt(it.d)
-
-    def gram(x):
-        return system.schur_solve(A @ (x / gc))
-
     b = system.schur_solve(system.reduce(-it.R1, -it.R2))
-    history = []
-    op = LinearOperator((s.size, s.size), matvec=lambda p: p + s * gram(s * p), dtype=float)
-    z, info = cg(op, s * b, rtol=_CG_RTOL, maxiter=_CG_MAXITER, callback=history.append)
-    if info != 0:
-        return None
-    return b - gram(s * z), len(history)
+    r = s * b
+    p, g_sz = r.copy(), np.zeros_like(r)
+    rr = float(r @ r)
+    stop = rtol * rtol * rr
+    for k in range(_CG_MAXITER + 1):
+        if rr <= stop:
+            return b - g_sz, k
+        if k == _CG_MAXITER:
+            return None
+        q = system.gram(s * p)
+        ap = p + s * q
+        alpha = rr / float(p @ ap)
+        g_sz += alpha * q
+        r -= alpha * ap
+        rr, rr_prev = float(r @ r), rr
+        p *= rr / rr_prev
+        p += r
 
 
 def _solve_step(system, w0, mu0):
     """Damped Newton with Picard fallback from (w0, mu0), w0 first shifted to
     the conserved mean, as is each direction dw before dmu is back-substituted.
 
+    Each direction is solved to the relative CG tolerance of the
+    Eisenstat-Walker forcing term (choice 2): 0.9 (m_k/m_{k-1})^2 for the
+    merit m = hypot(r1, r2), _CG_ETA_MAX at the first iterate, held in
+    [max(_CG_RTOL, 0.5 newton_tol/m_k), _CG_ETA_MAX] with the upper bound
+    winning if the two cross.
+
     Returns (iterate, nonlinear iterations, CG iterations).
     """
     cfg = system.cfg
     it = system.residual(w0 + system.mass_shift(w0), mu0.copy())
     iters = lin_iters = 0
+    merit_prev = None
     for _ in range(cfg.newton_max):
         if system.converged(it):
             return it, iters, lin_iters
-        direction, trial = _newton_direction(system, it), None
+        merit = math.hypot(it.r1, it.r2)
+        eta = _CG_ETA_MAX if merit_prev is None else 0.9 * (merit / merit_prev) ** 2
+        eta = min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit))
+        merit_prev = merit
+        direction, trial = _newton_direction(system, it, eta), None
         if direction is not None:
             dw, n_lin = direction
             lin_iters += n_lin
             dw = dw + system.mass_shift(it.w + dw)
             dmu = system.potential(-it.R2, dw, it.d)
-            merit = math.hypot(it.r1, it.r2)
             for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
                 trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
                 merit_try = math.hypot(trial.r1, trial.r2)

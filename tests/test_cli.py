@@ -12,10 +12,12 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from chbs import scheme, spaces
-from chbs.cli import (_KEYS, RunSpec, _rows_csv, build_forcing, load_config, main,
-                      parse_config)
+from chbs.cli import (_KEYS, RunSpec, _rows_csv, _snapshot_csv, build_forcing, load_config,
+                      main, parse_config)
+from chbs.domain import build_unit_square
 from chbs.errors import ConfigError, NumericalError
-from chbs.scheme import MonitorRecord
+from chbs.scheme import MonitorRecord, SchemeState
+from chbs.spaces import FieldPair
 
 QUICK_RUN = """
 [mesh]
@@ -172,6 +174,23 @@ def test_rows_csv_matches_per_cell_writer():
     assert '"worst slack = 0.21, c_p = 0.78"\r\n' in text
 
 
+def test_snapshot_csv_matches_rows_csv():
+    # the snapshot writer formats the node, x and y cells once per mesh; its
+    # text is the general writer's, special floats included
+    dom = build_unit_square(5)
+    u = np.linspace(-1.5, 2.0, dom.n_bulk)
+    u[:4] = [np.nan, np.inf, -np.inf, 5e-324]
+    mu = 1e16 * np.cos(np.arange(dom.n_bulk))
+    mu[:2] = [-0.0, -5e-324]
+    for m0 in (0.0, 0.1):
+        state = SchemeState(v=FieldPair.from_bulk(dom, u), mu=FieldPair.from_bulk(dom, mu),
+                            xi=None, j=None, omega=0.0, t=0.0, m0=m0)
+        ref = _rows_csv(["node", "x", "y", "u", "mu"],
+                        zip(range(dom.n_bulk), dom.coords[:, 0].tolist(),
+                            dom.coords[:, 1].tolist(), (u + m0).tolist(), mu.tolist()))
+        assert _snapshot_csv(dom, state) == ref
+
+
 # --- run subcommand ------------------------------------------------------------
 
 def test_run_writes_outputs_and_passes(tmp_path):
@@ -234,7 +253,7 @@ def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, mo
                                                                    capsys):
     # no Newton direction hands every step to Picard, whose budget is then
     # one iteration per allowed Newton iteration
-    monkeypatch.setattr(scheme, "_newton_direction", lambda system, it: None)
+    monkeypatch.setattr(scheme, "_newton_direction", lambda system, it, rtol: None)
     monkeypatch.setattr(scheme, "_PICARD_BUDGET_FACTOR", 1)
     cfg = write_config(tmp_path, QUICK_RUN.replace("[scheme]\n", "[scheme]\nnewton_max = 2\n"))
     out = tmp_path / "out"
@@ -294,6 +313,19 @@ value = 1.5
     cfg = write_config(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "initial value 1.5 at bulk node" in capsys.readouterr().err
+
+
+def test_run_large_constant_init_converges(tmp_path, capsys):
+    # a constant init is an equilibrium whose mu is the constant 8.99e5; its
+    # rounding in Ac mu sat above the r1 tolerance before mu was centred
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n[scheme]\neps = 0.1\ntau = 0.001\n"
+                                 "t_end = 0.01\n[graphs]\nbulk = polynomial\n"
+                                 "boundary = polynomial\n[init]\npreset = constant\n"
+                                 "value = 1e5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert "PASS: all steps converged" in capsys.readouterr().out
+    assert len((out / "monitors.csv").read_text().splitlines()) == 1 + 11
 
 
 def test_run_init_mean_too_large_to_remove_exits_2(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
     zero = np.zeros(dom.n_bulk)
     monkeypatch.setattr(scheme_module, "_newton_direction",
-                        lambda system, it: (zero, 0))
+                        lambda system, it, rtol: (zero, 0))
     picard_calls = []
     solve_picard = scheme_module._solve_picard
 
@@ -359,11 +359,30 @@ def test_cg_direction_matches_dense_solve(domain_cache, rng, pair, eps, tau, fac
     assert np.abs(dw - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_forcing_rule_keeps_newton_iterations_and_saves_cg(domain_cache, rng, monkeypatch):
+    # a phase-separating run with the forcing rule against the same run with
+    # every Newton direction solved to the full CG tolerance
+    dom = domain_cache(9)
+    cfg = make_config(graphs=CUBIC_40, eps=0.02, tau=1e-3, t_end=0.02)
+    u0 = random_u0(dom, rng, amplitude=0.3)
+    forced = run(cfg, u0)
+    newton_direction = scheme_module._newton_direction
+    monkeypatch.setattr(scheme_module, "_newton_direction",
+                        lambda system, it, rtol: newton_direction(system, it))
+    full = run(cfg, u0)
+    assert not forced.aborted and not full.aborted and len(forced.states) == 21
+    assert [s.newton_iters for s in forced.states] == [s.newton_iters for s in full.states]
+    assert sum(s.lin_iters for s in forced.states) < sum(s.lin_iters for s in full.states)
+    for a, b in zip(forced.states, full.states):
+        assert np.abs(a.v.bulk - b.v.bulk).max() <= 1e-11
+        assert np.abs(a.mu.bulk - b.mu.bulk).max() <= 1e-11
+
+
 def test_cg_stall_falls_back_to_picard(domain_cache, rng, monkeypatch):
     dom = domain_cache(7)
     cfg = make_config(newton_tol=1e-12)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
-    monkeypatch.setattr(scheme_module, "_newton_direction", lambda system, it: None)
+    monkeypatch.setattr(scheme_module, "_newton_direction", lambda system, it, rtol: None)
     picard_calls = []
     solve_picard = scheme_module._solve_picard
 
@@ -389,8 +408,8 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     clean = step(state, cfg, FieldPair.zeros(dom))
     newton_direction = scheme_module._newton_direction
 
-    def offset_direction(system, it):
-        dw, n_lin = newton_direction(system, it)
+    def offset_direction(system, it, rtol):
+        dw, n_lin = newton_direction(system, it, rtol)
         return dw + 1e-3, n_lin
 
     monkeypatch.setattr(scheme_module, "_newton_direction", offset_direction)
@@ -485,11 +504,21 @@ def test_schur_factor_inverts_reduced_picard_matrix(domain_cache, rng, eps, tau,
         assert len(system.lu) == 1
         assert c.imag / c.real == pytest.approx(im_over_re, rel=1e-3)
     s0 = sp.diags(gc / tau) + (eps / tau) * A + A @ sp.diags(1.0 / gc) @ A
+    # dense G = S0^-1 Ac Mc^-1 by the spectrum of Mc^-1/2 Ac Mc^-1/2, which
+    # keeps the reference accurate at the double root, where solving with
+    # the assembled S0 loses two more digits than G itself
+    half = 1.0 / np.sqrt(gc)
+    lam, vec = np.linalg.eigh((sp.diags(half) @ A @ sp.diags(half)).toarray())
+    vec *= half[:, None]
+    gram = (vec * (lam / (lam * lam + (eps / tau) * lam + 1.0 / tau))) @ vec.T
     for _ in range(3):
         x = rng.standard_normal(dom.n_bulk)
         y = system.schur_solve(x)
         assert y.dtype == float
         assert np.linalg.norm(s0 @ y - x) <= 1e-11 * np.linalg.norm(x)
+        g, ref = system.gram(x), gram @ x
+        assert g.dtype == float
+        assert np.linalg.norm(g - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("slot", ["w", "mu"])
