@@ -16,10 +16,6 @@ class CompatibilityError(ChbsError):
 class StepError(ChbsError):
     """Nonlinear solve of a time step failed to converge."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NumericalError(ChbsError):
     """A linear solver or eigensolver broke down."""

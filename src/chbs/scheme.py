@@ -20,9 +20,10 @@ Testing the first equation with the constant pair shows the combined mean of
 ``v`` is conserved algebraically; every computed update is shifted by the
 constant that restores the mean, whether Newton or Picard produced it.  The
 solver is a damped Newton iteration with a Picard fallback for the kinked
-obstacle graph.  Mc is diagonal, so every linear system eliminates mu
-exactly.  What remains is bulk-sized, and its constant part, the Schur
-complement
+obstacle graph, both within one budget of ``newton_max`` iterations; an
+iterate whose residual is not finite ends the step at once.  Mc is
+diagonal, so every linear system eliminates mu exactly.  What remains is
+bulk-sized, and its constant part, the Schur complement
 
     S0 = Mc/tau + (eps/tau) Ac + Ac Mc^-1 Ac = (Ac + c1 Mc) Mc^-1 (Ac + c2 Mc)
 
@@ -55,11 +56,9 @@ from .domain import splu
 from .errors import ChbsError, CompatibilityError, ConfigError, StepError
 from .monotone import GraphPair, _envelope_at, beta_hat, yosida_and_slope
 from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
-                     norm_V0_star, project_zero_mean, subgrad_phi,
-                     _collapse, _dual_norm_collapsed, _has_nonzero_mean,
-                     is_trace_consistent)
+                     norm_V0_star, project_zero_mean, _collapse, _dual_norm_collapsed,
+                     _has_nonzero_mean, is_trace_consistent)
 
-_PICARD_BUDGET_FACTOR = 20
 # Newton directions: the relative CG tolerance of a full-accuracy solve, which
 # also floors the forcing term, the forcing term's first and largest value,
 # and the CG iteration cap
@@ -122,7 +121,7 @@ class SchemeState:
     ``j`` and ``xi`` hold the nodewise resolvents and Yosida values of
     u = v + m0 (bulk graph in the bulk slot, boundary graph with parameter
     eps*rho in the boundary slot).  ``m0`` is the conserved combined mean of
-    the run.
+    the run.  ``newton_iters`` counts Newton and Picard iterations together.
     """
 
     v: FieldPair
@@ -230,8 +229,9 @@ def initialize(config, u0, forcing_at_0=None):
     """Build the initial state from trace-consistent initial data.
 
     The conserved mean is recorded from the data; the resolvent and Yosida
-    pairs, the potential and the mean offset are evaluated at the level
-    v0 + m0 with a zero time-derivative surrogate.
+    pairs and the mean offset are evaluated at the level v0 + m0, and the
+    potential mu0 solves the step's potential equation with a zero time
+    derivative, Mc mu0 = Ac v0 + N + P - F, so it is trace-consistent.
     Raises ConfigError if the forcing at t = 0 makes the potential or the
     mean offset non-finite.
     """
@@ -262,8 +262,11 @@ def initialize(config, u0, forcing_at_0=None):
     u_b, u_g = v0.bulk + m0, v0.boundary + m0
     j, xi, _ = _graph_terms(dom, pair, config.eps, u_b, u_g)
     rest = _offset_pair(pair, xi, u_b, u_g, forcing_at_0)
-    mu0 = subgrad_phi(v0) + rest
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # Mc mu0 = Ac v0 + N + P - F, written so that a constant rest stays exact
+        a_v0 = _collapse(dom, dom.coupled_stiffness @ v0.bulk,
+                         dom.M_surf * (rest.boundary - rest.bulk[dom.boundary_chain]))
+        mu0 = FieldPair.from_bulk(dom, rest.bulk + a_v0 / dom.combined_mass)
         omega = mean(rest)
     if not (math.isfinite(omega) and np.isfinite(mu0.bulk).all()
             and np.isfinite(mu0.boundary).all()):
@@ -462,18 +465,20 @@ def _solve_step(system, w0, mu0):
     Eisenstat-Walker forcing term (choice 2): 0.9 (m_k/m_{k-1})^2 for the
     merit m = hypot(r1, r2), _CG_ETA_MAX at the first iterate, held in
     [max(_CG_RTOL, 0.5 newton_tol/m_k), _CG_ETA_MAX] with the upper bound
-    winning if the two cross.
+    winning if the two cross.  newton_max iterations in all, or a non-finite
+    merit, end the step with a StepError naming the stage and both residuals.
 
     Returns (iterate, nonlinear iterations, CG iterations).
     """
     cfg = system.cfg
     it = system.residual(w0 + system.mass_shift(w0), mu0.copy())
     iters = lin_iters = 0
-    merit_prev = None
-    for _ in range(cfg.newton_max):
-        if system.converged(it):
-            return it, iters, lin_iters
+    merit_prev, stage = None, "Newton"
+    while not system.converged(it):
         merit = math.hypot(it.r1, it.r2)
+        if iters == cfg.newton_max or not math.isfinite(merit):
+            raise StepError(f"{stage} did not converge in {iters} iterations "
+                            f"(residuals {it.r1:.3e}, {it.r2:.3e})")
         eta = _CG_ETA_MAX if merit_prev is None else 0.9 * (merit / merit_prev) ** 2
         eta = min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit))
         merit_prev = merit
@@ -492,29 +497,24 @@ def _solve_step(system, w0, mu0):
                 trial = None
             iters += 1
         if trial is None:  # CG stalled or the line search failed
-            it, iters = _solve_picard(system, it, iters)
-            return it, iters, lin_iters
+            stage = "Picard fallback"
+            trial, iters = _solve_picard(system, it, iters)
         it = trial
-    if system.converged(it):
-        return it, iters, lin_iters
-    raise StepError(f"Newton did not converge in {cfg.newton_max} iterations "
-                    f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
+    return it, iters, lin_iters
 
 
 def _solve_picard(system, it, iters):
-    """Frozen-nonlinearity fixed-point iteration, each iterate an exact S0 solve."""
+    """Frozen-nonlinearity fixed-point iteration, each iterate an exact S0 solve,
+    until the step converges, its merit is not finite or newton_max is spent."""
     r1 = system.gc_tau * system.w_prev
-    budget = _PICARD_BUDGET_FACTOR * system.cfg.newton_max
-    for _ in range(budget):
+    while not (system.converged(it) or iters == system.cfg.newton_max
+               or not math.isfinite(math.hypot(it.r1, it.r2))):
         r2 = it.g - system.cfg.eps * r1
         w = system.schur_solve(system.reduce(r1, r2))
         w = w + system.mass_shift(w)
         iters += 1
         it = system.residual(w, system.potential(r2, w, 0.0))
-        if system.converged(it):
-            return it, iters
-    raise StepError(f"Picard fallback did not converge in {budget} iterations "
-                    f"(residuals {it.r1:.3e}, {it.r2:.3e})", residual=(it.r1, it.r2))
+    return it, iters
 
 
 def step(state, config, f_next, *, lu=None, start=None):

@@ -251,10 +251,9 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
 
 def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, monkeypatch,
                                                                    capsys):
-    # no Newton direction hands every step to Picard, whose budget is then
-    # one iteration per allowed Newton iteration
+    # no Newton direction hands every step to Picard, which runs in what is
+    # left of newton_max: all of it, as a stalled CG counts no iteration
     monkeypatch.setattr(scheme, "_newton_direction", lambda system, it, rtol: None)
-    monkeypatch.setattr(scheme, "_PICARD_BUDGET_FACTOR", 1)
     cfg = write_config(tmp_path, QUICK_RUN.replace("[scheme]\n", "[scheme]\nnewton_max = 2\n"))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1

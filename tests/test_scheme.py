@@ -16,7 +16,7 @@ from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_grap
 from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
                          weak_residuals)
 from chbs.spaces import (FieldPair, _dual_norm_collapsed, as_functional, form_a, inner_H,
-                         mean, norm_V0_star, project_zero_mean)
+                         is_trace_consistent, mean, norm_V0_star, project_zero_mean)
 
 POLY_PAIR = GraphPair(polynomial_graph(), polynomial_graph())
 OBST_PAIR = GraphPair(obstacle_graph(), obstacle_graph())
@@ -180,6 +180,26 @@ def test_initialize_records_yosida_pair(domain_cache, rng):
     np.testing.assert_allclose(state.xi.bulk,
                                yosida(cfg.graphs.bulk, cfg.eps, u0.bulk),
                                rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
+                         ids=["polynomial", "logarithmic", "obstacle"])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_initial_potential_solves_the_potential_equation(domain_cache, rng, pair, forced):
+    # mu0 is trace-consistent and satisfies Mc mu0 = Ac v0 + N + P - F, the
+    # potential equation of a step with a zero time derivative, to rounding
+    dom = domain_cache(9)
+    cfg = make_config(graphs=pair)
+    f0 = None
+    if forced:  # a forcing pair that is not trace-consistent
+        f0 = FieldPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3, m0=0.1), f0)
+    assert is_trace_consistent(state.mu)
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, f0)
+    it = system.residual(state.v.bulk, state.mu.bulk)
+    scale = max(scheme_module._h_norm(dom, t) for t in it.terms2)
+    assert it.r2 <= 1e-14 * scale
+    assert weak_residuals(state, state, cfg, f0)[1] == it.r2
 
 
 # --- single step ------------------------------------------------------------------
@@ -448,8 +468,8 @@ def test_given_start_is_shifted_to_the_previous_mean(domain_cache, rng):
 
 
 def test_step_converged_by_its_last_newton_update_is_accepted(domain_cache, rng):
-    # this step takes 3 Newton updates: with newton_max = 3 the loop ends
-    # before it tests the third, and the check after the loop accepts it
+    # this step takes 3 Newton updates: with newton_max = 3 the loop tests
+    # the third for convergence before it tests the cap, and accepts it
     dom = domain_cache(9)
     cfg = make_config(graphs=CUBIC_40, eps=0.02, tau=1e-3)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
@@ -461,6 +481,25 @@ def test_step_converged_by_its_last_newton_update_is_accepted(domain_cache, rng)
     assert last.mu.bulk.tobytes() == free.mu.bulk.tobytes()
     with pytest.raises(StepError, match=r"Newton did not converge in 2 iterations"):
         step(state, replace(cfg, newton_max=2), None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_with_non_finite_merit_fails_before_any_newton_direction(domain_cache, rng,
+                                                                      monkeypatch):
+    # an infinite r2 makes the merit infinite, which every line-search trial
+    # would undercut; the step has to end at its start instead
+    dom = domain_cache(9)
+    cfg = make_config()
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    calls = []
+    newton_direction = scheme_module._newton_direction
+    monkeypatch.setattr(scheme_module, "_newton_direction",
+                        lambda *args: calls.append(1) or newton_direction(*args))
+    monkeypatch.setattr(scheme_module, "_h_norm", lambda dom, vec: math.inf)
+    with pytest.raises(StepError, match=r"^Newton did not converge in 0 iterations "
+                                        r"\(residuals \d\.\d{3}e[-+]\d+, inf\)$"):
+        step(state, cfg, None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
