@@ -21,9 +21,10 @@ noise = FieldPair.from_bulk(dom, 2.0 * rng.random(dom.n_bulk) - 1.0)
 u0 = 0.2 * project_zero_mean(noise)
 
 traj = run(config, u0)
+# the records are computed on this first read, which would flag a failing monitor
+mass0 = traj.records[0].total_mass
 print(f"completed {len(traj.states) - 1} steps, aborted: {traj.aborted}")
 
-mass0 = traj.records[0].total_mass
 print(f"{'t':>6} {'mass drift':>12} {'energy':>10} {'|v|_V0':>9} {'newton':>6}")
 for rec in traj.records[::50]:
     print(f"{rec.t:6.3f} {abs(rec.total_mass - mass0):12.2e} "

@@ -44,6 +44,7 @@ on a smooth solution where the old state is O(tau), and so saves iterations.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -160,14 +161,36 @@ class MonitorRecord:
 
 @dataclass
 class Trajectory:
-    """A completed (or aborted) run: states and monitor records."""
+    """A completed (or aborted) run: its states, and the monitor records
+    computed from them when ``records`` is first read.
+
+    A ``ChbsError`` from the monitor of the state at level k >= 1 then flags
+    the trajectory aborted at step k and drops the states from k on, as a
+    step failure there would have; at level 0 it propagates.  Read
+    ``records`` before ``states``, ``aborted`` and ``error`` where that
+    failure must show in them.
+    """
 
     config: SchemeConfig
     m0: float
     states: List[SchemeState]
-    records: List[MonitorRecord]
     aborted: bool = False
     error: Optional[str] = None
+
+    @functools.cached_property
+    def records(self) -> List[MonitorRecord]:
+        records = []
+        for k, state in enumerate(self.states):
+            try:
+                records.append(monitor_record(state, self.config))
+            except ChbsError as exc:
+                if k == 0:
+                    raise
+                self.aborted = True
+                self.error = f"step {k} (t = {state.t!r}): {exc}"
+                del self.states[k:]
+                break
+        return records
 
 
 # --- nodewise assembly helpers -------------------------------------------
@@ -183,9 +206,17 @@ def _offset_pair(pair, xi, u_bulk, u_bnd, f):
 
 def _graph_terms(dom, pair, eps, u_bulk, u_bnd):
     """Resolvent, Yosida and Yosida-slope pairs of the bulk graph at eps and
-    the boundary graph at eps*rho; one resolvent evaluation per graph."""
+    the boundary graph at eps*rho.  Two graphs of one kind at one parameter
+    (rho = 1) are one resolvent evaluation on the joined values, and each
+    pair holds the two slices of its result; otherwise one per graph.  The
+    evaluation is nodewise, so the values are those of separate calls."""
+    eps_bnd = eps * pair.rho
+    if pair.bulk.kind == pair.boundary.kind and eps_bnd == eps:
+        n = u_bulk.shape[0]
+        both = yosida_and_slope(pair.bulk, eps, np.concatenate((u_bulk, u_bnd)))
+        return [FieldPair(a[:n], a[n:], dom) for a in both]
     bulk = yosida_and_slope(pair.bulk, eps, u_bulk)
-    bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u_bnd)
+    bnd = yosida_and_slope(pair.boundary, eps_bnd, u_bnd)
     return [FieldPair(b, g, dom) for b, g in zip(bulk, bnd)]
 
 
@@ -564,7 +595,8 @@ def weak_residuals(state_prev, state_next, config, f_next):
 
 
 def run(config, u0, forcing=None):
-    """Integrate from t = 0 to t_end, collecting states and monitor records.
+    """Integrate from t = 0 to t_end, collecting the states; the trajectory
+    computes their monitor records when they are first read.
 
     ``forcing`` is an optional callable t -> FieldPair, sampled at the time
     t recorded by each level; None is zero forcing.  From the second step
@@ -574,8 +606,7 @@ def run(config, u0, forcing=None):
     """
     dom = u0.domain
     state = initialize(config, u0, None if forcing is None else forcing(0.0))
-    traj = Trajectory(config=config, m0=state.m0, states=[state],
-                      records=[monitor_record(state, config)])
+    traj = Trajectory(config=config, m0=state.m0, states=[state])
     # S0 is the same at every step: factor its shifted stiffness once per run
     lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
@@ -588,11 +619,9 @@ def run(config, u0, forcing=None):
             start = (2.0 * state.v.bulk - prev.v.bulk, 2.0 * state.mu.bulk - prev.mu.bulk)
         try:
             state = step(state, config, f_next, lu=lu, start=start)
-            record = monitor_record(state, config)
         except ChbsError as exc:
             traj.aborted = True
             traj.error = f"step {k} (t = {t!r}): {exc}"
             break
         traj.states.append(state)
-        traj.records.append(record)
     return traj

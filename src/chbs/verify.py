@@ -62,9 +62,10 @@ class ContDepReport:
         return lines
 
 
-def _ratio_curve(traj1, traj2, f1, f2):
-    """sup_t of LHS/RHS for one pair of aligned trajectories, whose forcing
-    callables f1 and f2 are sampled at the time of each level."""
+def _ratio_curve(traj1, traj2, gap):
+    """sup_t of LHS/RHS for one pair of aligned trajectories.  ``gap`` is
+    their forcing difference t -> f1(t) - f2(t), sampled at the time of each
+    level, or None for two unforced runs, whose forcing sum stays 0."""
     tau = traj1.config.tau
     d0 = traj1.states[0].v - traj2.states[0].v
     rhs0 = rhs = norm_V0_star(as_functional(d0)) ** 2
@@ -76,7 +77,8 @@ def _ratio_curve(traj1, traj2, f1, f2):
         diff = s1.v - s2.v
         lhs_acc += tau * form_a(diff, diff)
         lhs = norm_V0_star(as_functional(diff)) ** 2 + lhs_acc
-        rhs_acc += tau * norm_V_star(as_functional(f1(s1.t) - f2(s1.t))) ** 2
+        if gap is not None:
+            rhs_acc += tau * norm_V_star(as_functional(gap(s1.t))) ** 2
         rhs = rhs0 + rhs_acc
         if rhs > _RHS_FLOOR:
             sup = max(sup, lhs / rhs)
@@ -105,12 +107,15 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
     trajs = [run(replace(config, tau=tau), u0, f)
              for tau in taus for u0, f in ((u01, f1), (u02, f2))]
     aborted = any(t.aborted for t in trajs)
-    zero = FieldPair.zeros(u01.domain)
-    f1, f2 = (f if f is not None else (lambda t: zero) for f in (f1, f2))
+    gap = None
+    if f1 is not None or f2 is not None:
+        zero = FieldPair.zeros(u01.domain)
+        f1, f2 = (f if f is not None else (lambda t: zero) for f in (f1, f2))
+        gap = lambda t: f1(t) - f2(t)
     sups = []
     degenerate = False
     for i in range(len(taus)):
-        sup, degen = _ratio_curve(trajs[2 * i], trajs[2 * i + 1], f1, f2)
+        sup, degen = _ratio_curve(trajs[2 * i], trajs[2 * i + 1], gap)
         sups.append(sup)
         if i == 0:
             degenerate = degen
@@ -243,6 +248,8 @@ def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps sweep must be nonincreasing")
     trajs = [run(replace(config_base, eps=e), u0, forcing) for e in eps_list]
+    # the table reads the records first, which flags a member whose monitor fails
+    table = apriori_bound_table(trajs)
     partial = any(t.aborted for t in trajs)
 
     tau = config_base.tau
@@ -261,7 +268,6 @@ def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
         d_l2v0.append(math.sqrt(acc))
 
     cauchy = all(b <= 1.1 * a + 1e-14 for a, b in zip(d_h0, d_h0[1:]))
-    table = apriori_bound_table(trajs)
     bounded = all(table.bounded().values())
     col = table.column("l2_v_V0")
     if np.all(col > 0.0):

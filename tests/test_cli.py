@@ -249,6 +249,35 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
     assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
+def test_run_monitor_failure_writes_flagged_partial_outputs(tmp_path, monkeypatch, capsys):
+    # the monitor's V0* norm fails at level 2: that level and those after it
+    # are dropped, and the abort names step 2, as a step failure there would
+    calls = []
+    real = scheme.norm_V0_star
+
+    def failing_from_third_call(ell):
+        calls.append(None)
+        if len(calls) >= 3:
+            raise NumericalError("mean-constrained stiffness solve lost accuracy")
+        return real(ell)
+
+    monkeypatch.setattr(scheme, "norm_V0_star", failing_from_third_call)
+    cfg = write_config(tmp_path, QUICK_RUN.replace("stride = 2", "stride = 1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    monitors = (out / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 3  # header + the records of levels 0 and 1
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0.csv",
+                                                                  "snapshot_1.csv"]
+    header, row = (out / "report.csv").read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    assert (report["steps"], report["aborted"]) == ("1", "1")
+    text = (out / "report.txt").read_text()
+    assert "steps: 1\n" in text
+    assert "aborted: step 2 (t = 0.002): mean-constrained" in text
+    assert "FAIL: all steps converged" in capsys.readouterr().out
+
+
 def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, monkeypatch,
                                                                    capsys):
     # no Newton direction hands every step to Picard, which runs in what is

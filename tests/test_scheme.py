@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from chbs import monotone
 from chbs.domain import build_unit_square
 from chbs import scheme as scheme_module
-from chbs.errors import CompatibilityError, ConfigError, StepError
+from chbs.errors import CompatibilityError, ConfigError, NumericalError, StepError
 from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_graph,
                            polynomial_graph, resolvent, yosida, yosida_boundary)
 from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
@@ -795,9 +795,8 @@ def test_energy_matches_monitor_record(domain_cache, rng):
     assert rec.t == cfg.tau
 
 
-def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
-    # each residual and initialize evaluate the two graphs once; monitor
-    # records reuse the kept pair
+def _count_graph_evaluations(domain_cache, rng, monkeypatch, pair):
+    """(resolvent calls, residual evaluations) of a three-step run."""
     counts = {"resolvent": 0, "residual": 0}
 
     def counting(name, fn):
@@ -810,8 +809,91 @@ def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
     monkeypatch.setattr(scheme_module._StepSystem, "residual",
                         counting("residual", scheme_module._StepSystem.residual))
     dom = domain_cache(5)
-    cfg = make_config(eps=0.05, t_end=3e-3)
+    cfg = make_config(eps=0.05, t_end=3e-3, graphs=pair)
     traj = run(cfg, random_u0(dom, rng, amplitude=0.5))
     assert not traj.aborted and len(traj.states) == 4
+    assert len(traj.records) == 4
     assert counts["residual"] >= 3
-    assert counts["resolvent"] == 2 * counts["residual"] + 2
+    return counts["resolvent"], counts["residual"]
+
+
+def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
+    # each residual and initialize evaluate both graphs of one kind at rho = 1
+    # in one resolvent call on the joined values; monitor records reuse the
+    # kept pair
+    resolvents, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, POLY_PAIR)
+    assert resolvents == residuals + 1
+
+
+@pytest.mark.parametrize("pair", [
+    GraphPair(polynomial_graph(), polynomial_graph(), rho=3.0),
+    GraphPair(polynomial_graph(), obstacle_graph(), rho=1.0, c0=1.0),
+], ids=["rho-3", "mixed-kinds"])
+def test_graphs_at_different_parameters_or_kinds_are_evaluated_apart(domain_cache, rng,
+                                                                     monkeypatch, pair):
+    resolvents, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, pair)
+    assert resolvents == 2 * (residuals + 1)
+
+
+@pytest.mark.parametrize("graph", [polynomial_graph(), logarithmic_graph(), obstacle_graph()],
+                         ids=lambda g: g.kind)
+def test_joined_graph_terms_equal_separate_calls_bitwise(domain_cache, rng, graph):
+    dom = domain_cache(9)
+    # beyond +-1, where the log resolvent saturates and the obstacle clips
+    u = 3.0 * rng.random(dom.n_bulk) - 1.5
+    u_bnd = u[dom.boundary_chain]
+    eps = 0.02
+    joined = scheme_module._graph_terms(dom, GraphPair(graph, graph), eps, u, u_bnd)
+    for pair_, bulk, bnd in zip(joined, monotone.yosida_and_slope(graph, eps, u),
+                                monotone.yosida_and_slope(graph, eps, u_bnd)):
+        assert pair_.bulk.tobytes() == bulk.tobytes()
+        assert pair_.boundary.tobytes() == bnd.tobytes()
+
+
+def test_graph_terms_are_never_written_in_place(domain_cache, rng, monkeypatch):
+    # the joined evaluation hands out slices of one array; a write into one
+    # would change its neighbour, so every caller must leave them alone
+    def read_only(g, eps, r):
+        out = monotone.yosida_and_slope(g, eps, r)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    monkeypatch.setattr(scheme_module, "yosida_and_slope", read_only)
+    dom = domain_cache(5)
+    cfg = make_config(eps=0.05, t_end=3e-3)
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.5), lambda t: FieldPair.constant(dom, t))
+    assert not traj.aborted and len(traj.records) == 4
+    assert all(not s.xi.bulk.flags.writeable for s in traj.states)
+    weak_residuals(traj.states[0], traj.states[1], cfg, FieldPair.constant(dom, cfg.tau))
+
+
+def test_run_leaves_the_monitor_to_the_first_read_of_records(domain_cache, rng, monkeypatch):
+    calls = []
+    real = scheme_module.monitor_record
+
+    def counted(state, config):
+        calls.append(state.t)
+        return real(state, config)
+
+    monkeypatch.setattr(scheme_module, "monitor_record", counted)
+    dom = domain_cache(5)
+    cfg = make_config(eps=0.05, t_end=3e-3)
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.5))
+    assert calls == []
+    expected = [real(s, cfg) for s in traj.states]
+    assert [repr(astuple(r)) for r in traj.records] == [repr(astuple(r)) for r in expected]
+    assert calls == [s.t for s in traj.states]
+    traj.records
+    assert len(calls) == len(traj.states)  # computed once
+
+
+def test_monitor_failure_at_level_0_propagates_from_records(domain_cache, monkeypatch):
+    def broken(ell):
+        raise NumericalError("mean-constrained stiffness solve lost accuracy")
+
+    monkeypatch.setattr(scheme_module, "norm_V0_star", broken)
+    dom = domain_cache(5)
+    traj = run(make_config(t_end=2e-3), FieldPair.constant(dom, 0.1))
+    with pytest.raises(NumericalError):
+        traj.records

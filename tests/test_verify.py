@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chbs import verify
+from chbs import scheme, verify
+from chbs.domain import build_unit_square
 from chbs.errors import ConfigError
 from chbs.monotone import GraphPair, polynomial_graph
 from chbs.scheme import SchemeConfig, run
-from chbs.spaces import (FieldPair, form_a, inner_H, inner_V, mean,
-                         poincare_constant, project_zero_mean, subgrad_phi)
+from chbs.spaces import (FieldPair, as_functional, form_a, inner_H, inner_V, mean,
+                         norm_V0_star, norm_V_star, poincare_constant, project_zero_mean,
+                         subgrad_phi)
 from chbs.verify import (appendix_checks, apriori_bound_table,
                          continuous_dependence_experiment, vanishing_eps_study)
 
@@ -81,6 +83,48 @@ def test_tau_sweep_report_structure(domain_cache):
     assert all(r > 0 for r in rep.sup_ratios)
     assert rep.variation >= 0.0
     assert not rep.aborted
+
+
+def test_cont_dep_computes_no_monitor_records(domain_cache, monkeypatch):
+    calls = []
+    real = scheme.monitor_record
+    monkeypatch.setattr(scheme, "monitor_record",
+                        lambda state, config: calls.append(state.t) or real(state, config))
+    dom = domain_cache(5)
+    u0 = smooth_u0(dom)
+    rep = continuous_dependence_experiment(make_config(t_end=0.004), (u0, None),
+                                           (1.1 * u0, None), tau_levels=2)
+    assert rep.sup_ratio > 0.0 and not rep.aborted
+    assert calls == []
+
+
+def test_unforced_cont_dep_never_factors_the_v_norm():
+    dom = build_unit_square(5)  # fresh: no earlier test has built its factor
+    u0 = smooth_u0(dom)
+    rep = continuous_dependence_experiment(make_config(t_end=0.004), (u0, None),
+                                           (1.1 * u0, None), tau_levels=1)
+    assert rep.sup_ratio > 0.0
+    assert "vnorm_lu" not in dom.__dict__
+
+
+def test_forced_cont_dep_ratio_matches_its_definition(domain_cache):
+    # the sup over levels of (|d|_{V0*}^2 + sum tau |d|_{V0}^2)
+    # / (|d(0)|_{V0*}^2 + sum tau |f1 - f2|_{V*}^2), d = v1 - v2, with an
+    # unforced second run
+    dom = domain_cache(5)
+    cfg = make_config(t_end=0.004)
+    u0, f1 = smooth_u0(dom), bump_forcing(dom, 1e-2)
+    rep = continuous_dependence_experiment(cfg, (u0, f1), (1.1 * u0, None), tau_levels=1)
+    t1, t2 = run(cfg, u0, f1), run(cfg, 1.1 * u0, None)
+    rhs = norm_V0_star(as_functional(t1.states[0].v - t2.states[0].v)) ** 2
+    lhs_acc = rhs_acc = 0.0
+    sup = 1.0
+    for s1, s2 in zip(t1.states[1:], t2.states[1:]):
+        d = s1.v - s2.v
+        lhs_acc += cfg.tau * form_a(d, d)
+        rhs_acc += cfg.tau * norm_V_star(as_functional(f1(s1.t) - FieldPair.zeros(dom))) ** 2
+        sup = max(sup, (norm_V0_star(as_functional(d)) ** 2 + lhs_acc) / (rhs + rhs_acc))
+    assert rep.sup_ratios == (sup,)
 
 
 # --- vanishing regularization ----------------------------------------------------
