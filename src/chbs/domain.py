@@ -13,8 +13,9 @@ evaluated through the weak identities.  Mass lumping makes the combined
 inner product diagonal, nodewise nonlinearities variationally consistent,
 and mass conservation exact at the algebraic level.
 
-Every sparse LU factor of the package, here and in the step solver, comes
-from :data:`splu`, which orders the symmetric patterns by minimum degree on
+Every sparse LU factor of the package, here, in the step solver and in the
+inertia counts of :func:`count_negative_eigenvalues`, comes from
+:data:`splu`, which orders the symmetric patterns by minimum degree on
 A^T + A.  Construction factors the mean-constrained saddle system, which
 inverts the coupled stiffness on zero-mean fields through its one,
 accuracy-guarded solve path ``chbs.spaces._saddle_solve``: the Riesz-map
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 # The factor of every sparse matrix in chbs.  All of them have symmetric
 # patterns, so minimum degree on A^T + A, preferring diagonal pivots, stores
@@ -42,6 +43,27 @@ from .errors import ConfigError
 # for unsymmetric ones.
 splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
                          options=dict(SymmetricMode=True))
+
+
+def count_negative_eigenvalues(matrix):
+    """Number of negative eigenvalues of a sparse symmetric matrix.
+
+    Factors it with diagonal pivots only, so that P A P^T = L U with U = D L^T
+    and D congruent to A; by Sylvester's law of inertia the count is the
+    number of negative entries of U's diagonal.  Raises NumericalError when
+    the factor is singular, a pivot is not finite, or SuperLU took an
+    off-diagonal pivot (perm_r != perm_c), since the count would then be wrong.
+    """
+    try:
+        lu = splu(sp.csc_matrix(matrix), diag_pivot_thresh=0.0)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"inertia count: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError("inertia count: SuperLU took an off-diagonal pivot")
+    pivots = lu.U.diagonal()
+    if not np.isfinite(pivots).all():
+        raise NumericalError("inertia count: a pivot is not finite")
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 @dataclass(frozen=True, eq=False)

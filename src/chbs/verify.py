@@ -3,9 +3,9 @@
 Turns the analytical guarantees of the model into desk-scale experiments on
 completed runs: the two-trajectory continuous-dependence ratio and its
 stability under time refinement, the vanishing-regularization Cauchy study
-with its uniform-bound table, and the structural checks on a discrete
-domain (coercivity constant, sampled coercivity inequality, subgradient
-adjointness, projection identity).
+with its uniform-bound table, and the exact structural certificates on a
+discrete domain (coercivity constant, its inertia certificate, stiffness
+symmetry and kernel, lumped masses).
 
 Every report is a pure function of its input runs, so repeated invocations
 with identical inputs give identical reports.
@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 import numpy as np
+import scipy.sparse as sp
 
+from .domain import count_negative_eigenvalues
 from .errors import ConfigError
 from .scheme import run
 from .spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V0_star,
@@ -302,103 +304,65 @@ class AppendixReport:
                 for it in self.items]
 
 
-# Samples are processed in column blocks of this many: one sparse product per
-# block instead of one per sample, while the block stays small (all 1000
-# samples at once cost about 56 MB at n = 49).
-_BLOCK = 8
+_CERT_DELTA = 1e-6  # relative distance of the two shifts that certify c_p
+_STIFF_TOL = 1e-12  # stiffness asymmetry and row sums, relative to max |K|
+_MASS_TOL = 1e-12  # relative error of the lumped mass totals
 
 
-def _normal_blocks(rng, count, width):
-    """``count`` standard normal vectors of length ``width`` as the columns of
-    (width, k) blocks, k <= _BLOCK; the stream matches ``count`` single draws."""
-    for start in range(0, count, _BLOCK):
-        yield rng.standard_normal((min(_BLOCK, count - start), width)).T
+def _stiffness_defect(K):
+    """Largest |K - K^T| entry and row sum of K, relative to max |K|; inf when
+    K has an entry that is not finite."""
+    if not np.isfinite(K.data).all():
+        return math.inf
+    defect = max(abs(K - K.T).max(), np.abs(K @ np.ones(K.shape[1])).max())
+    return float(defect / abs(K).max())
 
 
-def _zero_mean(dom, B, S):
-    """project_zero_mean of each column pair of a bulk block B and boundary block S."""
-    m = (dom.M_bulk @ B + dom.M_surf @ S) / dom.total_measure
-    return B - m, S - m
+def appendix_checks(dom):
+    """Exact structural certificates on an assembled domain.
 
+    Four report-only items, each decided by a matrix fact instead of samples:
 
-def _inner_H(dom, B, S, Bt, St):
-    """inner_H of each column pair (B, S) with the matching pair (Bt, St)."""
-    return dom.M_bulk @ (B * Bt) + dom.M_surf @ (S * St)
-
-
-def _form_a(B, S, KBt, KSt):
-    """form_a of each column pair (B, S) with the pair whose bulk and surface
-    stiffness images are (KBt, KSt)."""
-    return np.einsum("ij,ij->j", B, KBt) + np.einsum("ij,ij->j", S, KSt)
-
-
-def _subgrad(dom, KB, KS):
-    """subgrad_phi of each zero-mean column pair with stiffness images (KB, KS)."""
-    return _zero_mean(dom, KB / dom.M_bulk[:, None], KS / dom.M_surf[:, None])
-
-
-def _random_fields(dom, rng, count):
-    """Random zero-mean trace-consistent pairs, normalized in the V norm.
-
-    Yields blocks (B, S, KB, KS): bulk and boundary columns with their bulk
-    and surface stiffness images, one product with each operator per block.
+    - the coercivity constant c_p is positive;
+    - c_p is certified: with mu = c_p/(1 - c_p), Ac - s*mu*Mc has exactly one
+      negative eigenvalue (the constant mode) at s = 1 - _CERT_DELTA and at
+      least two at s = 1 + _CERT_DELTA, so mu is the least nonzero eigenvalue
+      of (Ac, Mc) to that relative margin and c_p is neither too large nor
+      too small (inertia counts of one factor each);
+    - K_bulk and K_surf are finite and symmetric with constants in their
+      kernels, which makes the weak Laplacian pair adjoint to the stiffness
+      form; each is checked on its own, so an asymmetric one fails;
+    - the lumped masses are positive with totals 1 (bulk volume) and 4
+      (boundary length); the mean-projection identity holds algebraically
+      for any masses.
     """
-    for raw in _normal_blocks(rng, count, dom.n_bulk):
-        B, S = _zero_mean(dom, raw, raw[dom.boundary_chain])
-        KB, KS = dom.K_bulk @ B, dom.K_surf @ S
-        inv = 1.0 / np.sqrt(np.maximum(_inner_H(dom, B, S, B, S) + _form_a(B, S, KB, KS),
-                                       1e-300))
-        yield B * inv, S * inv, KB * inv, KS * inv
-
-
-def appendix_checks(dom, n_field_samples=1000, n_pair_samples=100, seed=2024):
-    """Bundle of structural checks on an assembled domain.
-
-    Checks the positivity of the coercivity constant, the sampled coercivity
-    inequality on random zero-mean trace-consistent fields, the adjointness
-    of the weak Laplacian pair against the stiffness form, and the
-    mean-projection identity.  Report-only.
-
-    The samples are drawn and evaluated in column blocks of ``_BLOCK``, from
-    the Philox(seed) stream in the order that one draw per field would use.
-    The bulk and surface stiffness stay separate operators, so an asymmetric
-    one fails the adjointness check.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
     items = []
 
     cp = poincare_constant(dom)
     items.append(AppendixItem("coercivity constant positive", cp > 0.0,
                               f"c_p = {cp!r}"))
 
-    # np.minimum and np.maximum keep a NaN sample, which then fails its check
-    worst = math.inf
-    for B, S, KB, KS in _random_fields(dom, rng, n_field_samples):
-        a = _form_a(B, S, KB, KS)
-        worst = float(np.minimum(worst, np.min(a - cp * (_inner_H(dom, B, S, B, S) + a))))
-    items.append(AppendixItem("sampled coercivity inequality", worst >= -1e-9,
-                              f"worst slack = {worst!r} over {n_field_samples} fields"))
+    mu = cp / (1.0 - cp)
+    mass = sp.diags(dom.combined_mass)
+    below, above = (count_negative_eigenvalues(dom.coupled_stiffness - s * mu * mass)
+                    for s in (1.0 - _CERT_DELTA, 1.0 + _CERT_DELTA))
+    items.append(AppendixItem(
+        "coercivity constant certified", below == 1 and above >= 2,
+        f"mu2 = {mu!r}: {below} and {above} negative eigenvalues at "
+        f"(1 -/+ {_CERT_DELTA!r})*mu2, want 1 and at least 2"))
 
-    # each pair is two consecutive fields: z in the even columns, zt in the odd
-    worst = 0.0
-    for B, S, KB, KS in _random_fields(dom, rng, 2 * n_pair_samples):
-        Gb, Gs = _subgrad(dom, KB[:, 0::2], KS[:, 0::2])
-        err = np.abs(_inner_H(dom, Gb, Gs, B[:, 1::2], S[:, 1::2])
-                     - _form_a(B[:, 0::2], S[:, 0::2], KB[:, 1::2], KS[:, 1::2]))
-        worst = float(np.maximum(worst, np.max(err)))
-    items.append(AppendixItem("subgradient adjointness", worst <= 1e-10,
-                              f"worst error = {worst!r} over {n_pair_samples} pairs"))
+    bulk, surf = _stiffness_defect(dom.K_bulk), _stiffness_defect(dom.K_surf)
+    items.append(AppendixItem(
+        "stiffness symmetric with constants in its kernel",
+        bulk <= _STIFF_TOL and surf <= _STIFF_TOL,
+        f"relative defect {bulk!r} bulk, {surf!r} surface"))
 
-    # each pair draws zstar then zt, bulk values before boundary values
-    nb, ng = dom.n_bulk, dom.n_boundary
-    worst = 0.0
-    for raw in _normal_blocks(rng, n_pair_samples, 2 * (nb + ng)):
-        Zb, Zs = _zero_mean(dom, raw[:nb], raw[nb:nb + ng])
-        Tb, Ts = raw[nb + ng:2 * nb + ng], raw[2 * nb + ng:]
-        Pb, Ps = _zero_mean(dom, Tb, Ts)
-        err = np.abs(_inner_H(dom, Zb, Zs, Pb, Ps) - _inner_H(dom, Zb, Zs, Tb, Ts))
-        worst = float(np.maximum(worst, np.max(err)))
-    items.append(AppendixItem("mean-projection identity", worst <= 1e-12 * dom.n_bulk,
-                              f"worst error = {worst!r} over {n_pair_samples} pairs"))
+    # a mass that is not finite makes its total fail
+    volume, length = float(dom.M_bulk.sum()), float(dom.M_surf.sum())
+    least = min(float(dom.M_bulk.min()), float(dom.M_surf.min()))
+    items.append(AppendixItem(
+        "lumped masses positive with totals 1 and 4",
+        least > 0.0 and abs(volume - 1.0) <= _MASS_TOL and abs(length - 4.0) <= 4.0 * _MASS_TOL,
+        f"totals {volume!r} and {length!r}, least mass {least!r}"))
 
     return AppendixReport(items=tuple(items))

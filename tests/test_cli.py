@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from chbs import scheme, spaces
+from chbs import scheme, spaces, verify
 from chbs.cli import (_KEYS, RunSpec, _rows_csv, _snapshot_csv, build_forcing, load_config,
                       main, parse_config)
 from chbs.domain import build_unit_square
@@ -508,6 +508,19 @@ def test_check_at_stepping_mesh_passes(tmp_path):
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert "FAIL:" not in (out / "report.txt").read_text()
+
+
+# each wrong c_p as a function of the true one (0.78327 at n = 49)
+@pytest.mark.parametrize("wrong", [lambda cp: 0.95, lambda cp: 0.99, lambda cp: 0.999,
+                                   lambda cp: cp * (1 - 1e-3), lambda cp: cp * (1 + 1e-3)],
+                         ids=["0.95", "0.99", "0.999", "true*(1-1e-3)", "true*(1+1e-3)"])
+def test_check_wrong_coercivity_constant_exits_1(tmp_path, monkeypatch, wrong):
+    real = verify.poincare_constant
+    monkeypatch.setattr(verify, "poincare_constant", lambda dom: wrong(real(dom)))
+    cfg = write_config(tmp_path, "[mesh]\nn = 49\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "FAIL: coercivity constant certified" in (out / "report.txt").read_text()
 
 
 def test_check_eigensolve_failure_exits_1(tmp_path, monkeypatch, capsys):

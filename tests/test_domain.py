@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from chbs import domain, scheme
-from chbs.domain import build_unit_square
-from chbs.errors import ConfigError
+from chbs.domain import build_unit_square, count_negative_eigenvalues
+from chbs.errors import ConfigError, NumericalError
 from chbs.monotone import GraphPair, polynomial_graph
 from chbs.spaces import DualPair, norm_V_star
 
@@ -187,3 +188,30 @@ def test_vnorm_factor_is_built_on_first_use(rng):
     vnorm = (sp.diags(dom.combined_mass) + dom.coupled_stiffness).tocsc()
     oracle = float(np.sqrt(c @ scipy.sparse.linalg.splu(vnorm).solve(c)))
     assert norm == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_inertia_count_matches_dense_eigenvalues(domain_cache, n):
+    dom = domain_cache(n)
+    A, M = dom.coupled_stiffness, sp.diags(dom.combined_mass)
+    lam = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    # k = 1 lies below mu2, k = 2 inside the close pair mu2 ~ mu3 (3.608 and
+    # 3.610 at n = 17), k = 3 above it; then between the 4th and 5th and the
+    # 20th and 21st eigenvalues
+    for k in (1, 2, 3, 4, 20):
+        assert lam[k] - lam[k - 1] > 1e-4 * lam[k]  # the shift is well separated
+        shifted = A - 0.5 * (lam[k - 1] + lam[k]) * M
+        dense = np.count_nonzero(scipy.linalg.eigvalsh(shifted.toarray()) < 0.0)
+        assert count_negative_eigenvalues(shifted) == dense == k
+
+
+@pytest.mark.parametrize("matrix", [[[0.0, 1.0], [1.0, 0.0]],  # forces an off-diagonal pivot
+                                    [[1.0, 1.0], [1.0, 1.0]]])  # singular
+def test_inertia_count_refuses_a_wrong_count(matrix):
+    with pytest.raises(NumericalError):
+        count_negative_eigenvalues(sp.csc_matrix(np.array(matrix)))
+
+
+def test_inertia_count_refuses_a_non_finite_pivot():
+    with pytest.raises(NumericalError, match="not finite"):
+        count_negative_eigenvalues(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, np.inf]])))
