@@ -12,9 +12,9 @@ vanishing-regularization behavior.
 from .domain import DiscreteDomain, build_unit_square
 from .errors import (ChbsError, CompatibilityError, ConfigError,
                      NumericalError, StepError)
-from .monotone import (GraphPair, GraphSpec, check_compatibility, envelope,
-                       logarithmic_graph, minimal_section, obstacle_graph,
-                       polynomial_graph, resolvent, yosida, yosida_boundary)
+from .monotone import (GraphPair, GraphSpec, envelope, logarithmic_graph,
+                       minimal_section, obstacle_graph, polynomial_graph,
+                       resolvent, yosida)
 from .scheme import (MonitorRecord, SchemeConfig, SchemeState, Trajectory,
                      initialize, run, step, weak_residuals)
 from .spaces import (DualPair, FieldPair, apply_F, as_functional, form_a,

@@ -100,7 +100,6 @@ class RunSpec:
     bulk_kind: str = _key("graphs", "bulk", "polynomial", _GRAPH)
     boundary_kind: str = _key("graphs", "boundary", "polynomial", _GRAPH)
     rho: float = _key("graphs", "rho", 1.0, _FLOAT)
-    c0: float = _key("graphs", "c0", 0.0, _FLOAT)
     pi_slope: float = _key("graphs", "pi_slope", -1.0, _FLOAT)
     log_c: float = _key("graphs", "log_c", 1.0, _FLOAT)
     init_preset: str = _key("init", "preset", "constant", _choice("constant", "random", "csv"))
@@ -186,7 +185,7 @@ def build_scheme_config(spec):
     try:
         graphs = GraphPair(bulk=_GRAPHS[spec.bulk_kind](spec),
                            boundary=_GRAPHS[spec.boundary_kind](spec),
-                           rho=spec.rho, c0=spec.c0)
+                           rho=spec.rho)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return SchemeConfig(eps=spec.eps, tau=spec.tau, t_end=spec.t_end,

@@ -15,7 +15,8 @@ minimal section.  A :class:`GraphPair` couples a bulk graph with a boundary
 graph whose regularization parameter is scaled by the coupling constant
 ``rho``; the scaled definitions make the pointwise domination bound
 ``|beta_eps| <= rho*|beta_bnd_eps| + c0`` carry over unchanged from the
-unregularized graphs.
+unregularized graphs, for which the pair decides exactly whether some
+constant c0 exists.
 
 All operations are pure functions of immutable inputs, accept scalars or
 numpy arrays, and are safe for concurrent use.  Extension point: a new graph
@@ -262,36 +263,25 @@ def _envelope_at(g, eps, r, j):
 
 # --- bulk/boundary pair ---------------------------------------------------
 
-def _worst_slack(pair, b, g):
-    """Index and value of the least slack rho*g + c0 - b over samples of the
-    bulk and boundary moduli b, g; an overflowing rho*g is infinite slack."""
-    with np.errstate(over="ignore"):
-        slack = pair.rho * g + pair.c0 - b
-    i = int(np.argmin(slack))
-    return i, float(slack[i])
-
-
 @dataclass(frozen=True)
 class GraphPair:
-    """Bulk and boundary graphs with the domination constants (rho, c0).
+    """Bulk and boundary graphs coupled by the constant ``rho``.
 
-    The boundary graph must dominate the bulk graph in the sense
-    ``|beta°(r)| <= rho*|beta_bnd°(r)| + c0`` on the boundary domain, which
-    in particular requires the boundary domain to be contained in the bulk
-    one.  The constants are user-supplied and validated by sampling; they are
-    not derived symbolically.
+    The boundary domain must be contained in the bulk one, and the boundary
+    graph must dominate the bulk graph: ``|beta°(r)| <= rho*|beta_bnd°(r)| + c0``
+    on the boundary domain for some constant c0 >= 0, which the scheme never
+    uses.  Every minimal section is odd and nondecreasing in |r|, so such a
+    c0 exists exactly when the bulk section is bounded on the boundary domain,
+    or when both graphs are of one kind and rho >= 1.
     """
 
     bulk: GraphSpec
     boundary: GraphSpec
     rho: float = 1.0
-    c0: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.rho < np.inf:
             raise ValueError("rho must be positive and finite")
-        if not 0.0 <= self.c0 < np.inf:
-            raise ValueError("c0 must be nonnegative and finite")
         self._validate_containment()
         self._validate_domination()
 
@@ -303,48 +293,10 @@ class GraphPair:
             raise ValueError("boundary graph domain must be contained in the bulk one")
 
     def _validate_domination(self):
-        k = _KINDS[self.boundary.kind]
-        pad = 1e-9 if k.open else 0.0  # open endpoints carry no finite minimal section
-        samples = np.linspace(max(k.lo, -10.0) + pad, min(k.hi, 10.0) - pad, 2001)
-        b = np.abs(minimal_section(self.bulk, samples))
-        g = np.abs(minimal_section(self.boundary, samples))
-        i, worst = _worst_slack(self, b, g)
-        if worst < -1e-12 * max(1.0, float(np.max(b))):
-            r_bad = float(samples[i])
+        with np.errstate(divide="ignore"):
+            bounded = np.isfinite(_KINDS[self.bulk.kind].section(self.boundary.domain_hi))
+        if not (bounded or (self.bulk.kind == self.boundary.kind and self.rho >= 1.0)):
             raise ValueError(
-                f"(rho, c0) = ({self.rho}, {self.c0}) do not dominate the bulk graph: "
-                f"|beta°({r_bad:.6g})| exceeds rho*|beta_bnd°| + c0 by {-worst:.3e}")
-
-
-def yosida_boundary(pair, eps, r):
-    """Boundary Yosida approximation with effective parameter eps*rho."""
-    return yosida(pair.boundary, eps * pair.rho, r)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Outcome of sampling the regularized domination bound."""
-
-    passed: bool
-    worst_slack: float
-    worst_r: float
-    n_samples: int
-
-
-def check_compatibility(pair, eps, samples):
-    """Verify |beta_eps(r)| <= rho*|beta_bnd_eps(r)| + c0 at every sample.
-
-    Report-only: returns the worst slack (nonnegative means the bound holds)
-    and the sample attaining it.  An empty sample list passes vacuously.
-    """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0,1]")
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
-        return CompatibilityReport(True, np.inf, np.nan, 0)
-    b = np.abs(yosida(pair.bulk, eps, arr))
-    g = np.abs(yosida_boundary(pair, eps, arr))
-    i, worst = _worst_slack(pair, b, g)
-    tol = 1e-9 * max(1.0, float(np.max(b)))
-    return CompatibilityReport(worst >= -tol, worst, float(arr[i]), arr.size)
+                f"no c0 gives |beta°| <= rho*|beta_bnd°| + c0 for a {self.bulk.kind} bulk "
+                f"and a {self.boundary.kind} boundary graph at rho = {self.rho}: an "
+                "unbounded bulk section needs graphs of one kind and rho >= 1")

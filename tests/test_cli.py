@@ -429,13 +429,19 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     ("[graphs]\nbulk = obstacle\nboundary = polynomial\n",
      "boundary graph domain must be contained in the bulk one"),
     ("[graphs]\nrho = 0\n", "rho must be positive and finite"),
-    ("[graphs]\nboundary = obstacle\nrho = 0.001\n",
-     "(rho, c0) = (0.001, 0.0) do not dominate the bulk graph"),
+    ("[graphs]\nrho = 0.5\n",
+     "no c0 gives |beta°| <= rho*|beta_bnd°| + c0 for a polynomial bulk and a polynomial "
+     "boundary graph at rho = 0.5"),
+    ("[graphs]\nrho = 0.999\n", "polynomial boundary graph at rho = 0.999"),
+    ("[graphs]\nbulk = logarithmic\nboundary = logarithmic\nrho = 0.999\n",
+     "logarithmic boundary graph at rho = 0.999"),
+    ("[graphs]\nc0 = 1\n", "unknown key 'c0' in section [graphs]"),
     ("[scheme]\nnewton_max = 0\n", "newton_max must be at least 1"),
     ("[scheme]\nt_end = 0.002\n[graphs]\nrho = 1e300\n", "rho is too large"),
     ("[scheme]\nt_end = 0.002\n[graphs]\nrho = 1e308\n", "rho is too large"),
 ], ids=["init-csv-without-path", "forcing-csv-without-path", "bulk-domain-too-small",
-        "rho-zero", "rho-too-small", "newton-max-zero", "rho-1e300", "rho-1e308"])
+        "rho-zero", "rho-too-small", "cubic-rho-0.999", "log-rho-0.999", "c0-unknown-key",
+        "newton-max-zero", "rho-1e300", "rho-1e308"])
 def test_inconsistent_config_exits_2_before_any_step(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, f"[mesh]\nn = 5\n{text}")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
@@ -479,7 +485,6 @@ def test_cli_import_leaves_scipy_special_unloaded():
     ("graphs", "pi_slope", "nan"),
     ("graphs", "log_c", "nan"),
     ("graphs", "rho", "inf"),
-    ("graphs", "c0", "nan"),
     ("forcing", "value", "nan"),
     ("forcing", "value", "-inf"),
 ])

@@ -10,10 +10,9 @@ from scipy.optimize import brentq
 from scipy.stats import qmc
 
 from chbs import monotone
-from chbs.monotone import (GraphPair, GraphSpec, beta_hat,
-                           check_compatibility, envelope, logarithmic_graph,
-                           minimal_section, obstacle_graph, polynomial_graph,
-                           resolvent, yosida, yosida_and_slope, yosida_boundary)
+from chbs.monotone import (GraphPair, GraphSpec, beta_hat, envelope,
+                           logarithmic_graph, minimal_section, obstacle_graph,
+                           polynomial_graph, resolvent, yosida, yosida_and_slope)
 
 POLY = polynomial_graph()
 LOG = logarithmic_graph()
@@ -237,25 +236,11 @@ def test_yosida_bounded_by_minimal_section(kind, eps):
 
 # --- boundary scaling ------------------------------------------------------
 
-def test_yosida_boundary_scaled_parameter():
-    pair = GraphPair(bulk=OBST, boundary=OBST, rho=2.0, c0=0.0)
-    # effective parameter eps*rho = 1, resolvent is the projection
-    assert yosida_boundary(pair, 0.5, 3.0) == pytest.approx(2.0, abs=1e-14)
-    assert yosida_boundary(pair, 0.5, 0.0) == 0.0
-
-
-def test_yosida_boundary_coincides_for_unit_rho():
-    pair = GraphPair(bulk=POLY, boundary=POLY, rho=1.0, c0=0.0)
-    r = sobol_points(-5.0, 5.0, m=8)
-    np.testing.assert_allclose(yosida_boundary(pair, 0.2, r), yosida(POLY, 0.2, r),
-                               rtol=0, atol=1e-14)
-
-
 def test_yosida_signs_agree_with_boundary():
-    pair = GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=1.0)
+    pair = GraphPair(bulk=POLY, boundary=OBST, rho=1.0)
     r = sobol_points(-4.0, 4.0, m=8)
     yb = yosida(pair.bulk, 0.3, r)
-    yg = yosida_boundary(pair, 0.3, r)
+    yg = yosida(pair.boundary, 0.3 * pair.rho, r)
     assert np.all(yb * yg >= 0.0)
 
 
@@ -373,79 +358,76 @@ def test_graph_spec_rejects_unknown_kind():
         GraphSpec("quartic", 0.0)
 
 
-# --- graph pair and compatibility --------------------------------------------
+# --- graph pair and domination -----------------------------------------------
 
 def test_graph_pair_rejects_uncontained_domain():
     with pytest.raises(ValueError):
         GraphPair(bulk=OBST, boundary=POLY)  # R not inside [-1, 1]
     with pytest.raises(ValueError):
         # closed boundary endpoints on an open bulk domain
-        GraphPair(bulk=LOG, boundary=OBST, rho=1.0, c0=1.0)
+        GraphPair(bulk=LOG, boundary=OBST, rho=1.0)
+
+
+#: the six kind pairs whose domains nest: (bulk, boundary)
+ADMISSIBLE = [(POLY, POLY), (POLY, LOG), (POLY, OBST), (LOG, LOG), (OBST, LOG), (OBST, OBST)]
+
+
+def _admitted(bulk, boundary, rho):
+    """The verdict of GraphPair: some c0 exists for the pair at rho."""
+    return not (bulk is boundary and bulk is not OBST and rho < 1.0)
 
 
 def test_graph_pair_validates_domination_constants():
-    with pytest.raises(ValueError):
-        GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=0.0)
-    GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=1.0)
-    # rho*|beta_bnd°| overflows to +inf: infinite slack, not a RuntimeWarning
+    # a c0 exists iff the bulk section is bounded on the boundary domain, or
+    # the kinds agree and rho >= 1: only equal unbounded kinds at rho < 1 fail
+    for bulk, boundary in ADMISSIBLE:
+        for rho in (0.5, 1.0, 2.0):
+            if not _admitted(bulk, boundary, rho):
+                with pytest.raises(ValueError, match=(
+                        f"{bulk.kind} bulk and a {boundary.kind} boundary graph "
+                        f"at rho = {rho}")):
+                    GraphPair(bulk=bulk, boundary=boundary, rho=rho)
+            else:
+                GraphPair(bulk=bulk, boundary=boundary, rho=rho)
+    # pairs a sampled check on [-10, 10] let through: cubic tails, logarithmic
+    # blow-up near +-1
+    for g, rho in ((POLY, 0.999), (LOG, 0.999), (POLY, 1e-300)):
+        with pytest.raises(ValueError, match="no c0 gives"):
+            GraphPair(bulk=g, boundary=g, rho=rho)
     GraphPair(bulk=POLY, boundary=POLY, rho=1e308)
 
 
-def _doctored_pair(pair, c0):
-    # bypass construction-time validation to probe a failing candidate
-    bad = object.__new__(GraphPair)
-    object.__setattr__(bad, "bulk", pair.bulk)
-    object.__setattr__(bad, "boundary", pair.boundary)
-    object.__setattr__(bad, "rho", pair.rho)
-    object.__setattr__(bad, "c0", c0)
-    return bad
+def _least_c0(bulk, boundary, rho):
+    """Least c0 with |beta°| <= rho*|beta_bnd°| + c0 on the boundary domain."""
+    if bulk is boundary or bulk is OBST:
+        return 0.0
+    if boundary is OBST:
+        return 1.0  # |r**3| <= 1 on [-1, 1], against a zero boundary section
+    # cubic over logarithmic: f(r) = r**3 - rho*ln((1+r)/(1-r)) has f(0) = 0
+    # and its one interior maximum on (0, 1) where 3r**2 (1 - r**2) = 2 rho,
+    # at x = r**2 the larger root of 3x**2 - 3x + 2 rho = 0; for rho >= 3/8
+    # f is nonincreasing on [0, 1)
+    if rho >= 3.0 / 8.0:
+        return 0.0
+    r = math.sqrt(0.5 + math.sqrt(0.25 - 2.0 * rho / 3.0))
+    return max(0.0, r ** 3 - rho * math.log((1.0 + r) / (1.0 - r)))
 
 
-def test_check_compatibility_equal_graphs():
-    pair = GraphPair(bulk=POLY, boundary=POLY, rho=1.0, c0=0.0)
-    report = check_compatibility(pair, 0.5, np.linspace(-10, 10, 2001))
-    assert report.passed
-    assert report.worst_slack >= 0.0
-
-
-def test_check_compatibility_empty_is_vacuous():
-    pair = GraphPair(bulk=POLY, boundary=POLY, rho=1.0, c0=0.0)
-    report = check_compatibility(pair, 0.5, [])
-    assert report.passed
-    assert report.n_samples == 0
-
-
-def test_check_compatibility_mixed_pair_against_dense_oracle():
-    pair = GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=1.0)
-    eps = 0.5
-    samples = np.linspace(-10.0, 10.0, 4001)
-    report = check_compatibility(pair, eps, samples)
-
-    # oracle: closed-form obstacle Yosida, cubic-root polynomial Yosida
-    y_bnd = (samples - np.clip(samples, -1.0, 1.0)) / (eps * pair.rho)
-    y_blk = np.empty_like(samples)
-    for i, r in enumerate(samples):
-        roots = np.roots([eps, 0.0, 1.0, -r])
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        j = real[np.argmin(np.abs(real - r))]
-        y_blk[i] = (r - j) / eps
-    oracle_slack = pair.rho * np.abs(y_bnd) + pair.c0 - np.abs(y_blk)
-    assert report.passed == bool(oracle_slack.min() >= -1e-9)
-    assert report.worst_slack == pytest.approx(oracle_slack.min(), abs=1e-8)
-
-
-def test_check_compatibility_flags_bad_candidate():
-    pair = GraphPair(bulk=POLY, boundary=OBST, rho=1.0, c0=1.0)
-    bad = _doctored_pair(pair, c0=0.2)
-    report = check_compatibility(bad, 0.5, np.linspace(-2.0, 2.0, 801))
-    assert not report.passed
-    assert report.worst_slack < 0.0
-
-
-def test_check_compatibility_rejects_bad_eps():
-    pair = GraphPair(bulk=POLY, boundary=POLY)
-    with pytest.raises(ValueError):
-        check_compatibility(pair, 1.5, [0.0])
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 1e-3])
+@pytest.mark.parametrize("bulk, boundary, rho", [
+    (bulk, boundary, rho) for bulk, boundary in ADMISSIBLE
+    for rho in (0.1, 0.2, 0.3, 0.5, 1.0, 2.0) if _admitted(bulk, boundary, rho)],
+    ids=lambda v: getattr(v, "kind", v))
+def test_regularized_domination_within_least_c0(bulk, boundary, rho, eps):
+    # the bound carries over to the Yosida graphs at eps and eps*rho, on all of R
+    c0 = _least_c0(bulk, boundary, rho)
+    near_one = 1.0 + np.outer([-1.0, 1.0], np.logspace(-12.0, -0.5, 400)).ravel()
+    r = np.concatenate([np.linspace(-50.0, 50.0, 20001), sobol_points(-50.0, 50.0, m=12),
+                        near_one, -near_one])
+    yb = np.abs(yosida(bulk, eps, r))
+    yg = np.abs(yosida(boundary, eps * rho, r))
+    excess = yb - rho * yg - c0
+    assert np.all(excess <= 1e-12 * np.maximum(1.0, yb)), float(np.max(excess))
 
 
 # --- misc -------------------------------------------------------------------

@@ -12,7 +12,7 @@ from chbs.domain import build_unit_square
 from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError, NumericalError, StepError
 from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_graph,
-                           polynomial_graph, resolvent, yosida, yosida_boundary)
+                           polynomial_graph, resolvent, yosida)
 from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
                          weak_residuals)
 from chbs.spaces import (FieldPair, _dual_norm_collapsed, as_functional, form_a, inner_H,
@@ -53,12 +53,11 @@ def test_config_rejects_tau_that_overflows(kw):
 
 @pytest.mark.parametrize("kw", [dict(eps=1e-320), dict(eps=1e-300),
                                 # the boundary graph's parameter eps*rho is the smaller
-                                dict(graphs=GraphPair(polynomial_graph(), polynomial_graph(),
-                                                      rho=1e-250, c0=1e300)),
+                                dict(graphs=GraphPair(polynomial_graph(), obstacle_graph(),
+                                                      rho=1e-250)),
                                 # and 3 eps rho underflows to 0
                                 dict(eps=1e-30, graphs=GraphPair(polynomial_graph(),
-                                                                 polynomial_graph(),
-                                                                 rho=1e-300, c0=1e300))],
+                                                                 obstacle_graph(), rho=1e-300))],
                          ids=["eps-1e-320", "eps-1e-300", "eps-rho-1e-251", "eps-rho-0"])
 def test_config_rejects_eps_that_overflows(kw):
     with pytest.raises(ConfigError, match="eps is too small"):
@@ -119,17 +118,13 @@ def _cubic_init(value):
     (lambda: make_config(t_end=math.nan), ConfigError, "t_end must be nonnegative and finite"),
     (lambda: make_config(t_end=math.inf), ConfigError, "t_end must be nonnegative and finite"),
     (lambda: make_config(tau=math.inf), ConfigError, "tau must be positive and finite"),
-    (lambda: GraphPair(polynomial_graph(), polynomial_graph(), c0=math.nan), ValueError,
-     "c0 must be nonnegative and finite"),
-    (lambda: GraphPair(polynomial_graph(), polynomial_graph(), c0=math.inf), ValueError,
-     "c0 must be nonnegative and finite"),
     (lambda: GraphPair(polynomial_graph(), polynomial_graph(), rho=math.inf), ValueError,
      "rho must be positive and finite"),
     (lambda: logarithmic_graph(c=math.nan), ValueError, "c must be positive and finite"),
     (lambda: polynomial_graph(pi_slope=-math.inf), ValueError, "pi_slope must be finite"),
     (lambda: _cubic_init(1e100), CompatibilityError,
      r"initial value 1e\+100 at bulk node 0 has a non-finite convex primitive of the bulk graph"),
-], ids=["newton_tol-inf", "t_end-nan", "t_end-inf", "tau-inf", "c0-nan", "c0-inf", "rho-inf",
+], ids=["newton_tol-inf", "t_end-nan", "t_end-inf", "tau-inf", "rho-inf",
         "log_c-nan", "pi_slope-inf", "cubic-init-1e100"])
 def test_non_finite_value_is_rejected_naming_its_field(build, error, message):
     with warnings.catch_warnings():
@@ -223,7 +218,7 @@ def test_step_conserves_mean(domain_cache, rng):
 
 def test_step_xi_matches_nodewise_yosida_and_domination(domain_cache, rng):
     dom = domain_cache(7)
-    pair = GraphPair(polynomial_graph(), obstacle_graph(), rho=1.0, c0=1.0)
+    pair = GraphPair(polynomial_graph(), obstacle_graph(), rho=1.0)
     cfg = make_config(graphs=pair)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.4))
     nxt = step(state, cfg, FieldPair.zeros(dom))
@@ -231,14 +226,15 @@ def test_step_xi_matches_nodewise_yosida_and_domination(domain_cache, rng):
     np.testing.assert_allclose(nxt.xi.bulk, yosida(pair.bulk, cfg.eps, u_b),
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(nxt.xi.boundary,
-                               yosida_boundary(pair, cfg.eps, u_b[dom.boundary_chain]),
+                               yosida(pair.boundary, cfg.eps * pair.rho,
+                                      u_b[dom.boundary_chain]),
                                rtol=0, atol=1e-14)
     # the kept resolvent pair is the one the Yosida pair came from
     np.testing.assert_array_equal(nxt.j.bulk, resolvent(pair.bulk, cfg.eps, u_b))
     np.testing.assert_array_equal(nxt.xi.bulk, (u_b - nxt.j.bulk) / cfg.eps)
     trace_xi = nxt.xi.bulk[dom.boundary_chain]
-    assert np.all(np.abs(trace_xi) <= pair.rho * np.abs(nxt.xi.boundary)
-                  + pair.c0 + 1e-10)
+    c0 = 1.0  # |beta°(1)| of the cubic, against the zero section of the obstacle
+    assert np.all(np.abs(trace_xi) <= pair.rho * np.abs(nxt.xi.boundary) + c0 + 1e-10)
 
 
 # --- dense fixed-point oracle -------------------------------------------------------
@@ -827,7 +823,7 @@ def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
 
 @pytest.mark.parametrize("pair", [
     GraphPair(polynomial_graph(), polynomial_graph(), rho=3.0),
-    GraphPair(polynomial_graph(), obstacle_graph(), rho=1.0, c0=1.0),
+    GraphPair(polynomial_graph(), obstacle_graph(), rho=1.0),
 ], ids=["rho-3", "mixed-kinds"])
 def test_graphs_at_different_parameters_or_kinds_are_evaluated_apart(domain_cache, rng,
                                                                      monkeypatch, pair):
