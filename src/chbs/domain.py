@@ -19,11 +19,14 @@ inertia counts of :func:`count_negative_eigenvalues`, comes from
 A^T + A.  Construction factors the mean-constrained saddle system, which
 inverts the coupled stiffness on zero-mean fields through its one,
 accuracy-guarded solve path ``chbs.spaces._saddle_solve``: the Riesz-map
-inverse, the zero-mean dual norm (monitor, studies, step residual r1) and
-the Lanczos eigensolve of the coercivity constant.  The full coupled V-norm
-matrix, which serves the dual norm over the whole space, is factored on
-first use.  A :class:`DiscreteDomain` never changes its assembled data
-after construction; the lazily built V-norm factor is written once.
+inverse, the zero-mean dual norm (monitor, studies, and the exact step
+residual r1 where a step must decide or report it) and the Lanczos
+eigensolve of the coercivity constant.  Two more facts are built on first
+use: the factor of the full coupled V-norm matrix, which serves the dual
+norm over the whole space, and a certified lower bound on the least nonzero
+eigenvalue of (Ac, Mc), which bounds that dual norm by the lumped one in
+every step residual.  A :class:`DiscreteDomain` never changes its assembled
+data after construction; each lazily built fact is written once.
 """
 
 from __future__ import annotations
@@ -106,6 +109,22 @@ class DiscreteDomain:
     def vnorm_lu(self):
         """Factor of the V-norm matrix Mc + Ac, built on first use."""
         return splu((sp.diags(self.combined_mass) + self.coupled_stiffness).tocsc())
+
+    @functools.cached_property
+    def mu2_lower(self):
+        """Certified lower bound on mu2, the least nonzero eigenvalue of the
+        pencil (Ac, Mc), built on first use.
+
+        Ac - mu Mc has one negative eigenvalue for each eigenvalue of the
+        pencil below mu, the constant mode among them, so a count of exactly
+        1 certifies mu < mu2.  Starts at 3.5, just below the mu2 of 3.51 to
+        3.62 of every mesh with n >= 5, and halves until the count is 1.
+        """
+        gc, A = self.combined_mass, self.coupled_stiffness
+        mu = 3.5
+        while count_negative_eigenvalues(A - sp.diags(mu * gc)) != 1:
+            mu *= 0.5
+        return mu
 
     @property
     def n_bulk(self):

@@ -37,6 +37,15 @@ only as accurate as its iterate needs.  Each Picard iterate is one exact S0
 solve; a CG stall or a failed line search hands the step to the Picard
 iteration.
 
+The conservation residual R1 is measured in V0*, which takes a
+mean-constrained solve.  Each iterate carries instead the solve-free bound
+b1 = |R1_0|_H* / sqrt(mu2_lower) >= |R1|_V0*, with R1_0 the residual less
+its Mc-weighted mean and mu2_lower the domain's certified lower bound on the
+least nonzero eigenvalue of (Ac, Mc).  The merit, the line search and the
+forcing term use b1; the convergence test solves for the exact r1 only
+when b1 cannot decide it, so a step makes about one solve, and it accepts
+exactly the iterates the exact test accepts.
+
 From its second step on, ``run`` starts Newton from the linear extrapolation
 2 x_n - x_{n-1} of the last two levels, which is O(tau^2) from the new level
 on a smooth solution where the old state is O(tau), and so saves iterations.
@@ -309,13 +318,14 @@ def initialize(config, u0, forcing_at_0=None):
 # --- the nonlinear step -----------------------------------------------------
 
 def _h_norm(dom, vec):
+    """The lumped dual norm sqrt(vec.(vec/Mc))."""
     return math.sqrt(float(vec @ (vec / dom.combined_mass)))
 
 
-# one evaluation at (w, mu): residuals and their norms, the resolvent and
-# Yosida pairs, the Jacobian diagonal d, g = N + P - F, mu less its Mc-weighted
-# mean, Ac mu, and the terms of R2
-_Iterate = namedtuple("_Iterate", "w mu R1 R2 r1 r2 j xi d g mu_c a_mu terms2")
+# one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
+# the H* norm r2 of R2, the resolvent and Yosida pairs, the Jacobian diagonal
+# d, g = N + P - F, mu less its Mc-weighted mean, Ac mu, and the terms of R2
+_Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
 
 
 def _shifts(eps, tau):
@@ -380,35 +390,59 @@ class _StepSystem:
         eps_dw = self.cfg.eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
         # out of the rounding of Ac mu
-        mu_c = mu - float(gc @ mu) / float(gc.sum())
+        gc_sum = float(gc.sum())
+        mu_c = mu - float(gc @ mu) / gc_sum
         gc_mu, a_mu, a_w = gc * mu, A @ mu_c, A @ w
         g = nvec + self.load
         R1 = gc_dw + a_mu
         R2 = gc_mu - (eps_dw + a_w + g)
-        return _Iterate(w, mu, R1, R2, _dual_norm_collapsed(dom, R1), _h_norm(dom, R2),
+        # on zero-mean pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
+        # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve.  An
+        # overflow makes a norm inf, which the step reports as a non-finite merit
+        with np.errstate(over="ignore", invalid="ignore"):
+            R1_0 = R1 - (float(R1.sum()) / gc_sum) * gc
+            b1 = _h_norm(dom, R1_0) / math.sqrt(dom.mu2_lower)
+            r2 = _h_norm(dom, R2)
+        return _Iterate(w, mu, R1, R2, b1, r2,
                         j, xi, d, g, mu_c, a_mu, (gc_mu, a_w, nvec, self.load, eps_dw))
 
-    def r1_terms(self, it):
-        """Squared V0* norms of the terms Ac mu and Mc dw/tau of R1, with no
-        solve: the mean-constrained inverse of Ac maps Ac mu to mu_c, mu less
-        its Mc-weighted mean, so |Ac mu|^2 = mu_c.(Ac mu) and
-        |Mc dw/tau|^2 = r1^2 - 2 R1.mu_c + |Ac mu|^2."""
+    def exact_r1(self, it):
+        """r1 = |R1|_V0*, one mean-constrained solve."""
+        return _dual_norm_collapsed(self.dom, it.R1)
+
+    def r1_terms(self, it, r1):
+        """Squared V0* norms of the terms Ac mu and Mc dw/tau of R1, given the
+        exact r1, with no further solve: the mean-constrained inverse of Ac
+        maps Ac mu to mu_c, mu less its Mc-weighted mean, so
+        |Ac mu|^2 = mu_c.(Ac mu) and |Mc dw/tau|^2 = r1^2 - 2 R1.mu_c + |Ac mu|^2."""
         a_mu_sq = float(it.mu_c @ it.a_mu)
         cross = float(it.R1 @ it.mu_c)
-        return a_mu_sq, it.r1 * it.r1 - 2.0 * cross + a_mu_sq
+        return a_mu_sq, r1 * r1 - 2.0 * cross + a_mu_sq
 
     def scales(self, it):
-        # relative-residual scales from the individual term norms, capped at
-        # 10 so accepted steps always satisfy the documented 10*newton_tol
-        # bound on the weak-residual norms
-        s1 = math.sqrt(max(1.0, *self.r1_terms(it)))
-        s2 = max([1.0] + [_h_norm(self.dom, t) for t in it.terms2])
+        """Relative-residual scales (s1, s2) from the individual term norms,
+        capped at 10 so accepted steps always satisfy the documented
+        10*newton_tol bound on the weak-residual norms.  s1 is the solve-free
+        max(1, |Ac mu|_V0*), never above the exact test's scale, which also
+        takes |Mc dw/tau|_V0* and so needs r1."""
+        s1 = math.sqrt(max(1.0, float(it.mu_c @ it.a_mu)))
+        with np.errstate(over="ignore"):  # an inf term norm caps s2 at 10
+            s2 = max([1.0] + [_h_norm(self.dom, t) for t in it.terms2])
         return min(s1, 10.0), min(s2, 10.0)
 
     def converged(self, it):
+        """Whether r1 <= newton_tol s1 and r2 <= newton_tol s2 at the full
+        scales, solving for r1 only when the bound b1 >= r1 cannot decide."""
         tol = self.cfg.newton_tol
+        if not it.r2 <= 10.0 * tol:  # above every capped scale
+            return False
         s1, s2 = self.scales(it)
-        return it.r1 <= tol * s1 and it.r2 <= tol * s2
+        if not it.r2 <= tol * s2:
+            return False
+        if it.b1 <= tol * s1:
+            return True
+        r1 = self.exact_r1(it)
+        return r1 <= tol * min(math.sqrt(max(1.0, *self.r1_terms(it, r1))), 10.0)
 
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w."""
@@ -494,10 +528,11 @@ def _solve_step(system, w0, mu0):
 
     Each direction is solved to the relative CG tolerance of the
     Eisenstat-Walker forcing term (choice 2): 0.9 (m_k/m_{k-1})^2 for the
-    merit m = hypot(r1, r2), _CG_ETA_MAX at the first iterate, held in
+    merit m = hypot(b1, r2), _CG_ETA_MAX at the first iterate, held in
     [max(_CG_RTOL, 0.5 newton_tol/m_k), _CG_ETA_MAX] with the upper bound
     winning if the two cross.  newton_max iterations in all, or a non-finite
-    merit, end the step with a StepError naming the stage and both residuals.
+    merit, end the step with a StepError naming the stage and both residuals,
+    the exact r1 where R1 is finite and the bound b1 where it is not.
 
     Returns (iterate, nonlinear iterations, CG iterations).
     """
@@ -506,10 +541,11 @@ def _solve_step(system, w0, mu0):
     iters = lin_iters = 0
     merit_prev, stage = None, "Newton"
     while not system.converged(it):
-        merit = math.hypot(it.r1, it.r2)
+        merit = math.hypot(it.b1, it.r2)
         if iters == cfg.newton_max or not math.isfinite(merit):
+            r1 = system.exact_r1(it) if np.isfinite(it.R1).all() else it.b1
             raise StepError(f"{stage} did not converge in {iters} iterations "
-                            f"(residuals {it.r1:.3e}, {it.r2:.3e})")
+                            f"(residuals {r1:.3e}, {it.r2:.3e})")
         eta = _CG_ETA_MAX if merit_prev is None else 0.9 * (merit / merit_prev) ** 2
         eta = min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit))
         merit_prev = merit
@@ -521,7 +557,7 @@ def _solve_step(system, w0, mu0):
             dmu = system.potential(-it.R2, dw, it.d)
             for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
                 trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
-                merit_try = math.hypot(trial.r1, trial.r2)
+                merit_try = math.hypot(trial.b1, trial.r2)
                 if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= cfg.newton_tol:
                     break
             else:
@@ -539,7 +575,7 @@ def _solve_picard(system, it, iters):
     until the step converges, its merit is not finite or newton_max is spent."""
     r1 = system.gc_tau * system.w_prev
     while not (system.converged(it) or iters == system.cfg.newton_max
-               or not math.isfinite(math.hypot(it.r1, it.r2))):
+               or not math.isfinite(math.hypot(it.b1, it.r2))):
         r2 = it.g - system.cfg.eps * r1
         w = system.schur_solve(system.reduce(r1, r2))
         w = w + system.mass_shift(w)
@@ -591,7 +627,7 @@ def weak_residuals(state_prev, state_next, config, f_next):
     dom = state_prev.v.domain
     system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk, f_next)
     it = system.residual(state_next.v.bulk, state_next.mu.bulk)
-    return it.r1, it.r2
+    return system.exact_r1(it), it.r2
 
 
 def run(config, u0, forcing=None):

@@ -45,6 +45,13 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's chbs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 # --- parsing -----------------------------------------------------------------
 
 def test_empty_config_uses_documented_defaults():
@@ -314,6 +321,27 @@ def test_run_non_finite_iterate_writes_flagged_partial_outputs(tmp_path, capsys)
     assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
+def test_logarithmic_run_at_tiny_eps_aborts_without_a_runtime_warning(tmp_path):
+    # at eps = 1e-19 the Picard iterates of the first step drive the lumped
+    # norm of R2 past the float range; the overflow must end the step as a
+    # flagged abort, not escape the residual norms as a RuntimeWarning
+    cfg = write_config(tmp_path, "[mesh]\nn = 5\n"
+                                 "[scheme]\neps = 1e-19\ntau = 1e-3\nt_end = 0.002\n"
+                                 "[graphs]\nbulk = logarithmic\nboundary = logarithmic\n"
+                                 "[init]\npreset = random\namplitude = 0.3\nseed = 1\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "chbs.cli", "run",
+         "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr + proc.stdout
+    assert re.search(r"^aborted: step 1 \(t = 0\.001\): .* did not converge in \d+ iterations "
+                     r"\(residuals \d\.\d{3}e\+\d+, inf\)$",
+                     (out / "report.txt").read_text(), re.M)
+
+
 @pytest.mark.filterwarnings("error")  # no overflow warning on the way
 def test_run_forcing_overflowing_at_t0_exits_2_before_any_step(tmp_path, capsys):
     # the initial mean offset of a constant 1e308 forcing overflows to -inf
@@ -468,12 +496,9 @@ def test_splitting_key_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, chbs.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -215,3 +215,23 @@ def test_inertia_count_refuses_a_wrong_count(matrix):
 def test_inertia_count_refuses_a_non_finite_pivot():
     with pytest.raises(NumericalError, match="not finite"):
         count_negative_eigenvalues(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, np.inf]])))
+
+
+def test_mu2_lower_is_built_on_first_use():
+    dom = build_unit_square(5)
+    assert "mu2_lower" not in vars(dom)
+    mu = dom.mu2_lower
+    assert vars(dom)["mu2_lower"] == mu
+
+
+@pytest.mark.parametrize("n, expected", [(3, 1.75), (5, 3.5), (9, 3.5), (17, 3.5)])
+def test_mu2_lower_is_certified_below_the_dense_mu2(domain_cache, n, expected):
+    # mu2 is 3.208, 3.510, 3.589 and 3.608: 3.5 passes at n >= 5, and n = 3
+    # halves once
+    dom = domain_cache(n)
+    A, gc = dom.coupled_stiffness, dom.combined_mass
+    mu = dom.mu2_lower
+    assert mu == expected
+    assert count_negative_eigenvalues(A - sp.diags(mu * gc)) == 1
+    mu2 = scipy.linalg.eigh(A.toarray(), np.diag(gc), eigvals_only=True)[1]
+    assert 0.5 * mu2 < mu <= mu2

@@ -5,9 +5,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg
 from scipy.optimize import brentq
 
-from chbs import monotone
+from chbs import monotone, spaces
 from chbs.domain import build_unit_square
 from chbs import scheme as scheme_module
 from chbs.errors import CompatibilityError, ConfigError, NumericalError, StepError
@@ -512,11 +513,125 @@ def test_r1_terms_match_the_solves_they_replace(domain_cache, rng, pair, eps, ta
     system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
     w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
     it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk) + mu_shift)
-    a_mu_sq, dw_sq = system.r1_terms(it)
+    a_mu_sq, dw_sq = system.r1_terms(it, _dual_norm_collapsed(dom, it.R1))
     got = np.sqrt(np.maximum([a_mu_sq, dw_sq], 0.0))
     ref = np.array([_dual_norm_collapsed(dom, it.a_mu),
                     _dual_norm_collapsed(dom, it.R1 - it.a_mu)])
     assert np.abs(got - ref).max() <= 1e-10 * ref.max()
+
+
+def _exact_converged(system, it):
+    """The convergence test at the exact r1 and both full scales, with no bound."""
+    tol = system.cfg.newton_tol
+    r1 = _dual_norm_collapsed(system.dom, it.R1)
+    s1 = min(math.sqrt(max(1.0, *system.r1_terms(it, r1))), 10.0)
+    s2 = min(max([1.0] + [scheme_module._h_norm(system.dom, t) for t in it.terms2]), 10.0)
+    return r1 <= tol * s1 and it.r2 <= tol * s2
+
+
+@pytest.mark.parametrize("n", [3, 9, 17])
+@pytest.mark.parametrize("recentre", [False, True], ids=["R1-sum-nonzero", "R1-sum-zero"])
+def test_b1_bounds_the_exact_r1(domain_cache, rng, n, recentre):
+    # a random w moves the combined mass, so R1 sums to a nonzero value;
+    # recentred, it sums to 0 up to rounding
+    dom = domain_cache(n)
+    gc = dom.combined_mass
+    cfg = make_config(graphs=CUBIC_40, eps=0.02)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+    for _ in range(5):
+        w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
+        if recentre:
+            w += system.mass_shift(w)
+        it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk))
+        total = float(it.R1.sum())
+        assert (abs(total) <= 1e-9 * np.abs(it.R1).sum()) == recentre
+        r1 = _dual_norm_collapsed(dom, it.R1)
+        assert r1 <= it.b1
+        h_sq = float(it.R1 @ (it.R1 / gc)) - total * total / float(gc.sum())
+        assert it.b1 == pytest.approx(math.sqrt(h_sq / dom.mu2_lower), rel=1e-10)
+
+
+def test_b1_is_sharp_up_to_mu2_over_its_bound(domain_cache):
+    # R1 = Ac phi2 for the eigenvector phi2 of mu2 attains the coercivity
+    # estimate, so there b1/r1 = sqrt(mu2/mu2_lower)
+    dom = domain_cache(9)
+    A, gc = dom.coupled_stiffness, dom.combined_mass
+    lam, vec = scipy.linalg.eigh(A.toarray(), np.diag(gc))
+    cfg = make_config()
+    system = scheme_module._StepSystem(dom, cfg, 0.0, np.zeros(dom.n_bulk), None)
+    it = system.residual(np.zeros(dom.n_bulk), vec[:, 1])
+    r1 = _dual_norm_collapsed(dom, it.R1)
+    assert it.b1 / r1 == pytest.approx(math.sqrt(lam[1] / dom.mu2_lower), rel=1e-9)
+
+
+@pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
+                         ids=["polynomial", "logarithmic", "obstacle"])
+def test_converged_makes_the_exact_decision(domain_cache, rng, monkeypatch, pair):
+    # iterates near a solved step, moved by dw with mu back-substituted, so
+    # that r2 stays at the solution's level while r1 grows with dw; the
+    # tolerances put the exact test's threshold on either side of r1 and b1
+    dom = domain_cache(9)
+    gc = dom.combined_mass
+    cfg = make_config(graphs=pair, newton_tol=1e-13)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    nxt = step(state, cfg, None)
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+    base = system.residual(nxt.v.bulk, nxt.mu.bulk)
+    y = rng.standard_normal(dom.n_bulk)
+    y -= float(gc @ y) / float(gc.sum())
+    solves = []
+    saddle_solve = spaces._saddle_solve
+    monkeypatch.setattr(spaces, "_saddle_solve",
+                        lambda *args: solves.append(1) or saddle_solve(*args))
+    for delta in (1e-6, 1e-8):
+        dw = delta * y
+        it = system.residual(nxt.v.bulk + dw,
+                             nxt.mu.bulk + system.potential(np.zeros(dom.n_bulk), dw, base.d))
+        r1 = _dual_norm_collapsed(dom, it.R1)
+        s1 = min(math.sqrt(max(1.0, *system.r1_terms(it, r1))), 10.0)
+        s1_lo = system.scales(it)[0]
+        assert r1 / s1 < it.b1 / s1_lo
+        cases = [(1.5 * it.b1 / s1_lo, True, 0),             # b1 passes
+                 (math.sqrt(r1 / s1 * it.b1 / s1_lo), True, 1),  # b1 fails, r1 passes
+                 (0.5 * r1 / s1, False, 1),                  # r1 fails
+                 (0.05 * it.r2, False, 0)]                   # r2 above 10 newton_tol
+        for tol, expected, n_solves in cases:
+            at_tol = scheme_module._StepSystem(dom, replace(cfg, newton_tol=tol), state.m0,
+                                               state.v.bulk, None)
+            assert _exact_converged(at_tol, it) == expected
+            solves.clear()
+            assert at_tol.converged(it) == expected
+            assert len(solves) == n_solves
+
+
+def test_newton_solves_for_r1_at_most_once_per_step(domain_cache, rng, monkeypatch):
+    # b1 decides every iterate that is not about to converge, so the
+    # mean-constrained solves inside a step are the converged test's fallback
+    counts = {"steps": 0, "solves": 0}
+    inside = []
+    saddle_solve, solve_step = spaces._saddle_solve, scheme_module._solve_step
+
+    def counted_solve(*args):
+        counts["solves"] += bool(inside)
+        return saddle_solve(*args)
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        inside.append(1)
+        try:
+            return solve_step(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(spaces, "_saddle_solve", counted_solve)
+    monkeypatch.setattr(scheme_module, "_solve_step", counted_step)
+    dom = domain_cache(9)
+    cfg = make_config(graphs=CUBIC_40, eps=0.02, tau=1e-3, t_end=0.02)
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.2))
+    assert not traj.aborted and counts["steps"] == 20
+    assert sum(s.newton_iters for s in traj.states) >= 2 * counts["steps"]
+    assert counts["solves"] <= counts["steps"]
 
 
 # --- Schur factor -------------------------------------------------------------------
