@@ -13,20 +13,18 @@ evaluated through the weak identities.  Mass lumping makes the combined
 inner product diagonal, nodewise nonlinearities variationally consistent,
 and mass conservation exact at the algebraic level.
 
-Every sparse LU factor of the package, here, in the step solver and in the
-inertia counts of :func:`count_negative_eigenvalues`, comes from
-:data:`splu`, which orders the symmetric patterns by minimum degree on
-A^T + A.  Construction factors the mean-constrained saddle system, which
-inverts the coupled stiffness on zero-mean fields through its one,
-accuracy-guarded solve path ``chbs.spaces._saddle_solve``: the Riesz-map
-inverse, the zero-mean dual norm (monitor, studies, and the exact step
-residual r1 where a step must decide or report it) and the Lanczos
-eigensolve of the coercivity constant.  Two more facts are built on first
-use: the factor of the full coupled V-norm matrix, which serves the dual
-norm over the whole space, and a certified lower bound on the least nonzero
-eigenvalue of (Ac, Mc), which bounds that dual norm by the lumped one in
-every step residual.  A :class:`DiscreteDomain` never changes its assembled
-data after construction; each lazily built fact is written once.
+Every sparse LU factor of the package comes from :data:`splu`, which orders
+the symmetric patterns by minimum degree on A^T + A, and every shifted
+stiffness Ac + c Mc from :meth:`DiscreteDomain.shifted`.  Construction only
+assembles; three facts are built on first use and written once: the factor
+of Ac pinned at the first node, which is SPD and serves the one guarded
+mean-constrained solve ``chbs.spaces._saddle_solve`` (Riesz-map inverse,
+zero-mean dual norm, exact step residual r1, Lanczos of the coercivity
+constant); the factor of the V-norm matrix Mc + Ac, for the dual norm over
+the whole space; and a certified lower bound on the least nonzero eigenvalue
+of (Ac, Mc), which bounds the zero-mean dual norm by the lumped one in every
+step residual.  A domain never changes its assembled data, and a copy made
+with :func:`dataclasses.replace` builds its own facts.
 """
 
 from __future__ import annotations
@@ -103,12 +101,21 @@ class DiscreteDomain:
     M_surf: np.ndarray
     combined_mass: np.ndarray
     coupled_stiffness: sp.csr_matrix
-    saddle_lu: object
+
+    def shifted(self, c):
+        """The shifted stiffness Ac + c Mc in CSC; c may be complex."""
+        return (self.coupled_stiffness + sp.diags(c * self.combined_mass)).tocsc()
+
+    @functools.cached_property
+    def pinned_lu(self):
+        """Factor of Ac less its first row and column, built on first use; it
+        is SPD, as the kernel of Ac is the constants."""
+        return splu(self.coupled_stiffness[1:, 1:].tocsc())
 
     @functools.cached_property
     def vnorm_lu(self):
         """Factor of the V-norm matrix Mc + Ac, built on first use."""
-        return splu((sp.diags(self.combined_mass) + self.coupled_stiffness).tocsc())
+        return splu(self.shifted(1.0))
 
     @functools.cached_property
     def mu2_lower(self):
@@ -120,9 +127,8 @@ class DiscreteDomain:
         1 certifies mu < mu2.  Starts at 3.5, just below the mu2 of 3.51 to
         3.62 of every mesh with n >= 5, and halves until the count is 1.
         """
-        gc, A = self.combined_mass, self.coupled_stiffness
         mu = 3.5
-        while count_negative_eigenvalues(A - sp.diags(mu * gc)) != 1:
+        while count_negative_eigenvalues(self.shifted(-mu)) != 1:
             mu *= 0.5
         return mu
 
@@ -210,11 +216,8 @@ def build_unit_square(n):
     gc = M_bulk.copy()
     gc[chain] += M_surf
 
-    gcol = sp.coo_matrix((gc, (np.arange(nb), np.zeros(nb, dtype=int))), shape=(nb, 1))
-    saddle = sp.bmat([[A, gcol], [gcol.T, None]], format="csc")
-
     return DiscreteDomain(n=n, coords=coords, boundary_chain=chain,
                           K_bulk=K_bulk, K_surf=K_surf,
                           M_bulk=M_bulk, M_surf=M_surf, combined_mass=gc,
-                          coupled_stiffness=A, saddle_lu=splu(saddle))
+                          coupled_stiffness=A)
 

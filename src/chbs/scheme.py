@@ -486,8 +486,7 @@ class _StepSystem:
 
     def picard_matrix(self):
         """The shifted stiffness matrices Ac + c Mc whose factors give S0^-1."""
-        gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
-        return [(A + sp.diags(c * gc)).tocsc() for c in self.shifts]
+        return [self.dom.shifted(c) for c in self.shifts]
 
 
 def _newton_direction(system, it, rtol=_CG_RTOL):

@@ -5,9 +5,10 @@ chain node.  Pairs with independent components model square-integrable
 data; pairs whose boundary equals the trace of the bulk model the coupled
 energy space.  On zero-mean trace-consistent pairs the coupled stiffness
 form induces the gradient norm, its Riesz map F, and the dual norm defined
-through one solve with F; the mean constraint is enforced exactly by a
-Lagrange multiplier in an augmented saddle system factorized once per
-domain.
+through one solve with F.  That solve meets the mean constraint exactly: the
+multiplier of the constraint has a closed form, and once it has made the
+right-hand side sum to zero, pinning one node is exact (Bochev & Lehoucq,
+SIAM Review 47, 2005), so one SPD factor per domain serves every solve.
 
 All operations are pure given an immutable domain.
 """
@@ -159,12 +160,15 @@ def apply_F(z):
 
 
 def _saddle_solve(dom, rhs_collapsed):
-    """Solve the mean-constrained coupled-stiffness system."""
-    rhs = np.concatenate([rhs_collapsed, [0.0]])
-    sol = dom.saddle_lu.solve(rhs)
-    w = sol[:-1]
-    lam = sol[-1]
-    resid = dom.coupled_stiffness @ w + lam * dom.combined_mass - rhs_collapsed
+    """The zero-mean w with Ac w + lam Mc = r for some lam, r = rhs_collapsed:
+    Ac annihilates constants, so lam = sum(r)/sum(Mc), and w is the solve of
+    Ac w = r - lam Mc pinned at w_0 = 0, shifted to Mc-mean zero."""
+    gc = dom.combined_mass
+    gc_sum = float(gc.sum())
+    rest = rhs_collapsed - (float(rhs_collapsed.sum()) / gc_sum) * gc
+    w = np.concatenate([[0.0], dom.pinned_lu.solve(rest[1:])])
+    w -= float(gc @ w) / gc_sum
+    resid = dom.coupled_stiffness @ w - rest
     scale = max(float(np.linalg.norm(rhs_collapsed)), 1e-300)
     # written so that a NaN residual fails the guard too
     if not float(np.linalg.norm(resid)) <= _FINV_RTOL * max(scale, 1.0):
@@ -176,8 +180,7 @@ def solve_F_inverse(ell):
     """Invert the Riesz map: the zero-mean pair w with a(w, .) = ell.
 
     The functional must annihilate constants up to a small tolerance; the
-    mean constraint is enforced through a Lagrange multiplier so the result
-    has exactly zero combined mean up to rounding.
+    result has zero combined mean up to rounding.
     """
     dom = ell.domain
     total = float(np.sum(ell.bulk) + np.sum(ell.boundary))
@@ -211,14 +214,13 @@ def poincare_constant(dom):
     With M the combined lumped mass and A the coupled stiffness, the pencil
     (A, M + A) restricted to the zero-mean subspace has the eigenvalues
     mu/(1 + mu), where mu runs over the nonzero eigenvalues of (A, M); so
-    c = mu2/(1 + mu2) with mu2 the smallest of them.  The cached saddle
-    factorization applied to M*v is the mean-constrained inverse of A, which
-    sends constants to zero and so deflates the null mode of A.  Lanczos
-    (ARPACK) finds the top eigenvalue 1/mu2 of the symmetrized operator
-    v -> M^(1/2) A0^(-1) M^(1/2) v from a fixed start vector, so repeated
-    calls return the same bits.  Raises NumericalError when a saddle solve
-    loses accuracy, or the eigensolve does not converge or its result is not
-    finite and positive.
+    c = mu2/(1 + mu2) with mu2 the smallest of them.  The mean-constrained
+    inverse A0^(-1) of A (``_saddle_solve``) sends M times a constant to zero,
+    and so deflates the null mode of A.  Lanczos (ARPACK) finds the top
+    eigenvalue 1/mu2 of the symmetrized operator v -> M^(1/2) A0^(-1) M^(1/2) v
+    from a fixed start vector, so repeated calls return the same bits.  Raises NumericalError when a mean-constrained
+    solve loses accuracy, or the eigensolve does not converge or its result is
+    not finite and positive.
     """
     root = np.sqrt(dom.combined_mass)
     nb = dom.n_bulk

@@ -529,7 +529,7 @@ def test_check_default_mesh_passes(tmp_path):
     assert main(["check", "--out", str(out), "--quiet"]) == 0
     report = (out / "report.txt").read_text()
     assert "FAIL" not in report
-    assert report.count("PASS") == 4
+    assert report.count("PASS") == 3
     assert (out / "report.csv").read_text().startswith("item,passed,detail")
 
 

@@ -157,16 +157,14 @@ def test_minimum_degree_order_bounds_the_fill(domain_cache):
     dom = domain_cache(65)
     (lu,) = _step_system(dom, 0.02, 1e-3).lu
     assert _fill(lu) <= 150_000
-    assert _fill(dom.saddle_lu) <= 160_000
+    assert _fill(dom.pinned_lu) <= 135_000
 
 
 def test_every_factor_solves_to_rounding(domain_cache, rng):
     dom = domain_cache(33)
     gc, A = dom.combined_mass, dom.coupled_stiffness
-    # the saddle system borders the stiffness with the mass column; the
-    # multiplier is the last unknown
-    saddle = sp.bmat([[A, gc[:, None]], [gc[None, :], None]], format="csr")
-    cases = [(saddle, dom.saddle_lu), (sp.diags(gc) + A, dom.vnorm_lu)]
+    # the mean-constrained solve pins the first node
+    cases = [(A[1:, 1:], dom.pinned_lu), (sp.diags(gc) + A, dom.vnorm_lu)]
     for eps, tau in [(0.02, 1e-3), (0.5, 1e-2)]:  # one complex shift, a real pair
         system = _step_system(dom, eps, tau)
         cases += list(zip(system.picard_matrix(), system.lu))
@@ -178,7 +176,7 @@ def test_every_factor_solves_to_rounding(domain_cache, rng):
 
 def test_vnorm_factor_is_built_on_first_use(rng):
     dom = build_unit_square(9)
-    assert "vnorm_lu" not in vars(dom)
+    assert not {"pinned_lu", "vnorm_lu", "mu2_lower"} & set(vars(dom))
     ell = DualPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
     norm = norm_V_star(ell)
     assert "vnorm_lu" in vars(dom)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,18 @@ def dense_operators(dom):
     A = dom.K_bulk.toarray() + S.T @ dom.K_surf.toarray() @ S
     gc = dom.M_bulk + S.T @ dom.M_surf
     return A, gc
+
+
+def dense_bordered_solve(dom, rhs):
+    """Oracle for the mean-constrained solve: the dense saddle system that
+    borders A with the mass column, the multiplier its last unknown."""
+    A, gc = dense_operators(dom)
+    nb = dom.n_bulk
+    aug = np.zeros((nb + 1, nb + 1))
+    aug[:nb, :nb] = A
+    aug[:nb, nb] = gc
+    aug[nb, :nb] = gc
+    return np.linalg.solve(aug, np.concatenate([rhs, [0.0]]))[:nb]
 
 
 # --- inner products ---------------------------------------------------------
@@ -156,21 +169,27 @@ def test_solve_F_inverse_rejects_nonzero_mean(domain_cache):
 
 def test_solve_F_inverse_n3_dense_augmented_oracle(domain_cache, rng):
     dom = domain_cache(3)
-    A, gc = dense_operators(dom)
     z = random_zero_mean(dom, rng)
     ell = as_functional(z)
     got = solve_F_inverse(ell)
-
-    # oracle: dense augmented saddle solve in bulk coordinates
     rhs_c = ell.bulk.copy()
     rhs_c[dom.boundary_chain] += ell.boundary
-    nb = dom.n_bulk
-    aug = np.zeros((nb + 1, nb + 1))
-    aug[:nb, :nb] = A
-    aug[:nb, nb] = gc
-    aug[nb, :nb] = gc
-    sol = np.linalg.solve(aug, np.concatenate([rhs_c, [0.0]]))
-    np.testing.assert_allclose(got.bulk, sol[:nb], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.bulk, dense_bordered_solve(dom, rhs_c), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_saddle_solve_with_nonzero_sum_dense_bordered_oracle(domain_cache, rng, n):
+    # a right-hand side that does not annihilate constants takes the closed-form
+    # multiplier sum(r)/sum(Mc), as the exact step residual r1 does with R1
+    dom = domain_cache(n)
+    gc = dom.combined_mass
+    for shift in (1.0, -40.0):
+        rhs = rng.standard_normal(dom.n_bulk) + shift * gc
+        assert abs(rhs.sum()) > 0.1
+        oracle = dense_bordered_solve(dom, rhs)
+        w = spaces._saddle_solve(dom, rhs)
+        np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-10 * np.abs(oracle).max())
+        assert abs(gc @ w) <= 1e-13 * np.abs(w).max()
 
 
 # --- norms -----------------------------------------------------------------------
@@ -195,16 +214,9 @@ def test_dual_norm_positive_on_n3(domain_cache, rng):
     val = norm_V0_star(ell)
     assert val > 0.0
     # dense oracle for the same quantity
-    A, gc = dense_operators(dom)
     rhs_c = ell.bulk.copy()
     rhs_c[dom.boundary_chain] += ell.boundary
-    nb = dom.n_bulk
-    aug = np.zeros((nb + 1, nb + 1))
-    aug[:nb, :nb] = A
-    aug[:nb, nb] = gc
-    aug[nb, :nb] = gc
-    sol = np.linalg.solve(aug, np.concatenate([rhs_c, [0.0]]))
-    assert val == pytest.approx(np.sqrt(rhs_c @ sol[:nb]), rel=1e-10)
+    assert val == pytest.approx(np.sqrt(rhs_c @ dense_bordered_solve(dom, rhs_c)), rel=1e-10)
 
 
 def test_cauchy_schwarz_in_duality(domain_cache, rng):
@@ -238,6 +250,17 @@ def qz_poincare_oracle(dom):
     vals = scipy.linalg.eig(Z.T @ A @ Z, Z.T @ B @ Z, right=False)
     vals = np.real(vals[np.abs(np.imag(vals)) < 1e-10])
     return float(vals.min())
+
+
+def test_poincare_constant_of_a_replaced_stiffness(domain_cache):
+    # a copy with another stiffness builds its own factors: doubling Ac
+    # doubles mu2, so c_p = 2 mu2/(1 + 2 mu2) with mu2 = c_p/(1 - c_p)
+    dom = domain_cache(9)
+    cp = poincare_constant(dom)
+    doubled = poincare_constant(replace(dom, coupled_stiffness=2.0 * dom.coupled_stiffness))
+    mu2 = 2.0 * cp / (1.0 - cp)
+    assert doubled == pytest.approx(mu2 / (1.0 + mu2), rel=1e-12)
+    assert doubled == pytest.approx(0.8777058435270991, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [5, 8])

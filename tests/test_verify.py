@@ -233,7 +233,7 @@ def test_table_columns_are_declared_monitor_norms(domain_cache):
 
 # --- structural checks ---------------------------------------------------------------
 
-ITEMS = ["coercivity constant positive", "coercivity constant certified",
+ITEMS = ["coercivity constant certified",
          "stiffness symmetric with constants in its kernel",
          "lumped masses positive with totals 1 and 4"]
 
@@ -271,7 +271,7 @@ def test_appendix_checks_flag_broken_stiffness_symmetry(domain_cache, operator):
     corrupted = replace(dom, **{operator: bad_K.tocsr()})
     verdicts = _verdicts(appendix_checks(corrupted))
     assert not verdicts["stiffness symmetric with constants in its kernel"]
-    assert sum(verdicts.values()) == 3
+    assert sum(verdicts.values()) == 2
 
 
 @pytest.mark.parametrize("operator", ["K_bulk", "K_surf"])
@@ -282,14 +282,14 @@ def test_appendix_checks_flag_non_finite_stiffness(domain_cache, operator):
     corrupted = replace(dom, **{operator: bad_K.tocsr()})
     verdicts = _verdicts(appendix_checks(corrupted))
     assert not verdicts["stiffness symmetric with constants in its kernel"]
-    assert sum(verdicts.values()) == 3
+    assert sum(verdicts.values()) == 2
 
 
 def test_appendix_checks_flag_wrong_mass_total(domain_cache):
     dom = domain_cache(5)
     verdicts = _verdicts(appendix_checks(replace(dom, M_surf=1.01 * dom.M_surf)))
     assert not verdicts["lumped masses positive with totals 1 and 4"]
-    assert sum(verdicts.values()) == 3
+    assert sum(verdicts.values()) == 2
 
 
 def test_reports_are_reproducible(domain_cache):
