@@ -2,10 +2,10 @@
 
 Verifies at desk scale the properties the weak formulation rests on: the
 coercivity constant of the gradient form over the full norm on zero-mean
-pairs, certified by two inertia counts; the symmetry and constant kernels of
-the stiffness matrices, which make the weak Laplacian pair adjoint; the
-lumped mass totals; and the duality roundtrip through the Riesz map of the
-gradient form.
+pairs, certified by one inertia count and the residual of its eigenvector;
+the symmetry and constant kernels of the stiffness matrices, which make the
+weak Laplacian pair adjoint; the lumped mass totals; and the duality
+roundtrip through the Riesz map of the gradient form.
 """
 
 import numpy as np

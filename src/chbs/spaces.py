@@ -208,7 +208,7 @@ def norm_V_star(ell):
     return float(np.sqrt(max(c @ dom.vnorm_lu.solve(c), 0.0)))
 
 
-def poincare_constant(dom):
+def poincare_constant(dom, eigenvector=False):
     """Largest c with c*|z|_V^2 <= a(z, z) on zero-mean trace-consistent pairs.
 
     With M the combined lumped mass and A the coupled stiffness, the pencil
@@ -217,10 +217,13 @@ def poincare_constant(dom):
     c = mu2/(1 + mu2) with mu2 the smallest of them.  The mean-constrained
     inverse A0^(-1) of A (``_saddle_solve``) sends M times a constant to zero,
     and so deflates the null mode of A.  Lanczos (ARPACK) finds the top
-    eigenvalue 1/mu2 of the symmetrized operator v -> M^(1/2) A0^(-1) M^(1/2) v
-    from a fixed start vector, so repeated calls return the same bits.  Raises NumericalError when a mean-constrained
-    solve loses accuracy, or the eigensolve does not converge or its result is
-    not finite and positive.
+    eigenpair (1/mu2, v) of the symmetrized operator
+    v -> M^(1/2) A0^(-1) M^(1/2) v from a fixed start vector, so repeated
+    calls return the same bits.  With ``eigenvector=True`` returns (c, x)
+    instead, where x = M^(-1/2) v estimates an eigenvector of (A, M) for mu2;
+    as with ``eigsh``, asking for it leaves c unchanged.  Raises NumericalError
+    when a mean-constrained solve loses accuracy, or the eigensolve does not
+    converge or its eigenvalue is not finite and positive.
     """
     root = np.sqrt(dom.combined_mass)
     nb = dom.n_bulk
@@ -231,15 +234,17 @@ def poincare_constant(dom):
     x, y = dom.coords[:, 0], dom.coords[:, 1]
     v0 = root * (np.cos(np.pi * x) + 0.1 * y)
     try:
-        top = eigsh(LinearOperator((nb, nb), matvec=apply, dtype=float), k=1,
-                    which="LA", v0=v0, tol=0, return_eigenvectors=False)[0]
+        tops, vecs = eigsh(LinearOperator((nb, nb), matvec=apply, dtype=float), k=1,
+                           which="LA", v0=v0, tol=0)
     except ArpackNoConvergence as exc:
         raise NumericalError(f"coercivity eigensolve did not converge at n = {dom.n}: "
                              f"{exc}") from exc
+    top = tops[0]
     if not (np.isfinite(top) and top > 0.0):
         raise NumericalError(f"coercivity eigensolve at n = {dom.n} returned "
                              f"1/mu2 = {float(top)!r}, expected finite and positive")
-    return float(1.0 / (1.0 + top))
+    cp = float(1.0 / (1.0 + top))
+    return (cp, vecs[:, 0] / root) if eigenvector else cp
 
 
 def subgrad_phi(z):

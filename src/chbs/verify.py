@@ -4,8 +4,8 @@ Turns the analytical guarantees of the model into desk-scale experiments on
 completed runs: the two-trajectory continuous-dependence ratio and its
 stability under time refinement, the vanishing-regularization Cauchy study
 with its uniform-bound table, and the exact structural certificates on a
-discrete domain (coercivity constant, its inertia certificate, stiffness
-symmetry and kernel, lumped masses).
+discrete domain (coercivity constant, its inertia and residual certificate,
+stiffness symmetry and kernel, lumped masses).
 
 Every report is a pure function of its input runs, so repeated invocations
 with identical inputs give identical reports.
@@ -303,7 +303,7 @@ class AppendixReport:
                 for it in self.items]
 
 
-_CERT_DELTA = 1e-6  # relative distance of the two shifts that certify c_p
+_CERT_DELTA = 1e-6  # relative margin to which the certificate pins mu2
 _STIFF_TOL = 1e-12  # stiffness asymmetry and row sums, relative to max |K|
 _MASS_TOL = 1e-12  # relative error of the lumped mass totals
 
@@ -317,17 +317,42 @@ def _stiffness_defect(K):
     return float(defect / abs(K).max())
 
 
+def _eigen_residual(A, gc, mu, x):
+    """(eta, allowance) for an estimate (mu, x) of an eigenpair of (A, diag gc).
+
+    eta = |A x - mu gc x|_{gc^-1} / |x|_gc, as computed; some eigenvalue of
+    the pencil lies within eta of mu (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, Thm 4.5.1, applied to gc^(-1/2) A gc^(-1/2)).  Each entry
+    of the computed residual sums k products of A x, two of mu gc x, and one
+    difference, so it is off by at most (k + 2) eps times the matching entry
+    of |A||x| + mu gc |x| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.5), with k the most stored entries in a row
+    of A; the allowance is that bound in the same norm.
+    """
+    norm_x = math.sqrt(float(gc @ x ** 2))
+
+    def dual(r):
+        return math.sqrt(float(r ** 2 @ (1.0 / gc))) / norm_x
+
+    gamma = (int(A.getnnz(axis=1).max()) + 2) * math.ulp(1.0)
+    return (dual(A @ x - mu * (gc * x)),
+            gamma * dual(abs(A) @ abs(x) + mu * (gc * abs(x))))
+
+
 def appendix_checks(dom):
     """Exact structural certificates on an assembled domain.
 
     Three report-only items, each decided by a matrix fact instead of samples:
 
-    - the coercivity constant c_p is certified: with mu = c_p/(1 - c_p),
-      Ac - s*mu*Mc has exactly one negative eigenvalue (the constant mode) at
-      s = 1 - _CERT_DELTA and at least two at s = 1 + _CERT_DELTA, so mu is
-      the least nonzero eigenvalue of (Ac, Mc) to that relative margin and
-      c_p is neither too large nor too small (inertia counts of one factor
-      each); the first count also proves mu, and so c_p, positive;
+    - the coercivity constant c_p is certified, with mu = c_p/(1 - c_p) and
+      mu2 the least nonzero eigenvalue of (Ac, Mc), by two facts.
+      Ac - (1 - _CERT_DELTA)*mu*Mc has exactly one negative eigenvalue (the
+      constant mode), an inertia count of one factor, so mu2 is at least
+      (1 - _CERT_DELTA)*mu, and mu, so c_p, is positive.  The residual of
+      the Lanczos eigenvector behind c_p, with its rounding allowance, is at
+      most _CERT_DELTA*mu, so a nonzero eigenvalue lies that close to mu,
+      and mu2 is at most mu plus that residual.  A c_p too large fails the
+      count, one too small the residual;
     - K_bulk and K_surf are finite and symmetric with constants in their
       kernels, which makes the weak Laplacian pair adjoint to the stiffness
       form; each is checked on its own, so an asymmetric one fails;
@@ -335,14 +360,15 @@ def appendix_checks(dom):
       (boundary length); the mean-projection identity holds algebraically
       for any masses.
     """
-    cp = poincare_constant(dom)
+    cp, x = poincare_constant(dom, eigenvector=True)
     mu = cp / (1.0 - cp)
-    below, above = (count_negative_eigenvalues(dom.shifted(-s * mu))
-                    for s in (1.0 - _CERT_DELTA, 1.0 + _CERT_DELTA))
+    below = count_negative_eigenvalues(dom.shifted(-(1.0 - _CERT_DELTA) * mu))
+    eta, allowance = _eigen_residual(dom.coupled_stiffness, dom.combined_mass, mu, x)
     items = [AppendixItem(
-        "coercivity constant certified", below == 1 and above >= 2,
-        f"c_p = {cp!r}, mu2 = {mu!r}: {below} and {above} negative eigenvalues "
-        f"at (1 -/+ {_CERT_DELTA!r})*mu2, want 1 and at least 2")]
+        "coercivity constant certified", below == 1 and eta + allowance <= _CERT_DELTA * mu,
+        f"c_p = {cp!r}, mu2 = {mu!r}: {below} negative eigenvalues at "
+        f"(1 - {_CERT_DELTA!r})*mu2, want 1; eigenvector residual {eta!r} "
+        f"+ rounding {allowance!r}, want at most {_CERT_DELTA!r}*mu2")]
 
     bulk, surf = _stiffness_defect(dom.K_bulk), _stiffness_defect(dom.K_surf)
     items.append(AppendixItem(

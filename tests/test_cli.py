@@ -546,7 +546,12 @@ def test_check_at_stepping_mesh_passes(tmp_path):
                          ids=["0.95", "0.99", "0.999", "true*(1-1e-3)", "true*(1+1e-3)"])
 def test_check_wrong_coercivity_constant_exits_1(tmp_path, monkeypatch, wrong):
     real = verify.poincare_constant
-    monkeypatch.setattr(verify, "poincare_constant", lambda dom: wrong(real(dom)))
+
+    def wrong_pair(dom, eigenvector):
+        cp, x = real(dom, eigenvector=True)
+        return wrong(cp), x
+
+    monkeypatch.setattr(verify, "poincare_constant", wrong_pair)
     cfg = write_config(tmp_path, "[mesh]\nn = 49\n")
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 1

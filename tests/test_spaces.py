@@ -332,7 +332,8 @@ def test_poincare_eigensolve_failure_is_numerical_error(domain_cache, monkeypatc
 
 @pytest.mark.parametrize("top", [np.nan, np.inf, 0.0, -0.5])
 def test_poincare_rejects_nonfinite_or_nonpositive_eigenvalue(domain_cache, monkeypatch, top):
-    monkeypatch.setattr(spaces, "eigsh", lambda *args, **kwargs: np.array([top]))
+    monkeypatch.setattr(spaces, "eigsh",
+                        lambda *args, **kwargs: (np.array([top]), np.ones((25, 1))))
     with pytest.raises(NumericalError, match=r"at n = 5"):
         poincare_constant(domain_cache(5))
 

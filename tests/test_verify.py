@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from chbs.errors import ConfigError
 from chbs.monotone import GraphPair, polynomial_graph
 from chbs.scheme import SchemeConfig, run
 from chbs.spaces import (FieldPair, as_functional, form_a, mean, norm_V0_star,
-                         norm_V_star, project_zero_mean)
+                         norm_V_star, poincare_constant, project_zero_mean)
 from chbs.verify import (appendix_checks, apriori_bound_table,
                          continuous_dependence_experiment, vanishing_eps_study)
 
@@ -253,14 +254,71 @@ def test_appendix_checks_pass_on_clean_domain(domain_cache):
 WRONG_CP = {"0.95": lambda cp: 0.95, "0.99": lambda cp: 0.99, "0.999": lambda cp: 0.999,
             "true*(1-1e-3)": lambda cp: cp * (1 - 1e-3),
             "true*(1+1e-3)": lambda cp: cp * (1 + 1e-3)}
+# a constant too large puts mu2 below the shifted count; one too small leaves
+# the true eigenvector with a residual far above the margin
+FAILS_BY_COUNT = {"0.95", "0.99", "0.999", "true*(1+1e-3)"}
+ONLY_CERTIFICATE_FAILS = dict.fromkeys(ITEMS, True) | {"coercivity constant certified": False}
+
+
+def _certificate(report):
+    """(c_p, count, eta, allowance) as the certificate's detail states them."""
+    item = report.items[0]
+    match = re.fullmatch(r"c_p = (\S+), mu2 = \S+: (\d+) negative eigenvalues at .*; "
+                         r"eigenvector residual (\S+) \+ rounding (\S+), want at most .*",
+                         item.detail)
+    cp, count, eta, allowance = match.groups()
+    return float(cp), int(count), float(eta), float(allowance)
+
+
+def _patch_eigenpair(monkeypatch, perturb):
+    """Make appendix_checks see the eigenpair (c_p, x) mapped by perturb."""
+    real = verify.poincare_constant
+    monkeypatch.setattr(verify, "poincare_constant",
+                        lambda dom, eigenvector: perturb(*real(dom, eigenvector=True)))
 
 
 @pytest.mark.parametrize("wrong", WRONG_CP)
 def test_appendix_checks_reject_a_wrong_coercivity_constant(domain_cache, monkeypatch, wrong):
-    real = verify.poincare_constant
-    monkeypatch.setattr(verify, "poincare_constant", lambda dom: WRONG_CP[wrong](real(dom)))
-    verdicts = _verdicts(appendix_checks(domain_cache(49)))
-    assert verdicts == dict.fromkeys(ITEMS, True) | {"coercivity constant certified": False}
+    _patch_eigenpair(monkeypatch, lambda cp, x: (WRONG_CP[wrong](cp), x))
+    report = appendix_checks(domain_cache(49))
+    assert _verdicts(report) == ONLY_CERTIFICATE_FAILS
+    cp, count, eta, allowance = _certificate(report)
+    if wrong in FAILS_BY_COUNT:
+        assert count >= 2
+    else:
+        assert count == 1 and eta + allowance > verify._CERT_DELTA * cp / (1.0 - cp)
+
+
+def test_appendix_checks_reject_a_perturbed_eigenvector(domain_cache, monkeypatch, rng):
+    dom = domain_cache(17)
+    field = project_zero_mean(FieldPair.from_bulk(dom, rng.standard_normal(dom.n_bulk))).bulk
+
+    def perturb(cp, x):
+        size = np.sqrt(dom.combined_mass @ x ** 2 / (dom.combined_mass @ field ** 2))
+        return cp, x + 1e-3 * size * field
+
+    _patch_eigenpair(monkeypatch, perturb)
+    report = appendix_checks(dom)
+    assert _verdicts(report) == ONLY_CERTIFICATE_FAILS
+    assert _certificate(report)[1] == 1
+
+
+def test_appendix_checks_make_one_inertia_count(domain_cache, monkeypatch):
+    calls = []
+    real = verify.count_negative_eigenvalues
+    monkeypatch.setattr(verify, "count_negative_eigenvalues",
+                        lambda matrix: calls.append(matrix.shape) or real(matrix))
+    assert appendix_checks(domain_cache(9)).passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 17, 33, 49])
+def test_coercivity_certificate_margins(domain_cache, n):
+    dom = domain_cache(n)
+    cp, count, eta, allowance = _certificate(appendix_checks(dom))
+    assert count == 1
+    assert eta + allowance <= 1e-3 * verify._CERT_DELTA * cp / (1.0 - cp)
+    assert cp == poincare_constant(dom)
 
 
 @pytest.mark.parametrize("operator", ["K_bulk", "K_surf"])
@@ -297,8 +355,8 @@ def test_reports_are_reproducible(domain_cache):
 
 
 def test_appendix_checks_memory_stays_blocked(domain_cache):
-    # the certificates hold one sparse factor at a time; the Lanczos and both
-    # inertia counts peak at about 1 MB at this mesh
+    # the certificates hold one sparse factor at a time; the Lanczos and the
+    # inertia count peak at about 1 MB at this mesh
     dom = domain_cache(49)
     tracemalloc.start()
     try:
