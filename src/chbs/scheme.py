@@ -46,16 +46,25 @@ forcing term use b1; the convergence test solves for the exact r1 only
 when b1 cannot decide it, so a step makes about one solve, and it accepts
 exactly the iterates the exact test accepts.
 
-From its second step on, ``run`` starts Newton from the linear extrapolation
-2 x_n - x_{n-1} of the last two levels, which is O(tau^2) from the new level
-on a smooth solution where the old state is O(tau), and so saves iterations.
+From its second step on, ``run`` starts Newton from the polynomial in time
+through the last two, three and then four levels, evaluated at the new one:
+2 x_n - x_{n-1}, 3 x_n - 3 x_{n-1} + x_{n-2}, and from the fourth step on the
+cubic 4 x_n - 6 x_{n-1} + 4 x_{n-2} - x_{n-3}.  On a smooth solution the
+cubic start is O(tau^4) from the new level where the old state is O(tau), so
+more steps converge in one iteration.
+
+When the two graphs coincide (one kind, rho = 1) the boundary values of an
+iterate are exactly the trace of its bulk values, so each node's resolvent is
+evaluated once and the mass-weighted terms are the nodal products Mc xi and
+Mc xi'; other pairs evaluate each graph on its own values and add the
+boundary terms to their chain nodes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -213,30 +222,35 @@ def _offset_pair(pair, xi, u_bulk, u_bnd, f):
                      xi.boundary + pair.boundary.pi_slope * u_bnd - f.boundary, dom)
 
 
+def _graphs_coincide(pair, eps):
+    """Whether the boundary graph at eps*rho is the bulk graph at eps: one
+    kind, whose resolvent depends only on its parameter, at one parameter."""
+    return pair.bulk.kind == pair.boundary.kind and eps * pair.rho == eps
+
+
 def _graph_terms(dom, pair, eps, u_bulk, u_bnd):
     """Resolvent, Yosida and Yosida-slope pairs of the bulk graph at eps and
-    the boundary graph at eps*rho.  Two graphs of one kind at one parameter
-    (rho = 1) are one resolvent evaluation on the joined values, and each
-    pair holds the two slices of its result; otherwise one per graph.  The
-    evaluation is nodewise, so the values are those of separate calls."""
-    eps_bnd = eps * pair.rho
-    if pair.bulk.kind == pair.boundary.kind and eps_bnd == eps:
+    the boundary graph at eps*rho.  Coinciding graphs are one resolvent
+    evaluation on the joined values, and each pair holds the two slices of
+    its result; otherwise one per graph.  The evaluation is nodewise, so the
+    values are those of separate calls."""
+    if _graphs_coincide(pair, eps):
         n = u_bulk.shape[0]
         both = yosida_and_slope(pair.bulk, eps, np.concatenate((u_bulk, u_bnd)))
         return [FieldPair(a[:n], a[n:], dom) for a in both]
     bulk = yosida_and_slope(pair.bulk, eps, u_bulk)
-    bnd = yosida_and_slope(pair.boundary, eps_bnd, u_bnd)
+    bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u_bnd)
     return [FieldPair(b, g, dom) for b, g in zip(bulk, bnd)]
 
 
 # --- monitor -----------------------------------------------------------------
 
-def monitor_record(state, config):
-    """The monitor scalars of a state.  The energy's lumped envelopes
-    |u - J|^2/(2 eps) + beta_hat(J) (eps*rho on the boundary) use the kept J."""
+def _energy(state, config):
+    """(energy, a(v, v), bulk envelope integral, boundary envelope integral)
+    of a state.  The lumped envelopes |u - J|^2/(2 eps) + beta_hat(J)
+    (eps*rho on the boundary) use the kept J."""
     dom, pair, m0, j = state.v.domain, config.graphs, state.m0, state.j
     u_b, u_g = state.v.bulk + m0, state.v.boundary + m0
-    total_mass = float(dom.M_bulk @ u_b) + float(dom.M_surf @ u_g)
     a_vv = form_a(state.v, state.v)
     env_bulk = float(dom.M_bulk @ _envelope_at(pair.bulk, config.eps, u_b, j.bulk))
     env_surf = float(dom.M_surf @ _envelope_at(pair.boundary, config.eps * pair.rho,
@@ -246,13 +260,27 @@ def monitor_record(state, config):
     s_b, s_g, m0_sq = pair.bulk.pi_slope, pair.boundary.pi_slope, m0 * m0
     e += float(dom.M_bulk @ (0.5 * s_b * u_b ** 2 - 0.5 * s_b * m0_sq))
     e += float(dom.M_surf @ (0.5 * s_g * u_g ** 2 - 0.5 * s_g * m0_sq))
+    return e, a_vv, env_bulk, env_surf
+
+
+def _norm_V(z):
+    """The energy norm sqrt(inner_V(z, z))."""
+    return float(np.sqrt(max(inner_V(z, z), 0.0)))
+
+
+def monitor_record(state, config):
+    """The monitor scalars of a state."""
+    dom, m0 = state.v.domain, state.m0
+    total_mass = (float(dom.M_bulk @ (state.v.bulk + m0))
+                  + float(dom.M_surf @ (state.v.boundary + m0)))
+    e, a_vv, env_bulk, env_surf = _energy(state, config)
     return MonitorRecord(
         t=state.t,
         total_mass=total_mass,
         energy=e,
         norm_v_V0=float(np.sqrt(max(a_vv, 0.0))),
         norm_v_V0star=norm_V0_star(as_functional(state.v)),
-        norm_mu_V=float(np.sqrt(max(inner_V(state.mu, state.mu), 0.0))),
+        norm_mu_V=_norm_V(state.mu),
         l1_xi_bulk=float(dom.M_bulk @ np.abs(state.xi.bulk)),
         l1_xi_surf=float(dom.M_surf @ np.abs(state.xi.boundary)),
         envelope_integral_bulk=env_bulk,
@@ -273,7 +301,8 @@ def initialize(config, u0, forcing_at_0=None):
     potential mu0 solves the step's potential equation with a zero time
     derivative, Mc mu0 = Ac v0 + N + P - F, so it is trace-consistent.
     Raises ConfigError if the forcing at t = 0 makes the potential or the
-    mean offset non-finite.
+    mean offset non-finite, or if the level's potential norm |mu0|_V or
+    energy is not finite, as when the data, graphs and eps overflow them.
     """
     dom = u0.domain
     pair = config.graphs
@@ -312,7 +341,15 @@ def initialize(config, u0, forcing_at_0=None):
             and np.isfinite(mu0.boundary).all()):
         raise ConfigError(f"the forcing at t = 0 gives a non-finite initial potential "
                           f"or mean offset (omega = {omega!r})")
-    return SchemeState(v=v0, mu=mu0, xi=xi, j=j, omega=omega, t=0.0, m0=m0)
+    state = SchemeState(v=v0, mu=mu0, xi=xi, j=j, omega=omega, t=0.0, m0=m0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        level0 = (("potential norm |mu0|_V", _norm_V(mu0)),
+                  ("energy", _energy(state, config)[0]))
+    for name, value in level0:
+        if not math.isfinite(value):
+            raise ConfigError(f"the initial {name} is not finite ({value!r}): the "
+                              f"data, graphs and eps overflow it")
+    return state
 
 
 # --- the nonlinear step -----------------------------------------------------
@@ -323,8 +360,9 @@ def _h_norm(dom, vec):
 
 
 # one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
-# the H* norm r2 of R2, the resolvent and Yosida pairs, the Jacobian diagonal
-# d, g = N + P - F, mu less its Mc-weighted mean, Ac mu, and the terms of R2
+# the H* norm r2 of R2, the resolvent and Yosida values (bulk arrays where the
+# graphs coincide, pairs otherwise), the Jacobian diagonal d, g = N + P - F,
+# mu less its Mc-weighted mean, Ac mu, and the terms of R2
 _Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
 
 
@@ -353,6 +391,9 @@ class _StepSystem:
     ``f_next`` (None is zero forcing) is fixed for the step and built once.
     ``lu`` factors the shifted stiffness matrices of ``picard_matrix`` on
     first use unless the run passes in the factors it already holds.
+    ``coincide`` says whether the boundary graph is the bulk one, so that an
+    iterate's boundary values, the trace of its bulk values, need no
+    evaluation of their own.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_next, lu=None):
@@ -369,6 +410,7 @@ class _StepSystem:
             self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
         self._lu = lu
+        self.coincide = _graphs_coincide(pair, config.eps)
 
     @property
     def lu(self):
@@ -382,12 +424,17 @@ class _StepSystem:
         dom = self.dom
         gc, A = dom.combined_mass, dom.coupled_stiffness
         u = w + self.m0
-        j, xi, slope = _graph_terms(dom, self.cfg.graphs, self.cfg.eps, u, u[dom.boundary_chain])
-        m_b, m_s = dom.M_bulk, dom.M_surf
-        nvec = _collapse(dom, m_b * xi.bulk, m_s * xi.boundary)
-        d = _collapse(dom, m_b * slope.bulk, m_s * slope.boundary)
+        pair, eps = self.cfg.graphs, self.cfg.eps
+        if self.coincide:
+            j, xi, slope = yosida_and_slope(pair.bulk, eps, u)
+            nvec, d = gc * xi, gc * slope
+        else:
+            j, xi, slope = _graph_terms(dom, pair, eps, u, u[dom.boundary_chain])
+            m_b, m_s = dom.M_bulk, dom.M_surf
+            nvec = _collapse(dom, m_b * xi.bulk, m_s * xi.boundary)
+            d = _collapse(dom, m_b * slope.bulk, m_s * slope.boundary)
         gc_dw = self.gc_tau * (w - self.w_prev)
-        eps_dw = self.cfg.eps * gc_dw
+        eps_dw = eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
         # out of the rounding of Ac mu
         gc_sum = float(gc.sum())
@@ -603,12 +650,15 @@ def step(state, config, f_next, *, lu=None, start=None):
     w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
     it, iters, lin_iters = _solve_step(system, w0, mu0)
 
+    xi, j = it.xi, it.j
+    if system.coincide:
+        xi, j = FieldPair.from_bulk(dom, xi), FieldPair.from_bulk(dom, j)
     u_prev = state.v.bulk + state.m0
-    offset = _offset_pair(config.graphs, it.xi, u_prev, u_prev[dom.boundary_chain], f_next)
+    offset = _offset_pair(config.graphs, xi, u_prev, u_prev[dom.boundary_chain], f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
-                       xi=it.xi,
-                       j=it.j,
+                       xi=xi,
+                       j=j,
                        omega=mean(offset),
                        t=state.t + config.tau,
                        m0=state.m0,
@@ -629,29 +679,45 @@ def weak_residuals(state_prev, state_next, config, f_next):
     return system.exact_r1(it), it.r2
 
 
+# the number of past levels the Newton start is extrapolated from, at most
+_PREDICTOR_LEVELS = 4
+
+
+def _extrapolate(levels):
+    """The value one level on of the polynomial in time through equally
+    spaced levels, oldest first, each a tuple of arrays: for m levels,
+    sum_i (-1)^i C(m, i+1) x_{n-i}, which is 2 x_n - x_{n-1} for two,
+    3 x_n - 3 x_{n-1} + x_{n-2} for three and
+    4 x_n - 6 x_{n-1} + 4 x_{n-2} - x_{n-3} for four.  It is exact for
+    polynomials of degree below m.  Returns one array per slot of a level."""
+    m = len(levels)
+    weights = [(-1) ** i * math.comb(m, i + 1) for i in range(m)]
+    return tuple(sum(c * x for c, x in zip(weights, slot))
+                 for slot in zip(*reversed(levels)))
+
+
 def run(config, u0, forcing=None):
     """Integrate from t = 0 to t_end, collecting the states; the trajectory
     computes their monitor records when they are first read.
 
     ``forcing`` is an optional callable t -> FieldPair, sampled at the time
-    t recorded by each level; None is zero forcing.  From the second step
-    on, Newton starts from the linear extrapolation 2 x_n - x_{n-1} of the
-    last two levels, for x = v and mu.  A failure in any step ends the run
-    and returns the partial trajectory flagged.
+    t recorded by each level; None is zero forcing.  Step k >= 2 starts
+    Newton from ``_extrapolate`` of v and mu through the last min(4, k)
+    levels, which ``run`` keeps in a history of four apart from the
+    trajectory.  A failure in any step ends the run and returns the partial
+    trajectory flagged.
     """
     dom = u0.domain
     state = initialize(config, u0, None if forcing is None else forcing(0.0))
     traj = Trajectory(config=config, m0=state.m0, states=[state])
+    past = deque([(state.v.bulk, state.mu.bulk)], maxlen=_PREDICTOR_LEVELS)
     # S0 is the same at every step: factor its shifted stiffness once per run
     lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):
         t = state.t + config.tau  # the time step() gives the new level
         f_next = None if forcing is None else forcing(t)
-        start = None
-        if k > 1:
-            prev = traj.states[-2]
-            start = (2.0 * state.v.bulk - prev.v.bulk, 2.0 * state.mu.bulk - prev.mu.bulk)
+        start = _extrapolate(past) if k > 1 else None
         try:
             state = step(state, config, f_next, lu=lu, start=start)
         except ChbsError as exc:
@@ -659,4 +725,5 @@ def run(config, u0, forcing=None):
             traj.error = f"step {k} (t = {t!r}): {exc}"
             break
         traj.states.append(state)
+        past.append((state.v.bulk, state.mu.bulk))
     return traj

@@ -355,6 +355,25 @@ def test_run_forcing_overflowing_at_t0_exits_2_before_any_step(tmp_path, capsys)
     assert not (out / "monitors.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+@pytest.mark.parametrize("scheme_keys, graph_keys, seed, value", [
+    ("", "pi_slope = -1e300\n", 3, "nan"),
+    ("eps = 1.1e-206\n", "bulk = logarithmic\nboundary = logarithmic\n", 1, "inf"),
+], ids=["pi-slope-1e300", "log-eps-1.1e-206"])
+def test_run_overflowing_level_0_exits_2_before_writing_it(tmp_path, capsys, scheme_keys,
+                                                          graph_keys, seed, value):
+    # |mu0|_V overflows while mu0 itself is finite; the run used to write a
+    # row 0 holding nan or inf and abort at step 1
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[scheme]\nt_end = 0.002\n{scheme_keys}"
+                                 f"[graphs]\n{graph_keys}"
+                                 f"[init]\npreset = random\namplitude = 0.3\nseed = {seed}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the initial potential norm |mu0|_V is not finite ({value})")
+    assert not (out / "monitors.csv").exists()
+
+
 def test_run_out_of_domain_init_exits_2(tmp_path, capsys):
     text = """
 [mesh]

@@ -178,6 +178,15 @@ def test_initialize_records_yosida_pair(domain_cache, rng):
                                rtol=0, atol=1e-14)
 
 
+def test_initialize_refuses_a_non_finite_initial_energy(domain_cache, rng, monkeypatch):
+    # the potential norm's refusal is exercised end to end in test_cli.py
+    energy = scheme_module._energy
+    monkeypatch.setattr(scheme_module, "_energy",
+                        lambda state, config: (-math.inf,) + energy(state, config)[1:])
+    with pytest.raises(ConfigError, match=r"initial energy is not finite \(-inf\)"):
+        initialize(make_config(), random_u0(domain_cache(5), rng))
+
+
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
                          ids=["polynomial", "logarithmic", "obstacle"])
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
@@ -771,8 +780,10 @@ def test_run_with_predictor_outside_graph_domain(domain_cache, rng, graph):
     traj = run(cfg, random_u0(dom, rng))
     assert not traj.aborted and len(traj.states) == 51
     S = traj.states
-    predicted = max(np.abs(2.0 * b.v.bulk - a.v.bulk + b.m0).max() for a, b in zip(S, S[1:-1]))
-    assert predicted > 1.0
+    # the starts run extrapolated from the last four levels
+    starts = [scheme_module._extrapolate([(s.v.bulk,) for s in S[max(0, k - 3):k + 1]])[0]
+              for k in range(1, len(S) - 1)]
+    assert max(np.abs(w + S[0].m0).max() for w in starts) > 1.0
     mass0 = traj.records[0].total_mass
     assert max(abs(r.total_mass - mass0) for r in traj.records) <= 1e-9
     energies = [r.energy for r in traj.records]
@@ -789,6 +800,81 @@ def test_energy_decays_at_large_tau(domain_cache, rng, graph, tau):
     dom = domain_cache(9)
     cfg = make_config(eps=0.02, tau=tau, t_end=20 * tau, graphs=GraphPair(graph, graph))
     traj = run(cfg, random_u0(dom, rng))
+    assert not traj.aborted and len(traj.states) == 21
+    energies = [r.energy for r in traj.records]
+    assert max(b - a for a, b in zip(energies, energies[1:])) <= 1e-10
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_extrapolation_reproduces_polynomials_below_its_level_count(levels):
+    # levels at t = 0.3, 0.55, ... one tau = 0.25 apart: every polynomial of
+    # degree below the level count is continued exactly, to rounding, and
+    # one of degree levels is not
+    rng = np.random.Generator(np.random.Philox(5))
+    times = 0.3 + 0.25 * np.arange(levels + 1)
+    for degree in range(levels + 1):
+        coeffs = rng.standard_normal((degree + 1, 2, 7))
+
+        def at(t):
+            return tuple(sum(c * t ** p for p, c in enumerate(coeffs[:, slot]))
+                         for slot in range(2))
+
+        past = [at(t) for t in times[:-1]]
+        predicted, exact = scheme_module._extrapolate(past), at(times[-1])
+        err = max(np.abs(a - b).max() for a, b in zip(predicted, exact))
+        if degree < levels:
+            assert err <= 1e-13 * max(np.abs(b).max() for b in exact)
+        else:
+            assert err > 1e-3
+
+
+def test_run_starts_from_the_extrapolation_of_the_last_four_levels(domain_cache, rng,
+                                                                   monkeypatch):
+    # step k starts from the polynomial through the last min(4, k) levels
+    starts = []
+    real_step = scheme_module.step
+
+    def recording(state, config, f_next, *, lu=None, start=None):
+        starts.append(start)
+        return real_step(state, config, f_next, lu=lu, start=start)
+
+    monkeypatch.setattr(scheme_module, "step", recording)
+    dom = domain_cache(5)
+    traj = run(make_config(eps=0.05, t_end=6e-3), random_u0(dom, rng, amplitude=0.5))
+    assert not traj.aborted and len(starts) == 6
+    assert starts[0] is None
+    weights = {2: (2, -1), 3: (3, -3, 1), 4: (4, -6, 4, -1)}
+    for k, start in enumerate(starts[1:], start=1):
+        newest_first = traj.states[k::-1][:4]
+        for slot, name in enumerate(("v", "mu")):
+            expected = sum(c * getattr(s, name).bulk
+                           for c, s in zip(weights[len(newest_first)], newest_first))
+            assert np.abs(start[slot] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("graph", [logarithmic_graph(c=20.0), polynomial_graph(pi_slope=-40.0)],
+                         ids=["logarithmic", "cubic"])
+def test_smooth_run_starts_each_step_near_its_solution(domain_cache, graph):
+    # 60 smooth phase-separating steps: extrapolating from two levels takes
+    # 120 Newton iterations for either pair, the cubic extrapolation about 90
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.02, tau=2.5e-4, t_end=0.015, graphs=GraphPair(graph, graph))
+    u0 = random_u0(dom, np.random.Generator(np.random.Philox(3)), amplitude=0.2)
+    traj = run(cfg, u0)
+    assert not traj.aborted and len(traj.states) == 61
+    assert sum(s.newton_iters for s in traj.states) <= 100
+
+
+@pytest.mark.parametrize("tau", [1e-1, 1e-5])
+@pytest.mark.parametrize("graph", [polynomial_graph(-1.0), obstacle_graph(-1.0),
+                                   logarithmic_graph(c=0.5)],
+                         ids=["cubic", "obstacle", "logarithmic"])
+def test_extrapolated_starts_are_robust_at_large_and_small_tau(domain_cache, rng, graph, tau):
+    # far from smooth in time at tau = 0.1, the extrapolated start may be a
+    # poor guess; Newton must still converge and the energy still decay
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.05, tau=tau, t_end=20 * tau, graphs=GraphPair(graph, graph))
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.3))
     assert not traj.aborted and len(traj.states) == 21
     energies = [r.energy for r in traj.records]
     assert max(b - a for a, b in zip(energies, energies[1:])) <= 1e-10
@@ -959,6 +1045,33 @@ def test_joined_graph_terms_equal_separate_calls_bitwise(domain_cache, rng, grap
                                 monotone.yosida_and_slope(graph, eps, u_bnd)):
         assert pair_.bulk.tobytes() == bulk.tobytes()
         assert pair_.boundary.tobytes() == bnd.tobytes()
+
+
+@pytest.mark.parametrize("graph", [polynomial_graph(), logarithmic_graph(), obstacle_graph()],
+                         ids=lambda g: g.kind)
+def test_coinciding_graph_residual_matches_the_two_evaluation_path(domain_cache, rng, graph):
+    # one evaluation per node with Mc-weighted terms against the bulk and
+    # boundary evaluations with their boundary terms added to the chain
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.02, graphs=GraphPair(graph, graph))
+    w_prev = 0.4 * project_zero_mean(FieldPair.from_bulk(dom, rng.random(dom.n_bulk))).bulk
+    once = scheme_module._StepSystem(dom, cfg, 0.1, w_prev, None)
+    apart = scheme_module._StepSystem(dom, cfg, 0.1, w_prev, None)
+    assert once.coincide
+    apart.coincide = False
+    # beyond +-1, where the log resolvent saturates and the obstacle clips
+    w = 3.0 * rng.random(dom.n_bulk) - 1.5
+    mu = rng.standard_normal(dom.n_bulk)
+    a, b = once.residual(w, mu), apart.residual(w, mu)
+    for name in ("R1", "R2", "d"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max(), name
+    assert a.b1 == pytest.approx(b.b1, rel=1e-13)
+    assert a.r2 == pytest.approx(b.r2, rel=1e-13)
+    for name in ("j", "xi"):
+        pair_ = FieldPair.from_bulk(dom, getattr(a, name))
+        assert pair_.bulk.tobytes() == getattr(b, name).bulk.tobytes()
+        assert pair_.boundary.tobytes() == getattr(b, name).boundary.tobytes()
 
 
 def test_graph_terms_are_never_written_in_place(domain_cache, rng, monkeypatch):
