@@ -53,11 +53,11 @@ cubic 4 x_n - 6 x_{n-1} + 4 x_{n-2} - x_{n-3}.  On a smooth solution the
 cubic start is O(tau^4) from the new level where the old state is O(tau), so
 more steps converge in one iteration.
 
-When the two graphs coincide (one kind, rho = 1) the boundary values of an
-iterate are exactly the trace of its bulk values, so each node's resolvent is
-evaluated once and the mass-weighted terms are the nodal products Mc xi and
-Mc xi'; other pairs evaluate each graph on its own values and add the
-boundary terms to their chain nodes.
+Every level is trace-consistent, the initial one included, so its graph
+terms come from its bulk values u: the bulk graph on u and, unless it is the
+bulk one (one kind, rho = 1), the boundary graph on the trace u[chain].  The
+mass-weighted terms of a pair (b, g) are Mc b plus M_surf (g - b[chain]) on
+the chain, exactly the nodal product Mc b when g is the trace of b.
 """
 
 from __future__ import annotations
@@ -213,34 +213,40 @@ class Trajectory:
 
 # --- nodewise assembly helpers -------------------------------------------
 
-def _offset_pair(pair, xi, u_bulk, u_bnd, f):
-    """The pair xi + pi(u*) - f at perturbation argument u* = (u_bulk, u_bnd);
-    its mean is the offset omega of a state.  ``f`` None is zero forcing."""
+def _offset_pair(pair, xi, u, f):
+    """The pair xi + pi(u) - f at the trace-consistent level with bulk values
+    u; its mean is the offset omega of a state.  ``f`` None is zero forcing."""
     dom = xi.domain
     f = f if f is not None else FieldPair.zeros(dom)
-    return FieldPair(xi.bulk + pair.bulk.pi_slope * u_bulk - f.bulk,
-                     xi.boundary + pair.boundary.pi_slope * u_bnd - f.boundary, dom)
+    return FieldPair(xi.bulk + pair.bulk.pi_slope * u - f.bulk,
+                     xi.boundary + pair.boundary.pi_slope * u[dom.boundary_chain] - f.boundary,
+                     dom)
 
 
-def _graphs_coincide(pair, eps):
-    """Whether the boundary graph at eps*rho is the bulk graph at eps: one
-    kind, whose resolvent depends only on its parameter, at one parameter."""
-    return pair.bulk.kind == pair.boundary.kind and eps * pair.rho == eps
-
-
-def _graph_terms(dom, pair, eps, u_bulk, u_bnd):
-    """Resolvent, Yosida and Yosida-slope pairs of the bulk graph at eps and
-    the boundary graph at eps*rho.  Coinciding graphs are one resolvent
-    evaluation on the joined values, and each pair holds the two slices of
-    its result; otherwise one per graph.  The evaluation is nodewise, so the
-    values are those of separate calls."""
-    if _graphs_coincide(pair, eps):
-        n = u_bulk.shape[0]
-        both = yosida_and_slope(pair.bulk, eps, np.concatenate((u_bulk, u_bnd)))
-        return [FieldPair(a[:n], a[n:], dom) for a in both]
-    bulk = yosida_and_slope(pair.bulk, eps, u_bulk)
-    bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u_bnd)
+def _graph_terms(dom, pair, eps, u):
+    """Resolvent, Yosida and Yosida-slope pairs of the trace-consistent level
+    with bulk values u: the bulk graph at eps on u, and the boundary graph at
+    eps*rho on u[chain] unless it is the bulk graph (one kind, whose resolvent
+    depends only on its parameter, at one parameter) and its terms the trace."""
+    chain = dom.boundary_chain
+    bulk = yosida_and_slope(pair.bulk, eps, u)
+    if pair.bulk.kind == pair.boundary.kind and eps * pair.rho == eps:
+        bnd = [b[chain] for b in bulk]
+    else:
+        bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u[chain])
     return [FieldPair(b, g, dom) for b, g in zip(bulk, bnd)]
+
+
+def _mass_weighted(z):
+    """Bulk-node coefficients of (M_bulk b, M_surf g), z = (b, g), on
+    trace-consistent tests: Mc b plus M_surf (g - b[chain]) on the chain,
+    exactly Mc b when g is the trace of b.  A non-finite b leaves them
+    non-finite (NaN where g - b[chain] is inf - inf)."""
+    dom = z.domain
+    chain = dom.boundary_chain
+    out = dom.combined_mass * z.bulk
+    out[chain] += dom.M_surf * (z.boundary - z.bulk[chain])
+    return out
 
 
 # --- monitor -----------------------------------------------------------------
@@ -296,10 +302,12 @@ def monitor_record(state, config):
 def initialize(config, u0, forcing_at_0=None):
     """Build the initial state from trace-consistent initial data.
 
-    The conserved mean is recorded from the data; the resolvent and Yosida
-    pairs and the mean offset are evaluated at the level v0 + m0, and the
-    potential mu0 solves the step's potential equation with a zero time
-    derivative, Mc mu0 = Ac v0 + N + P - F, so it is trace-consistent.
+    The conserved mean is recorded from the data, and v0 is the
+    trace-consistent pair of its projected bulk values, as every later level
+    is; the resolvent and Yosida pairs and the mean offset are evaluated at
+    v0 + m0, and the potential mu0 solves the step's potential equation with
+    a zero time derivative, Mc mu0 = Ac v0 + N + P - F, so it is
+    trace-consistent.
     Raises ConfigError if the forcing at t = 0 makes the potential or the
     mean offset non-finite, or if the level's potential norm |mu0|_V or
     energy is not finite, as when the data, graphs and eps overflow them.
@@ -324,13 +332,13 @@ def initialize(config, u0, forcing_at_0=None):
         raise CompatibilityError(
             f"conserved mean {m0!r} is not interior to the boundary graph domain")
 
-    v0 = project_zero_mean(u0)
+    v0 = FieldPair.from_bulk(dom, project_zero_mean(u0).bulk)
     if _has_nonzero_mean(v0):
         raise CompatibilityError(f"initial data: its mean {m0!r} is too large to remove; "
                                  f"a mean of {mean(v0)!r} is left")
-    u_b, u_g = v0.bulk + m0, v0.boundary + m0
-    j, xi, _ = _graph_terms(dom, pair, config.eps, u_b, u_g)
-    rest = _offset_pair(pair, xi, u_b, u_g, forcing_at_0)
+    u = v0.bulk + m0
+    j, xi, _ = _graph_terms(dom, pair, config.eps, u)
+    rest = _offset_pair(pair, xi, u, forcing_at_0)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         # Mc mu0 = Ac v0 + N + P - F, written so that a constant rest stays exact
         a_v0 = _collapse(dom, dom.coupled_stiffness @ v0.bulk,
@@ -360,9 +368,8 @@ def _h_norm(dom, vec):
 
 
 # one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
-# the H* norm r2 of R2, the resolvent and Yosida values (bulk arrays where the
-# graphs coincide, pairs otherwise), the Jacobian diagonal d, g = N + P - F,
-# mu less its Mc-weighted mean, Ac mu, and the terms of R2
+# the H* norm r2 of R2, the resolvent and Yosida pairs, the Jacobian diagonal
+# d, g = N + P - F, mu less its Mc-weighted mean, Ac mu, and the terms of R2
 _Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
 
 
@@ -390,10 +397,9 @@ class _StepSystem:
     between iterates and steps.  The load P(u) - F of the forcing pair
     ``f_next`` (None is zero forcing) is fixed for the step and built once.
     ``lu`` factors the shifted stiffness matrices of ``picard_matrix`` on
-    first use unless the run passes in the factors it already holds.
-    ``coincide`` says whether the boundary graph is the bulk one, so that an
-    iterate's boundary values, the trace of its bulk values, need no
-    evaluation of their own.
+    first use unless the run passes in the factors it already holds.  An
+    iterate is trace-consistent, so its graph terms come from its bulk values
+    by ``_graph_terms`` and N and D are their ``_mass_weighted`` products.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_next, lu=None):
@@ -402,6 +408,7 @@ class _StepSystem:
         self.m0 = m0
         self.w_prev = w_prev
         self.gc_tau = dom.combined_mass / config.tau
+        self.gc_sum = float(dom.combined_mass.sum())
         self.mass_prev = float(dom.combined_mass @ w_prev)
         pair, u_prev = config.graphs, w_prev + m0
         self.load = _collapse(dom, dom.M_bulk * (pair.bulk.pi_slope * u_prev),
@@ -410,7 +417,6 @@ class _StepSystem:
             self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
         self._lu = lu
-        self.coincide = _graphs_coincide(pair, config.eps)
 
     @property
     def lu(self):
@@ -423,31 +429,24 @@ class _StepSystem:
             raise StepError("nonlinear iterate is not finite")
         dom = self.dom
         gc, A = dom.combined_mass, dom.coupled_stiffness
-        u = w + self.m0
-        pair, eps = self.cfg.graphs, self.cfg.eps
-        if self.coincide:
-            j, xi, slope = yosida_and_slope(pair.bulk, eps, u)
-            nvec, d = gc * xi, gc * slope
-        else:
-            j, xi, slope = _graph_terms(dom, pair, eps, u, u[dom.boundary_chain])
-            m_b, m_s = dom.M_bulk, dom.M_surf
-            nvec = _collapse(dom, m_b * xi.bulk, m_s * xi.boundary)
-            d = _collapse(dom, m_b * slope.bulk, m_s * slope.boundary)
+        eps = self.cfg.eps
+        j, xi, slope = _graph_terms(dom, self.cfg.graphs, eps, w + self.m0)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
         # out of the rounding of Ac mu
-        gc_sum = float(gc.sum())
-        mu_c = mu - float(gc @ mu) / gc_sum
+        mu_c = mu - float(gc @ mu) / self.gc_sum
         gc_mu, a_mu, a_w = gc * mu, A @ mu_c, A @ w
-        g = nvec + self.load
         R1 = gc_dw + a_mu
-        R2 = gc_mu - (eps_dw + a_w + g)
-        # on zero-mean pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
-        # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve.  An
-        # overflow makes a norm inf, which the step reports as a non-finite merit
+        # an overflow or a non-finite Yosida value makes R2 or a norm inf or
+        # NaN, which the step reports as a non-finite merit.  On zero-mean
+        # pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
+        # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve
         with np.errstate(over="ignore", invalid="ignore"):
-            R1_0 = R1 - (float(R1.sum()) / gc_sum) * gc
+            nvec, d = _mass_weighted(xi), _mass_weighted(slope)
+            g = nvec + self.load
+            R2 = gc_mu - (eps_dw + a_w + g)
+            R1_0 = R1 - (float(R1.sum()) / self.gc_sum) * gc
             b1 = _h_norm(dom, R1_0) / math.sqrt(dom.mu2_lower)
             r2 = _h_norm(dom, R2)
         return _Iterate(w, mu, R1, R2, b1, r2,
@@ -493,8 +492,7 @@ class _StepSystem:
 
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w."""
-        gc = self.dom.combined_mass
-        return (self.mass_prev - float(gc @ w)) / float(gc.sum())
+        return (self.mass_prev - float(self.dom.combined_mass @ w)) / self.gc_sum
 
     def reduce(self, r1, r2):
         """Right-hand side of the reduced system for the block right-hand side (r1, r2)."""
@@ -649,16 +647,11 @@ def step(state, config, f_next, *, lu=None, start=None):
     system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next, lu)
     w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
     it, iters, lin_iters = _solve_step(system, w0, mu0)
-
-    xi, j = it.xi, it.j
-    if system.coincide:
-        xi, j = FieldPair.from_bulk(dom, xi), FieldPair.from_bulk(dom, j)
-    u_prev = state.v.bulk + state.m0
-    offset = _offset_pair(config.graphs, xi, u_prev, u_prev[dom.boundary_chain], f_next)
+    offset = _offset_pair(config.graphs, it.xi, state.v.bulk + state.m0, f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
-                       xi=xi,
-                       j=j,
+                       xi=it.xi,
+                       j=it.j,
                        omega=mean(offset),
                        t=state.t + config.tau,
                        m0=state.m0,

@@ -234,7 +234,7 @@ class EpsStudyReport:
 
 
 def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
-    """Run one data set across a decreasing sweep of regularization values.
+    """Run one data set across a strictly decreasing regularization sweep.
 
     Reports the successive-solution distances max_t |v_k - v_{k+1}|_{H0} and
     their L2-in-time gradient-norm analogs, flags Cauchy behavior when the
@@ -246,8 +246,8 @@ def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
         raise ConfigError("eps sweep needs at least 3 entries")
     if any(not 0.0 < e <= 1.0 for e in eps_list):
         raise ConfigError("eps sweep entries must lie in (0,1]")
-    if any(b > a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("eps sweep must be nonincreasing")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("eps sweep must be strictly decreasing, with no repeated entry")
     trajs = [run(replace(config_base, eps=e), u0, forcing) for e in eps_list]
     # the table reads the records first, which flags a member whose monitor fails
     table = apriori_bound_table(trajs)

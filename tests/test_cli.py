@@ -658,6 +658,20 @@ def test_eps_study_quick(tmp_path):
     assert len(csv_lines) == 5  # header + four sweep rows
 
 
+@pytest.mark.parametrize("eps_list, message", [
+    ("0.5,0.25", "eps sweep needs at least 3 entries"),
+    ("0.5,0.25,2", "line 4: eps_list entries must lie in (0,1], got '0.5,0.25,2'"),
+    ("0.5,0.5,0.25", "eps sweep must be strictly decreasing"),
+    ("0.25,0.5,0.5", "eps sweep must be strictly decreasing"),
+], ids=["too-few", "outside-unit-interval", "repeat", "repeat-unsorted"])
+def test_eps_study_rejects_a_bad_sweep_with_exit_2(tmp_path, capsys, eps_list, message):
+    cfg = write_config(tmp_path, f"[mesh]\nn = 5\n[scheme]\neps_list = {eps_list}\n")
+    assert main(["eps-study", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
 # --- csv forcing and init --------------------------------------------------------------
 
 def test_csv_init_and_forcing(tmp_path):

@@ -993,33 +993,36 @@ def test_energy_matches_monitor_record(domain_cache, rng):
 
 
 def _count_graph_evaluations(domain_cache, rng, monkeypatch, pair):
-    """(resolvent calls, residual evaluations) of a three-step run."""
-    counts = {"resolvent": 0, "residual": 0}
+    """(nodes passed to each resolvent call, residual evaluations) of a
+    three-step run on the n = 5 mesh."""
+    nodes, residuals = [], []
+    real_resolvent, real_residual = monotone.resolvent, scheme_module._StepSystem.residual
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counted_resolvent(g, eps, r):
+        nodes.append(np.size(r))
+        return real_resolvent(g, eps, r)
 
-    monkeypatch.setattr(monotone, "resolvent", counting("resolvent", monotone.resolvent))
-    monkeypatch.setattr(scheme_module._StepSystem, "residual",
-                        counting("residual", scheme_module._StepSystem.residual))
+    def counted_residual(self, w, mu):
+        residuals.append(1)
+        return real_residual(self, w, mu)
+
+    monkeypatch.setattr(monotone, "resolvent", counted_resolvent)
+    monkeypatch.setattr(scheme_module._StepSystem, "residual", counted_residual)
     dom = domain_cache(5)
     cfg = make_config(eps=0.05, t_end=3e-3, graphs=pair)
     traj = run(cfg, random_u0(dom, rng, amplitude=0.5))
     assert not traj.aborted and len(traj.states) == 4
     assert len(traj.records) == 4
-    assert counts["residual"] >= 3
-    return counts["resolvent"], counts["residual"]
+    assert len(residuals) >= 3
+    return nodes, len(residuals)
 
 
 def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
-    # each residual and initialize evaluate both graphs of one kind at rho = 1
-    # in one resolvent call on the joined values; monitor records reuse the
+    # each residual and initialize evaluate the graph of one kind at rho = 1
+    # on the bulk values alone, so every node once; monitor records reuse the
     # kept pair
-    resolvents, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, POLY_PAIR)
-    assert resolvents == residuals + 1
+    nodes, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, POLY_PAIR)
+    assert nodes == [domain_cache(5).n_bulk] * (residuals + 1)
 
 
 @pytest.mark.parametrize("pair", [
@@ -1028,55 +1031,104 @@ def test_run_solves_each_level_once(domain_cache, rng, monkeypatch):
 ], ids=["rho-3", "mixed-kinds"])
 def test_graphs_at_different_parameters_or_kinds_are_evaluated_apart(domain_cache, rng,
                                                                      monkeypatch, pair):
-    resolvents, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, pair)
-    assert resolvents == 2 * (residuals + 1)
+    nodes, residuals = _count_graph_evaluations(domain_cache, rng, monkeypatch, pair)
+    dom = domain_cache(5)
+    assert nodes == [dom.n_bulk, dom.n_boundary] * (residuals + 1)
 
 
-@pytest.mark.parametrize("graph", [polynomial_graph(), logarithmic_graph(), obstacle_graph()],
-                         ids=lambda g: g.kind)
-def test_joined_graph_terms_equal_separate_calls_bitwise(domain_cache, rng, graph):
+_GRAPHS = [polynomial_graph(), logarithmic_graph(), obstacle_graph()]
+
+
+@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda g: g.kind)
+def test_coinciding_graph_terms_are_the_trace_bitwise(domain_cache, rng, graph):
+    # the boundary terms of a coinciding pair are gathered from the bulk ones,
+    # bitwise those of a separate evaluation on the trace; at rho = 3 the
+    # boundary graph is evaluated on the trace at 3 eps
     dom = domain_cache(9)
+    chain = dom.boundary_chain
     # beyond +-1, where the log resolvent saturates and the obstacle clips
     u = 3.0 * rng.random(dom.n_bulk) - 1.5
-    u_bnd = u[dom.boundary_chain]
     eps = 0.02
-    joined = scheme_module._graph_terms(dom, GraphPair(graph, graph), eps, u, u_bnd)
-    for pair_, bulk, bnd in zip(joined, monotone.yosida_and_slope(graph, eps, u),
-                                monotone.yosida_and_slope(graph, eps, u_bnd)):
-        assert pair_.bulk.tobytes() == bulk.tobytes()
-        assert pair_.boundary.tobytes() == bnd.tobytes()
+    for rho in (1.0, 3.0):
+        terms = scheme_module._graph_terms(dom, GraphPair(graph, graph, rho), eps, u)
+        for z, bulk, bnd in zip(terms, monotone.yosida_and_slope(graph, eps, u),
+                                monotone.yosida_and_slope(graph, eps * rho, u[chain])):
+            assert z.bulk.tobytes() == bulk.tobytes()
+            assert z.boundary.tobytes() == bnd.tobytes()
+            if rho == 1.0:
+                assert z.boundary.tobytes() == z.bulk[chain].tobytes()
 
 
-@pytest.mark.parametrize("graph", [polynomial_graph(), logarithmic_graph(), obstacle_graph()],
-                         ids=lambda g: g.kind)
-def test_coinciding_graph_residual_matches_the_two_evaluation_path(domain_cache, rng, graph):
-    # one evaluation per node with Mc-weighted terms against the bulk and
-    # boundary evaluations with their boundary terms added to the chain
+@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda g: g.kind)
+def test_mass_weighting_matches_the_collapsed_products(domain_cache, rng, graph):
+    # Mc b + M_surf (g - b[chain]) on the chain is M_bulk b + M_surf g on
+    # trace-consistent tests, for any (b, g), and bitwise Mc b when g is
+    # the trace of b, as it is for a coinciding pair
     dom = domain_cache(9)
-    cfg = make_config(eps=0.02, graphs=GraphPair(graph, graph))
-    w_prev = 0.4 * project_zero_mean(FieldPair.from_bulk(dom, rng.random(dom.n_bulk))).bulk
-    once = scheme_module._StepSystem(dom, cfg, 0.1, w_prev, None)
-    apart = scheme_module._StepSystem(dom, cfg, 0.1, w_prev, None)
-    assert once.coincide
-    apart.coincide = False
-    # beyond +-1, where the log resolvent saturates and the obstacle clips
-    w = 3.0 * rng.random(dom.n_bulk) - 1.5
-    mu = rng.standard_normal(dom.n_bulk)
-    a, b = once.residual(w, mu), apart.residual(w, mu)
-    for name in ("R1", "R2", "d"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max(), name
-    assert a.b1 == pytest.approx(b.b1, rel=1e-13)
-    assert a.r2 == pytest.approx(b.r2, rel=1e-13)
-    for name in ("j", "xi"):
-        pair_ = FieldPair.from_bulk(dom, getattr(a, name))
-        assert pair_.bulk.tobytes() == getattr(b, name).bulk.tobytes()
-        assert pair_.boundary.tobytes() == getattr(b, name).boundary.tobytes()
+    u = 3.0 * rng.random(dom.n_bulk) - 1.5
+    loose = FieldPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
+    for rho in (1.0, 3.0):
+        terms = scheme_module._graph_terms(dom, GraphPair(graph, graph, rho), 0.02, u)
+        for z in terms + [loose]:
+            got = scheme_module._mass_weighted(z)
+            ref = spaces._collapse(dom, dom.M_bulk * z.bulk, dom.M_surf * z.boundary)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            if rho == 1.0 and z is not loose:
+                assert got.tobytes() == (dom.combined_mass * z.bulk).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pair", [POLY_PAIR, GraphPair(polynomial_graph(), obstacle_graph())],
+                         ids=["coinciding", "mixed-kinds"])
+def test_non_finite_yosida_value_ends_the_step_at_its_start(domain_cache, rng, monkeypatch,
+                                                            pair):
+    # an infinite xi at a chain node makes N, and so the merit, non-finite
+    dom = domain_cache(9)
+    cfg = make_config(graphs=pair)
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    real = scheme_module.yosida_and_slope
+
+    def blown(g, eps, r):
+        j, xi, slope = real(g, eps, r)
+        xi = xi.copy()
+        xi[0 if r.shape[0] == dom.n_boundary else dom.boundary_chain[0]] = np.inf
+        return j, xi, slope
+
+    monkeypatch.setattr(scheme_module, "yosida_and_slope", blown)
+    with pytest.raises(StepError, match=r"^Newton did not converge in 0 iterations "):
+        step(state, cfg, None)
+
+
+@pytest.mark.parametrize("bulk, boundary, rho", [
+    ("polynomial", "polynomial", 1.0), ("polynomial", "polynomial", 3.0),
+    ("polynomial", "logarithmic", 0.5), ("polynomial", "logarithmic", 1.0),
+    ("polynomial", "logarithmic", 3.0), ("polynomial", "obstacle", 0.5),
+    ("polynomial", "obstacle", 1.0), ("polynomial", "obstacle", 3.0),
+    ("logarithmic", "logarithmic", 1.0), ("logarithmic", "logarithmic", 3.0),
+    ("obstacle", "logarithmic", 0.5), ("obstacle", "logarithmic", 1.0),
+    ("obstacle", "logarithmic", 3.0), ("obstacle", "obstacle", 0.5),
+    ("obstacle", "obstacle", 1.0), ("obstacle", "obstacle", 3.0),
+], ids=lambda x: str(x))
+def test_every_admissible_graph_pair_conserves_mass_and_decays_energy(domain_cache, rng,
+                                                                      bulk, boundary, rho):
+    # the 16 pairs GraphPair accepts among the three kinds at rho in
+    # {0.5, 1, 3}; all but the four coinciding ones evaluate both graphs
+    graphs = {g.kind: g for g in _GRAPHS}
+    dom = domain_cache(9)
+    cfg = make_config(eps=0.05, t_end=5e-3, graphs=GraphPair(graphs[bulk], graphs[boundary], rho))
+    traj = run(cfg, random_u0(dom, rng, amplitude=0.5))
+    records = traj.records
+    assert not traj.aborted and len(records) == 6
+    mass = [r.total_mass for r in records]
+    assert max(abs(m - mass[0]) for m in mass) <= 1e-9
+    energy = [r.energy for r in records]
+    assert max(b - a for a, b in zip(energy, energy[1:])) <= 1e-10
 
 
 def test_graph_terms_are_never_written_in_place(domain_cache, rng, monkeypatch):
-    # the joined evaluation hands out slices of one array; a write into one
-    # would change its neighbour, so every caller must leave them alone
+    # the states keep the evaluator's arrays themselves, and a coinciding
+    # pair's boundary terms are gathered from them; a write into one would
+    # change a kept level, so every caller must leave them alone
     def read_only(g, eps, r):
         out = monotone.yosida_and_slope(g, eps, r)
         for a in out:

@@ -128,22 +128,18 @@ def test_forced_cont_dep_ratio_matches_its_definition(domain_cache):
 # --- vanishing regularization ----------------------------------------------------
 
 def test_eps_study_validation(domain_cache):
+    # a repeated eps gives a zero successive distance and a log-log slope fit
+    # through coinciding abscissae, so the sweep must strictly decrease
     dom = domain_cache(5)
     u0 = smooth_u0(dom)
-    with pytest.raises(ConfigError):
-        vanishing_eps_study(make_config(), (0.5, 0.25), u0)
-    with pytest.raises(ConfigError):
-        vanishing_eps_study(make_config(), (0.5, 0.25, 1.5), u0)
-    with pytest.raises(ConfigError):
-        vanishing_eps_study(make_config(), (0.25, 0.5, 0.125), u0)
-
-
-def test_eps_study_duplicate_entries_give_zero_distance(domain_cache):
-    dom = domain_cache(5)
-    u0 = smooth_u0(dom)
-    rep = vanishing_eps_study(make_config(t_end=0.005), (0.5, 0.5, 0.25), u0)
-    assert rep.d_h0[0] == 0.0
-    assert rep.d_h0[1] > 0.0
+    for eps_list, message in (((0.5, 0.25), "at least 3 entries"),
+                              ((0.5, 0.25, 1.5), r"must lie in \(0,1\]"),
+                              ((0.5, 0.25, 0.0), r"must lie in \(0,1\]"),
+                              ((0.25, 0.5, 0.125), "strictly decreasing"),
+                              ((0.5, 0.5, 0.25), "strictly decreasing"),
+                              ((0.5, 0.25, 0.25), "strictly decreasing")):
+        with pytest.raises(ConfigError, match=message):
+            vanishing_eps_study(make_config(), eps_list, u0)
 
 
 def test_eps_study_cauchy_and_bounds(domain_cache):
