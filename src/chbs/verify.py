@@ -233,6 +233,26 @@ class EpsStudyReport:
         return lines
 
 
+def _successive_distances(trajs, tau):
+    """Distances between successive trajectories of a sweep: max over levels of
+    |v_k - v_{k+1}|_{H0}, and the L2-in-time norm of a(v_k - v_{k+1}, .)^(1/2)
+    over levels 1, 2, ...; both read the levels the two runs share."""
+    d_h0 = []
+    d_l2v0 = []
+    for t1, t2 in zip(trajs, trajs[1:]):
+        n = min(len(t1.states), len(t2.states))
+        dh = 0.0
+        acc = 0.0
+        for k in range(n):
+            diff = t1.states[k].v - t2.states[k].v
+            dh = max(dh, math.sqrt(max(inner_H(diff, diff), 0.0)))
+            if k >= 1:
+                acc += tau * form_a(diff, diff)
+        d_h0.append(dh)
+        d_l2v0.append(math.sqrt(acc))
+    return d_h0, d_l2v0
+
+
 def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
     """Run one data set across a strictly decreasing regularization sweep.
 
@@ -253,21 +273,7 @@ def vanishing_eps_study(config_base, eps_list, u0, forcing=None):
     table = apriori_bound_table(trajs)
     partial = any(t.aborted for t in trajs)
 
-    tau = config_base.tau
-    d_h0 = []
-    d_l2v0 = []
-    for t1, t2 in zip(trajs, trajs[1:]):
-        n = min(len(t1.states), len(t2.states))
-        dh = 0.0
-        acc = 0.0
-        for k in range(n):
-            diff = t1.states[k].v - t2.states[k].v
-            dh = max(dh, math.sqrt(max(inner_H(diff, diff), 0.0)))
-            if k >= 1:
-                acc += tau * form_a(diff, diff)
-        d_h0.append(dh)
-        d_l2v0.append(math.sqrt(acc))
-
+    d_h0, d_l2v0 = _successive_distances(trajs, config_base.tau)
     cauchy = all(b <= 1.1 * a + 1e-14 for a, b in zip(d_h0, d_h0[1:]))
     bounded = all(table.bounded().values())
     col = table.column("l2_v_V0")

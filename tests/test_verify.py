@@ -142,6 +142,20 @@ def test_eps_study_validation(domain_cache):
             vanishing_eps_study(make_config(), eps_list, u0)
 
 
+def test_eps_study_duplicate_entries_give_zero_distance(domain_cache):
+    # the study refuses a repeated eps; the distance it measures between
+    # successive members is still exactly 0 for coinciding members
+    dom = domain_cache(5)
+    u0 = smooth_u0(dom)
+    cfg = make_config(t_end=0.005)
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        vanishing_eps_study(cfg, (0.5, 0.5, 0.25), u0)
+    trajs = [run(replace(cfg, eps=e), u0) for e in (0.5, 0.5, 0.25)]
+    d_h0, d_l2v0 = verify._successive_distances(trajs, cfg.tau)
+    assert d_h0[0] == 0.0 and d_l2v0[0] == 0.0
+    assert d_h0[1] > 0.0 and d_l2v0[1] > 0.0
+
+
 def test_eps_study_cauchy_and_bounds(domain_cache):
     dom = domain_cache(7)
     u0 = smooth_u0(dom, amplitude=0.3)
