@@ -28,13 +28,13 @@ bulk-sized, and its constant part, the Schur complement
     S0 = Mc/tau + (eps/tau) Ac + Ac Mc^-1 Ac = (Ac + c1 Mc) Mc^-1 (Ac + c2 Mc)
 
 with c1, c2 the roots of x^2 - (eps/tau) x + 1/tau, needs only the shifted
-stiffness Ac + c Mc factored: once per run, one complex factor when
-eps^2 < 4 tau and two real ones otherwise.  Conjugate gradients on the
-symmetrized Newton system give each Newton direction, each iteration one
-shifted solve over a complex pair (two and a stiffness product over a real
-one), and stop at an Eisenstat-Walker forcing tolerance, so a direction is
-only as accurate as its iterate needs.  Each Picard iterate is one exact S0
-solve; a CG stall or a failed line search hands the step to the Picard
+stiffness Ac + c Mc factored: once per mesh, eps and tau, one complex
+factor when eps^2 < 4 tau and two real ones otherwise.  Conjugate gradients
+on the symmetrized Newton system give each Newton direction, each iteration
+one shifted solve over a complex pair (two and a stiffness product over a
+real one), and stop at an Eisenstat-Walker forcing tolerance, so a direction
+is only as accurate as its iterate needs.  Each Picard iterate is one exact
+S0 solve; a CG stall or a failed line search hands the step to the Picard
 iteration.
 
 The conservation residual R1 is measured in V0*, which takes a
@@ -84,6 +84,8 @@ from .spaces import (FieldPair, as_functional, form_a, inner_V, mean,
 _CG_RTOL = 1e-10
 _CG_ETA_MAX = 1e-4
 _CG_MAXITER = 200
+
+_SCHUR_FACTORS = {}  # (domain, shifts) -> the read-only factors of _StepSystem.lu
 
 
 @dataclass(frozen=True)
@@ -395,14 +397,12 @@ class _StepSystem:
     with dmu = (r2 + (eps Mc/tau + Ac + D) dw)/Mc.  D is the nodal Jacobian
     diagonal for Newton and 0 for Picard, where S(0) = S0.  Only D changes
     between iterates and steps.  The load P(u) - F of the forcing pair
-    ``f_next`` (None is zero forcing) is fixed for the step and built once.
-    ``lu`` factors the shifted stiffness matrices of ``picard_matrix`` on
-    first use unless the run passes in the factors it already holds.  An
+    ``f_next`` (None is zero forcing) is fixed for the step and built once.  An
     iterate is trace-consistent, so its graph terms come from its bulk values
     by ``_graph_terms`` and N and D are their ``_mass_weighted`` products.
     """
 
-    def __init__(self, dom, config, m0, w_prev, f_next, lu=None):
+    def __init__(self, dom, config, m0, w_prev, f_next):
         self.dom = dom
         self.cfg = config
         self.m0 = m0
@@ -416,13 +416,17 @@ class _StepSystem:
         if f_next is not None:
             self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
-        self._lu = lu
 
-    @property
+    @functools.cached_property
     def lu(self):
-        if self._lu is None:
-            self._lu = [splu(m) for m in self.picard_matrix()]
-        return self._lu
+        """The factors of ``picard_matrix``, one set per domain and shift pair:
+        a miss drops the one cached set before it factors."""
+        key = (self.dom, self.shifts)
+        lus = _SCHUR_FACTORS.get(key)
+        if lus is None:
+            _SCHUR_FACTORS.clear()
+            lus = _SCHUR_FACTORS[key] = [splu(m) for m in self.picard_matrix()]
+        return lus
 
     def residual(self, w, mu):
         if not (np.isfinite(w).all() and np.isfinite(mu).all()):
@@ -628,23 +632,22 @@ def _solve_picard(system, it, iters):
     return it, iters
 
 
-def step(state, config, f_next, *, lu=None, start=None):
+def step(state, config, f_next, *, start=None):
     """Advance one time level.
 
     ``f_next`` is the forcing pair at the target time; backward Euler samples
-    the forcing there.  ``lu`` holds the factors of the shifted stiffness
-    matrices that give the Schur complement S0 (see ``_StepSystem``); ``run``
-    passes them so that they are factored once per run, and a lone step
-    factors its own.  ``start`` is a pair of bulk arrays (w0, mu0) from which
-    the Newton iteration starts, by default the old state (v, mu).  Either
-    w0 is first shifted by the constant that restores the old combined mean,
-    so a step that converges at its start conserves the mean as every other
-    step does; for the old state that constant is exactly 0.
+    the forcing there.  The factors of S0 are built once per mesh, eps and
+    tau (see ``_StepSystem.lu``).  ``start`` is a pair of bulk arrays
+    (w0, mu0) from which the Newton iteration starts, by default the old
+    state (v, mu).  Either w0 is first shifted by the constant that restores
+    the old combined mean, so a step that converges at its start conserves
+    the mean as every other step does; for the old state that constant is
+    exactly 0.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
-    system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next, lu)
+    system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next)
     w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
     it, iters, lin_iters = _solve_step(system, w0, mu0)
     offset = _offset_pair(config.graphs, it.xi, state.v.bulk + state.m0, f_next)
@@ -666,8 +669,7 @@ def weak_residuals(state_prev, state_next, config, f_next):
     residual and the combined square-integrable dual norm of the
     potential-equation residual.
     """
-    dom = state_prev.v.domain
-    system = _StepSystem(dom, config, state_prev.m0, state_prev.v.bulk, f_next)
+    system = _StepSystem(state_prev.v.domain, config, state_prev.m0, state_prev.v.bulk, f_next)
     it = system.residual(state_next.v.bulk, state_next.mu.bulk)
     return system.exact_r1(it), it.r2
 
@@ -700,19 +702,16 @@ def run(config, u0, forcing=None):
     trajectory.  A failure in any step ends the run and returns the partial
     trajectory flagged.
     """
-    dom = u0.domain
     state = initialize(config, u0, None if forcing is None else forcing(0.0))
     traj = Trajectory(config=config, m0=state.m0, states=[state])
     past = deque([(state.v.bulk, state.mu.bulk)], maxlen=_PREDICTOR_LEVELS)
-    # S0 is the same at every step: factor its shifted stiffness once per run
-    lu = _StepSystem(dom, config, state.m0, state.v.bulk, None).lu
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     for k in range(1, nsteps + 1):
         t = state.t + config.tau  # the time step() gives the new level
         f_next = None if forcing is None else forcing(t)
         start = _extrapolate(past) if k > 1 else None
         try:
-            state = step(state, config, f_next, lu=lu, start=start)
+            state = step(state, config, f_next, start=start)
         except ChbsError as exc:
             traj.aborted = True
             traj.error = f"step {k} (t = {t!r}): {exc}"

@@ -99,8 +99,9 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
 
     is recorded, the denominator floored at 1e-30.
     """
-    u01, f1 = data1
-    u02, f2 = data2
+    (u01, f1), (u02, f2) = data1, data2
+    if tau_levels < 1:
+        raise ConfigError(f"tau_levels must be at least 1, got {tau_levels!r}")
     if abs(mean(u01) - mean(u02)) > 1e-12:
         raise ConfigError("continuous dependence compares runs within one "
                           "conserved-mean class; the initial means differ")

@@ -680,6 +680,47 @@ def test_schur_factor_inverts_reduced_picard_matrix(domain_cache, rng, eps, tau,
         assert np.linalg.norm(g - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+def _count_factors(monkeypatch):
+    """The matrices the step solver factors from now on, in order."""
+    calls, real = [], scheme_module.splu
+    monkeypatch.setattr(scheme_module, "splu", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+# each test builds a fresh domain: the one-entry factor cache may still hold
+# the factors of a shared one
+SHIFT_PAIRS = pytest.mark.parametrize("eps, factors", [(0.02, 1), (0.1, 2)],
+                                      ids=["complex-pair", "real-pair"])
+
+
+@SHIFT_PAIRS
+def test_step_loop_factors_once(monkeypatch, rng, eps, factors):
+    dom = build_unit_square(7)
+    cfg = make_config(eps=eps, tau=1e-3)
+    state = initialize(cfg, random_u0(dom, rng))
+    calls = _count_factors(monkeypatch)
+    for _ in range(10):
+        state = step(state, cfg, None)
+    assert len(calls) == factors
+
+
+@SHIFT_PAIRS
+def test_run_factors_once(monkeypatch, rng, eps, factors):
+    dom = build_unit_square(7)
+    calls = _count_factors(monkeypatch)
+    traj = run(make_config(eps=eps), random_u0(dom, rng))
+    assert not traj.aborted and len(traj.states) == 11
+    assert len(calls) == factors
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1], ids=["complex-pair", "real-pair"])
+def test_zero_horizon_run_factors_nothing(monkeypatch, rng, eps):
+    dom = build_unit_square(7)
+    calls = _count_factors(monkeypatch)
+    traj = run(make_config(eps=eps, t_end=0.0), random_u0(dom, rng))
+    assert len(traj.states) == 1 and calls == []
+
+
 @pytest.mark.parametrize("slot", ["w", "mu"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_iterate_is_step_error(domain_cache, slot, bad):
@@ -834,9 +875,9 @@ def test_run_starts_from_the_extrapolation_of_the_last_four_levels(domain_cache,
     starts = []
     real_step = scheme_module.step
 
-    def recording(state, config, f_next, *, lu=None, start=None):
+    def recording(state, config, f_next, *, start=None):
         starts.append(start)
-        return real_step(state, config, f_next, lu=lu, start=start)
+        return real_step(state, config, f_next, start=start)
 
     monkeypatch.setattr(scheme_module, "step", recording)
     dom = domain_cache(5)

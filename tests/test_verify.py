@@ -105,6 +105,28 @@ def test_unforced_cont_dep_never_factors_the_v_norm():
     assert "vnorm_lu" not in dom.__dict__
 
 
+@pytest.mark.parametrize("eps, factors", [(0.02, 1), (0.1, 2)],
+                         ids=["complex-pair", "real-pair"])
+def test_cont_dep_members_share_the_factors_of_each_tau(monkeypatch, eps, factors):
+    dom = build_unit_square(5)  # fresh: the factor cache may hold a shared domain's
+    calls, real = [], scheme.splu
+    monkeypatch.setattr(scheme, "splu", lambda m: calls.append(m) or real(m))
+    u0 = smooth_u0(dom)
+    rep = continuous_dependence_experiment(make_config(eps=eps, t_end=0.004), (u0, None),
+                                           (1.1 * u0, None))
+    assert len(rep.taus) == 3 and not rep.aborted
+    assert len(calls) == 3 * factors
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_cont_dep_needs_a_tau_level(domain_cache, levels):
+    dom = domain_cache(5)
+    u0 = smooth_u0(dom)
+    with pytest.raises(ConfigError, match="tau_levels"):
+        continuous_dependence_experiment(make_config(), (u0, None), (1.1 * u0, None),
+                                         tau_levels=levels)
+
+
 def test_forced_cont_dep_ratio_matches_its_definition(domain_cache):
     # the sup over levels of (|d|_{V0*}^2 + sum tau |d|_{V0}^2)
     # / (|d(0)|_{V0*}^2 + sum tau |f1 - f2|_{V*}^2), d = v1 - v2, with an
