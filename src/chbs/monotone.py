@@ -40,12 +40,18 @@ OBSTACLE = "obstacle"
 
 # --- the kinds: private helpers and the table ----------------------------
 
+# the largest double below 1, where artanh is finite; and the factor that
+# lowers a warm start by 8 ulps of the point its tangent step is taken at
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+_TANGENT_SHRINK = 1.0 - 2.0 ** -49
+
+
 def _xlogx(x):
     """x*log(x) for x >= 0, with its limit 0 at x = 0."""
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _resolvent_cubic(eps, r):
+def _resolvent_cubic(eps, r, start=None):
     """Closed-form root of eps*j**3 + j = r.
 
     Cardano's root t - p3/t of the depressed cubic, with h = |r|/(2*eps),
@@ -53,6 +59,7 @@ def _resolvent_cubic(eps, r):
     2h/(t**2 + p3 + (p3/t)**2), which has no cancellation at small |r|.
     One Newton step polishes the root to working precision.  The root is
     computed for |r| and signed last, so the resolvent is exactly odd.
+    The closed form needs no ``start``.
     """
     a = np.abs(r)
     h = a / (2.0 * eps)
@@ -63,29 +70,52 @@ def _resolvent_cubic(eps, r):
     return np.copysign(j, r)
 
 
-def _resolvent_log(eps, r):
+def _resolvent_log(eps, r, start=None):
     """Root of j + eps*ln((1+j)/(1-j)) = r, solved in s = artanh(j).
 
     With j = tanh(s), f(s) = tanh(s) + 2*eps*s - |r| is increasing and concave
     on s >= 0, and both |r|/(1 + 2*eps) and (|r| - 1)/(2*eps) lie below its
     root.  Newton from the larger one rises monotonically to the root with no
-    bracket.  An entry stops once its update no longer raises j = tanh(s):
-    near the root rounding can keep the residual positive, and s would then
-    creep up by an ulp per update with j fixed.  Each accepted update raises
-    j, so the loop ends.  The root is signed last, so the resolvent is
-    exactly odd; j rounds to +-1 once tanh saturates.
+    bracket.  A ``start`` near the root, such as the resolvent of a nearby r,
+    starts higher: one tangent step from s_p = artanh(min(|start|, 1 - ulp))
+    lands below the root because f is concave.  Its rounding, a few ulps of
+    s_p, would put it above a root far smaller than s_p, from where the
+    iteration cannot descend, so it is lowered by 8 ulps of s_p; and it is
+    floored at the cold start, so a far or NaN start costs passes but never
+    accuracy.
+
+    An entry stops once its update no longer raises j = tanh(s): near the
+    root rounding can keep the residual positive, and s would then creep up
+    by an ulp per update with j fixed.  The iteration returns once no entry
+    rises, or once every update that raised j was at most 1e-8: as
+    |f''|/(2 f') <= tanh(s), the quadratic convergence of Newton then leaves
+    s within tanh(s)*1e-16, about 1e-16*j, of the root.  Saturated, huge and
+    NaN entries stop rising, which drops them from the second test; each
+    accepted update raises j, so the loop ends.  The root is signed last, so
+    the resolvent is exactly odd; j rounds to +-1 once tanh saturates.
     """
     a = np.abs(r)
     s = np.maximum(a / (1.0 + 2.0 * eps), (a - 1.0) / (2.0 * eps))
+    if start is not None:
+        p = np.minimum(np.abs(start), _BELOW_ONE)
+        s_p = np.arctanh(p)
+        s = np.fmax(s_p * _TANGENT_SHRINK
+                    + (a - p - 2.0 * eps * s_p) / ((1.0 - p) * (1.0 + p) + 2.0 * eps), s)
     t = np.tanh(s)
     while True:
-        nxt = s + (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
+        ds = (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
+        nxt = s + ds
         t_nxt = np.tanh(nxt)
         rising = t_nxt > t
-        if not rising.any():
+        # an update raises j only if ds > 0, so the largest rising ds is 0
+        # exactly when no entry rises
+        top = ds.max(where=rising, initial=0.0)
+        if top == 0.0:
             return np.copysign(t, r)
         s = np.where(rising, nxt, s)
         t = np.maximum(t, t_nxt)
+        if top <= 1e-8:
+            return np.copysign(t, r)
 
 
 def _slope_cubic(eps, r, j):
@@ -96,18 +126,19 @@ def _slope_cubic(eps, r, j):
 
 # each kind: its effective domain [lo, hi], open if the finite endpoints are
 # excluded, which contains 0; and on it the convex primitive(r), the minimal
-# section(r), the resolvent(eps, r) and the Yosida slope(eps, r, J)
+# section(r), the resolvent(eps, r, start) and the Yosida slope(eps, r, J)
 _Kind = namedtuple("_Kind", "lo hi open primitive section resolvent slope")
 
 _KINDS = {
-    POLYNOMIAL: _Kind(-np.inf, np.inf, False, lambda r: 0.25 * r ** 4, lambda r: r ** 3,
-                      _resolvent_cubic, _slope_cubic),
+    # products, not r ** 4 and r ** 3: pow takes a slow path on negative bases
+    POLYNOMIAL: _Kind(-np.inf, np.inf, False, lambda r: 0.25 * np.square(r * r),
+                      lambda r: r * r * r, _resolvent_cubic, _slope_cubic),
     LOGARITHMIC: _Kind(-1.0, 1.0, True, lambda r: _xlogx(1.0 + r) + _xlogx(1.0 - r),
                        lambda r: np.log1p(r) - np.log1p(-r), _resolvent_log,
                        lambda eps, r, j: 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)),
     # the indicator of [-1, 1]; the slope takes the surrogate 0 at the kinks +-1
     OBSTACLE: _Kind(-1.0, 1.0, False, np.zeros_like, np.zeros_like,
-                    lambda eps, r: np.clip(r, -1.0, 1.0),
+                    lambda eps, r, start=None: np.clip(r, -1.0, 1.0),
                     lambda eps, r, j: np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)),
 }
 
@@ -190,7 +221,7 @@ def minimal_section(g, r):
 
 # --- resolvent, Yosida approximation, Moreau envelope --------------------
 
-def resolvent(g, eps, r):
+def resolvent(g, eps, r, start=None):
     """Resolvent (I + eps*beta)^(-1) applied elementwise.
 
     Parameters
@@ -199,6 +230,10 @@ def resolvent(g, eps, r):
     eps : float
         Regularization parameter, strictly positive.
     r : scalar or ndarray
+    start : scalar or ndarray broadcasting against r, optional
+        A guess of the resolvent, such as its value at a nearby r; only the
+        logarithmic kind uses it, to start its iteration closer to the root.
+        Any start gives the same result to a few ulps.
 
     Returns
     -------
@@ -206,6 +241,9 @@ def resolvent(g, eps, r):
     and cubic resolvents are in closed form (projection onto [-1, 1] and
     the real root of the cubic); the logarithmic one is a monotone Newton
     iteration in s = artanh(j) and may round to exactly +-1 near saturation.
+    It starts below the root, from the cold lower bound or from one tangent
+    step off artanh(|start|), which f's concavity and an 8-ulp margin keep
+    below the root, and stops once its Newton steps settle under 1e-8 in s.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -213,7 +251,7 @@ def resolvent(g, eps, r):
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("resolvent: input must be finite")
-    out = _KINDS[g.kind].resolvent(eps, arr)
+    out = _KINDS[g.kind].resolvent(eps, arr, start)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -226,17 +264,18 @@ def yosida(g, eps, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def yosida_and_slope(g, eps, r):
+def yosida_and_slope(g, eps, r, start=None):
     """Resolvent J, Yosida approximation (r - J)/eps and its derivative, from
-    one resolvent evaluation; a caller that keeps J can build the envelope
-    of ``envelope`` with ``_envelope_at`` without solving again.
+    one resolvent evaluation started from ``start`` (see ``resolvent``); a
+    caller that keeps J can build the envelope of ``envelope`` with
+    ``_envelope_at`` without solving again.
 
     Smooth kinds use the slope (1 - J')/eps with J' = 1/(1 + eps*beta'(J));
     the logarithmic one is 2/(1 - J**2 + 2*eps), finite also at J = +-1.
     The obstacle graph is piecewise linear; at the kink points +-1 the
     subgradient surrogate 0 is returned (1/eps outside [-1, 1]).
     """
-    j = resolvent(g, eps, r)
+    j = resolvent(g, eps, r, start=start)
     arr = np.asarray(r, dtype=float)
     xi = (arr - j) / eps
     slope = _KINDS[g.kind].slope(eps, arr, j)

@@ -58,6 +58,11 @@ terms come from its bulk values u: the bulk graph on u and, unless it is the
 bulk one (one kind, rho = 1), the boundary graph on the trace u[chain].  The
 mass-weighted terms of a pair (b, g) are Mc b plus M_surf (g - b[chain]) on
 the chain, exactly the nodal product Mc b when g is the trace of b.
+Each residual warm-starts the logarithmic resolvents from a nearby level:
+the first iterate of a step from the old level's J, every later one, line
+search trials and Picard iterates included, from the J of the iterate it
+follows.  The terms of an iterate stay plain (bulk, boundary) arrays; only
+an accepted level keeps them as ``FieldPair``s.
 """
 
 from __future__ import annotations
@@ -225,29 +230,32 @@ def _offset_pair(pair, xi, u, f):
                      dom)
 
 
-def _graph_terms(dom, pair, eps, u):
-    """Resolvent, Yosida and Yosida-slope pairs of the trace-consistent level
-    with bulk values u: the bulk graph at eps on u, and the boundary graph at
-    eps*rho on u[chain] unless it is the bulk graph (one kind, whose resolvent
-    depends only on its parameter, at one parameter) and its terms the trace."""
+def _graph_terms(dom, pair, eps, u, start=None):
+    """Resolvent, Yosida and Yosida-slope pairs (bulk, boundary) of arrays of
+    the trace-consistent level with bulk values u: the bulk graph at eps on
+    u, and the boundary graph at eps*rho on u[chain] unless it is the bulk
+    graph (one kind, whose resolvent depends only on its parameter, at one
+    parameter) and its terms the trace.  ``start``, a resolvent pair of a
+    nearby level, warm-starts the resolvents (see ``monotone.resolvent``)."""
     chain = dom.boundary_chain
-    bulk = yosida_and_slope(pair.bulk, eps, u)
+    s_bulk, s_bnd = (None, None) if start is None else start
+    bulk = yosida_and_slope(pair.bulk, eps, u, start=s_bulk)
     if pair.bulk.kind == pair.boundary.kind and eps * pair.rho == eps:
         bnd = [b[chain] for b in bulk]
     else:
-        bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u[chain])
-    return [FieldPair(b, g, dom) for b, g in zip(bulk, bnd)]
+        bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u[chain], start=s_bnd)
+    return list(zip(bulk, bnd))
 
 
-def _mass_weighted(z):
+def _mass_weighted(dom, z):
     """Bulk-node coefficients of (M_bulk b, M_surf g), z = (b, g), on
     trace-consistent tests: Mc b plus M_surf (g - b[chain]) on the chain,
     exactly Mc b when g is the trace of b.  A non-finite b leaves them
     non-finite (NaN where g - b[chain] is inf - inf)."""
-    dom = z.domain
+    b, g = z
     chain = dom.boundary_chain
-    out = dom.combined_mass * z.bulk
-    out[chain] += dom.M_surf * (z.boundary - z.bulk[chain])
+    out = dom.combined_mass * b
+    out[chain] += dom.M_surf * (g - b[chain])
     return out
 
 
@@ -339,7 +347,7 @@ def initialize(config, u0, forcing_at_0=None):
         raise CompatibilityError(f"initial data: its mean {m0!r} is too large to remove; "
                                  f"a mean of {mean(v0)!r} is left")
     u = v0.bulk + m0
-    j, xi, _ = _graph_terms(dom, pair, config.eps, u)
+    j, xi = (FieldPair(*z, dom) for z in _graph_terms(dom, pair, config.eps, u)[:2])
     rest = _offset_pair(pair, xi, u, forcing_at_0)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         # Mc mu0 = Ac v0 + N + P - F, written so that a constant rest stays exact
@@ -370,8 +378,9 @@ def _h_norm(dom, vec):
 
 
 # one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
-# the H* norm r2 of R2, the resolvent and Yosida pairs, the Jacobian diagonal
-# d, g = N + P - F, mu less its Mc-weighted mean, Ac mu, and the terms of R2
+# the H* norm r2 of R2, the resolvent and Yosida pairs (bulk, boundary), the
+# Jacobian diagonal d, g = N + P - F, mu less its Mc-weighted mean, Ac mu,
+# and the terms of R2
 _Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
 
 
@@ -399,7 +408,8 @@ class _StepSystem:
     between iterates and steps.  The load P(u) - F of the forcing pair
     ``f_next`` (None is zero forcing) is fixed for the step and built once.  An
     iterate is trace-consistent, so its graph terms come from its bulk values
-    by ``_graph_terms`` and N and D are their ``_mass_weighted`` products.
+    by ``_graph_terms``, warm-started from the resolvent pair ``start`` of a
+    nearby iterate, and N and D are their ``_mass_weighted`` products.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_next):
@@ -428,13 +438,13 @@ class _StepSystem:
             lus = _SCHUR_FACTORS[key] = [splu(m) for m in self.picard_matrix()]
         return lus
 
-    def residual(self, w, mu):
+    def residual(self, w, mu, start=None):
         if not (np.isfinite(w).all() and np.isfinite(mu).all()):
             raise StepError("nonlinear iterate is not finite")
         dom = self.dom
         gc, A = dom.combined_mass, dom.coupled_stiffness
         eps = self.cfg.eps
-        j, xi, slope = _graph_terms(dom, self.cfg.graphs, eps, w + self.m0)
+        j, xi, slope = _graph_terms(dom, self.cfg.graphs, eps, w + self.m0, start)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
@@ -447,7 +457,7 @@ class _StepSystem:
         # pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
         # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve
         with np.errstate(over="ignore", invalid="ignore"):
-            nvec, d = _mass_weighted(xi), _mass_weighted(slope)
+            nvec, d = _mass_weighted(dom, xi), _mass_weighted(dom, slope)
             g = nvec + self.load
             R2 = gc_mu - (eps_dw + a_w + g)
             R1_0 = R1 - (float(R1.sum()) / self.gc_sum) * gc
@@ -570,9 +580,11 @@ def _newton_direction(system, it, rtol=_CG_RTOL):
         p += r
 
 
-def _solve_step(system, w0, mu0):
+def _solve_step(system, w0, mu0, j0):
     """Damped Newton with Picard fallback from (w0, mu0), w0 first shifted to
     the conserved mean, as is each direction dw before dmu is back-substituted.
+    The first residual warm-starts its resolvents from the pair j0, each
+    later one from those of the iterate it follows.
 
     Each direction is solved to the relative CG tolerance of the
     Eisenstat-Walker forcing term (choice 2): 0.9 (m_k/m_{k-1})^2 for the
@@ -585,7 +597,7 @@ def _solve_step(system, w0, mu0):
     Returns (iterate, nonlinear iterations, CG iterations).
     """
     cfg = system.cfg
-    it = system.residual(w0 + system.mass_shift(w0), mu0.copy())
+    it = system.residual(w0 + system.mass_shift(w0), mu0.copy(), j0)
     iters = lin_iters = 0
     merit_prev, stage = None, "Newton"
     while not system.converged(it):
@@ -604,7 +616,7 @@ def _solve_step(system, w0, mu0):
             dw = dw + system.mass_shift(it.w + dw)
             dmu = system.potential(-it.R2, dw, it.d)
             for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-                trial = system.residual(it.w + lam * dw, it.mu + lam * dmu)
+                trial = system.residual(it.w + lam * dw, it.mu + lam * dmu, it.j)
                 merit_try = math.hypot(trial.b1, trial.r2)
                 if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= cfg.newton_tol:
                     break
@@ -628,7 +640,7 @@ def _solve_picard(system, it, iters):
         w = system.schur_solve(system.reduce(r1, r2))
         w = w + system.mass_shift(w)
         iters += 1
-        it = system.residual(w, system.potential(r2, w, 0.0))
+        it = system.residual(w, system.potential(r2, w, 0.0), it.j)
     return it, iters
 
 
@@ -642,19 +654,21 @@ def step(state, config, f_next, *, start=None):
     state (v, mu).  Either w0 is first shifted by the constant that restores
     the old combined mean, so a step that converges at its start conserves
     the mean as every other step does; for the old state that constant is
-    exactly 0.
+    exactly 0.  The resolvents of the first iterate start from the old
+    level's ``j``.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
     dom = state.v.domain
     system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next)
     w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
-    it, iters, lin_iters = _solve_step(system, w0, mu0)
-    offset = _offset_pair(config.graphs, it.xi, state.v.bulk + state.m0, f_next)
+    it, iters, lin_iters = _solve_step(system, w0, mu0, (state.j.bulk, state.j.boundary))
+    xi = FieldPair(*it.xi, dom)
+    offset = _offset_pair(config.graphs, xi, state.v.bulk + state.m0, f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
                        mu=FieldPair.from_bulk(dom, it.mu),
-                       xi=it.xi,
-                       j=it.j,
+                       xi=xi,
+                       j=FieldPair(*it.j, dom),
                        omega=mean(offset),
                        t=state.t + config.tau,
                        m0=state.m0,

@@ -152,14 +152,44 @@ def _decimal_log_resolvent(eps, r):
     raise AssertionError(f"decimal reference did not converge at eps={eps}, r={r}")
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0])
-def test_log_resolvent_matches_decimal_reference(eps):
-    a = np.array([1e-300, 1e-8, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
-    r = np.concatenate([a, -a])
-    j = resolvent(LOG, eps, r)
+_DECIMAL_R = np.array([1e-300, 1e-8, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0, -1e-300, -1e-8, -0.5,
+                       -0.999, -1.0, -1.001, -1.5, -3.0])
+
+
+def _assert_matches_decimal_reference(eps, r, j):
     for jk, rk in zip(j, r):
         ref = _decimal_log_resolvent(eps, rk)
         assert abs((Decimal(jk) - ref) / ref) <= Decimal("4e-16"), (rk, jk, ref)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0])
+def test_log_resolvent_matches_decimal_reference(eps):
+    _assert_matches_decimal_reference(eps, _DECIMAL_R, resolvent(LOG, eps, _DECIMAL_R))
+
+
+def _warm_starts(j):
+    """Starts for the logarithmic resolvent whose cold value is j: the root
+    itself, 0, +-1, the largest double below 1, the root with its sign
+    flipped, one far below the root, one far above it, and NaN."""
+    return {"root": j, "zero": 0.0, "one": 1.0, "minus-one": -1.0,
+            "below-one": np.nextafter(1.0, 0.0), "flipped": -j, "far-below": 1e-3 * j,
+            "far-above": np.copysign(1.0 - 1e-3 * (1.0 - np.abs(j)), j), "nan": np.nan}
+
+
+@pytest.mark.parametrize("start", list(_warm_starts(0.5)))
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0])
+def test_warm_log_resolvent_matches_decimal_reference(eps, start):
+    r = _DECIMAL_R
+    j = resolvent(LOG, eps, r, start=_warm_starts(resolvent(LOG, eps, r))[start])
+    _assert_matches_decimal_reference(eps, r, j)
+
+
+def test_warm_log_resolvent_resolves_a_root_far_below_a_small_start():
+    # the tangent step from 1e-8 rounds by about 1e-24; were it left above
+    # the root 1e-300 the iteration could not come down to it
+    r = np.array([1e-300, 1e-20, 1e-12])
+    for start in (1e-8, 3e-9, 1e-10):
+        assert np.array_equal(resolvent(LOG, 0.02, r, start=start), resolvent(LOG, 0.02, r))
 
 
 @pytest.mark.parametrize("r", [1.5, -1.5, 3.0, -3.0])
@@ -205,6 +235,22 @@ def test_log_envelope_below_primitive_near_endpoints(r, eps):
     bound = beta_hat(LOG, r)  # +inf outside [-1, 1]
     assert np.all(env >= 0.0)
     assert np.all(env <= bound * (1.0 + 8.0 * np.finfo(float).eps))
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5)), min_size=1,
+                max_size=16), _LOG_EPS)
+@settings(max_examples=300, deadline=None)
+def test_warm_and_cold_log_resolvents_agree(pairs, eps):
+    # r within the window where the root is resolvable in double precision
+    x, start = np.array(pairs).T
+    r = x * (1.0 + 3.0 * eps)
+    cold, warm = resolvent(LOG, eps, r), resolvent(LOG, eps, r, start=start)
+    assert np.all(np.abs(warm - cold) <= 4.0 * np.spacing(np.abs(cold)))
+    assert np.array_equal(resolvent(LOG, eps, -r), -cold)
+    assert np.array_equal(resolvent(LOG, eps, -r, start=start), -warm)
+    for j in (cold, warm):
+        beta = np.log1p(j) - np.log1p(-j)
+        assert np.all(np.abs(j + eps * beta - r) <= 1e-14 * np.maximum(1.0, np.abs(r)))
 
 
 # --- yosida --------------------------------------------------------------

@@ -1039,13 +1039,13 @@ def _count_graph_evaluations(domain_cache, rng, monkeypatch, pair):
     nodes, residuals = [], []
     real_resolvent, real_residual = monotone.resolvent, scheme_module._StepSystem.residual
 
-    def counted_resolvent(g, eps, r):
+    def counted_resolvent(g, eps, r, start=None):
         nodes.append(np.size(r))
-        return real_resolvent(g, eps, r)
+        return real_resolvent(g, eps, r, start)
 
-    def counted_residual(self, w, mu):
+    def counted_residual(self, w, mu, start=None):
         residuals.append(1)
-        return real_residual(self, w, mu)
+        return real_residual(self, w, mu, start)
 
     monkeypatch.setattr(monotone, "resolvent", counted_resolvent)
     monkeypatch.setattr(scheme_module._StepSystem, "residual", counted_residual)
@@ -1092,12 +1092,13 @@ def test_coinciding_graph_terms_are_the_trace_bitwise(domain_cache, rng, graph):
     eps = 0.02
     for rho in (1.0, 3.0):
         terms = scheme_module._graph_terms(dom, GraphPair(graph, graph, rho), eps, u)
-        for z, bulk, bnd in zip(terms, monotone.yosida_and_slope(graph, eps, u),
-                                monotone.yosida_and_slope(graph, eps * rho, u[chain])):
-            assert z.bulk.tobytes() == bulk.tobytes()
-            assert z.boundary.tobytes() == bnd.tobytes()
+        for (z_bulk, z_bnd), bulk, bnd in zip(terms, monotone.yosida_and_slope(graph, eps, u),
+                                              monotone.yosida_and_slope(graph, eps * rho,
+                                                                        u[chain])):
+            assert z_bulk.tobytes() == bulk.tobytes()
+            assert z_bnd.tobytes() == bnd.tobytes()
             if rho == 1.0:
-                assert z.boundary.tobytes() == z.bulk[chain].tobytes()
+                assert z_bnd.tobytes() == z_bulk[chain].tobytes()
 
 
 @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda g: g.kind)
@@ -1107,15 +1108,15 @@ def test_mass_weighting_matches_the_collapsed_products(domain_cache, rng, graph)
     # the trace of b, as it is for a coinciding pair
     dom = domain_cache(9)
     u = 3.0 * rng.random(dom.n_bulk) - 1.5
-    loose = FieldPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
+    loose = (rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary))
     for rho in (1.0, 3.0):
         terms = scheme_module._graph_terms(dom, GraphPair(graph, graph, rho), 0.02, u)
         for z in terms + [loose]:
-            got = scheme_module._mass_weighted(z)
-            ref = spaces._collapse(dom, dom.M_bulk * z.bulk, dom.M_surf * z.boundary)
+            got = scheme_module._mass_weighted(dom, z)
+            ref = spaces._collapse(dom, dom.M_bulk * z[0], dom.M_surf * z[1])
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
             if rho == 1.0 and z is not loose:
-                assert got.tobytes() == (dom.combined_mass * z.bulk).tobytes()
+                assert got.tobytes() == (dom.combined_mass * z[0]).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1129,8 +1130,8 @@ def test_non_finite_yosida_value_ends_the_step_at_its_start(domain_cache, rng, m
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
     real = scheme_module.yosida_and_slope
 
-    def blown(g, eps, r):
-        j, xi, slope = real(g, eps, r)
+    def blown(g, eps, r, start=None):
+        j, xi, slope = real(g, eps, r, start)
         xi = xi.copy()
         xi[0 if r.shape[0] == dom.n_boundary else dom.boundary_chain[0]] = np.inf
         return j, xi, slope
@@ -1170,8 +1171,8 @@ def test_graph_terms_are_never_written_in_place(domain_cache, rng, monkeypatch):
     # the states keep the evaluator's arrays themselves, and a coinciding
     # pair's boundary terms are gathered from them; a write into one would
     # change a kept level, so every caller must leave them alone
-    def read_only(g, eps, r):
-        out = monotone.yosida_and_slope(g, eps, r)
+    def read_only(g, eps, r, start=None):
+        out = monotone.yosida_and_slope(g, eps, r, start)
         for a in out:
             a.flags.writeable = False
         return out

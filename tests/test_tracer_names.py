@@ -12,13 +12,14 @@ as a keyword argument to ``scheme.splu``.
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from chbs import scheme
+from chbs import monotone, scheme
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -63,6 +64,14 @@ def test_traced_private_names_exist():
         if not callable(getattr(importlib.import_module(f"chbs.{layer}"), name, None)):
             missing.append(span)
     assert not missing
+
+
+def test_resolvent_takes_r_as_its_third_positional_parameter():
+    # _VALUES counts monotone.nodes as the size of args[2] of each call, so
+    # every caller passes r there and a warm start by keyword
+    params = list(inspect.signature(monotone.resolvent).parameters.values())
+    assert params[2].name == "r"
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_bench_tracer_runs_the_cli(tmp_path):
