@@ -470,39 +470,25 @@ class _StepSystem:
         """r1 = |R1|_V0*, one mean-constrained solve."""
         return _dual_norm_collapsed(self.dom, it.R1)
 
-    def r1_terms(self, it, r1):
-        """Squared V0* norms of the terms Ac mu and Mc dw/tau of R1, given the
-        exact r1, with no further solve: the mean-constrained inverse of Ac
-        maps Ac mu to mu_c, mu less its Mc-weighted mean, so
-        |Ac mu|^2 = mu_c.(Ac mu) and |Mc dw/tau|^2 = r1^2 - 2 R1.mu_c + |Ac mu|^2."""
-        a_mu_sq = float(it.mu_c @ it.a_mu)
-        cross = float(it.R1 @ it.mu_c)
-        return a_mu_sq, r1 * r1 - 2.0 * cross + a_mu_sq
-
     def scales(self, it):
         """Relative-residual scales (s1, s2) from the individual term norms,
         capped at 10 so accepted steps always satisfy the documented
         10*newton_tol bound on the weak-residual norms.  s1 is the solve-free
-        max(1, |Ac mu|_V0*), never above the exact test's scale, which also
-        takes |Mc dw/tau|_V0* and so needs r1."""
+        max(1, |Ac mu|_V0*), with |Ac mu|^2 = mu_c.(Ac mu): the other term of
+        R1, Mc dw/tau, has a V0* norm within r1 of it."""
         s1 = math.sqrt(max(1.0, float(it.mu_c @ it.a_mu)))
         with np.errstate(over="ignore"):  # an inf term norm caps s2 at 10
             s2 = max([1.0] + [_h_norm(self.dom, t) for t in it.terms2])
         return min(s1, 10.0), min(s2, 10.0)
 
     def converged(self, it):
-        """Whether r1 <= newton_tol s1 and r2 <= newton_tol s2 at the full
-        scales, solving for r1 only when the bound b1 >= r1 cannot decide."""
+        """Whether r1 <= newton_tol s1 and r2 <= newton_tol s2, solving for
+        r1 only when the bound b1 >= r1 cannot decide."""
         tol = self.cfg.newton_tol
         if not it.r2 <= 10.0 * tol:  # above every capped scale
             return False
         s1, s2 = self.scales(it)
-        if not it.r2 <= tol * s2:
-            return False
-        if it.b1 <= tol * s1:
-            return True
-        r1 = self.exact_r1(it)
-        return r1 <= tol * min(math.sqrt(max(1.0, *self.r1_terms(it, r1))), 10.0)
+        return it.r2 <= tol * s2 and (it.b1 <= tol * s1 or self.exact_r1(it) <= tol * s1)
 
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w."""

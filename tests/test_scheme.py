@@ -508,34 +508,58 @@ def test_step_with_non_finite_merit_fails_before_any_newton_direction(domain_cac
     assert calls == []
 
 
+def _near_solution_iterates(dom, rng, cfg):
+    """The start state of a solved step, the step's system, and iterates
+    near its solution, moved by dw with mu back-substituted, so that r2
+    stays at the solution's level while r1 grows with dw."""
+    gc = dom.combined_mass
+    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+    nxt = step(state, cfg, None)
+    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+    base = system.residual(nxt.v.bulk, nxt.mu.bulk)
+    y = rng.standard_normal(dom.n_bulk)
+    y -= float(gc @ y) / float(gc.sum())
+    return state, system, [
+        system.residual(nxt.v.bulk + delta * y,
+                        nxt.mu.bulk + system.potential(np.zeros(dom.n_bulk), delta * y, base.d))
+        for delta in (1e-6, 1e-8)]
+
+
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
                          ids=["polynomial", "logarithmic", "obstacle"])
 @pytest.mark.parametrize("eps, tau", [(0.02, 1e-3), (0.5, 1e-2)],
                          ids=["complex-shifts", "real-shifts"])
-@pytest.mark.parametrize("mu_shift", [0.0, 1e3], ids=["mu", "shifted-mu"])
-def test_r1_terms_match_the_solves_they_replace(domain_cache, rng, pair, eps, tau, mu_shift):
-    # the V0* norms of Ac mu and Mc dw/tau by the Riesz identity against
-    # one mean-constrained solve each
+@pytest.mark.parametrize("kind", ["mu", "shifted-mu", "near-solution"])
+def test_r1_terms_match_the_solves_they_replace(domain_cache, rng, pair, eps, tau, kind):
+    # R1 = Mc dw/tau + Ac mu, so |Mc dw/tau|_V0* <= r1 + |Ac mu|_V0*: the
+    # solve-free s1 is within r1 below the scale of both terms of R1, each
+    # norm solved for here; the slack covers the rounding of the solves
     dom = domain_cache(9)
-    cfg = make_config(graphs=pair, eps=eps, tau=tau)
-    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
-    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
-    w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
-    it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk) + mu_shift)
-    a_mu_sq, dw_sq = system.r1_terms(it, _dual_norm_collapsed(dom, it.R1))
-    got = np.sqrt(np.maximum([a_mu_sq, dw_sq], 0.0))
-    ref = np.array([_dual_norm_collapsed(dom, it.a_mu),
-                    _dual_norm_collapsed(dom, it.R1 - it.a_mu)])
-    assert np.abs(got - ref).max() <= 1e-10 * ref.max()
+    cfg = make_config(graphs=pair, eps=eps, tau=tau, newton_tol=1e-13)
+    if kind == "near-solution":
+        _, system, iterates = _near_solution_iterates(dom, rng, cfg)
+    else:
+        state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
+        system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
+        w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
+        mu = state.mu.bulk + rng.standard_normal(dom.n_bulk)
+        iterates = [system.residual(w, mu + 1e3 if kind == "shifted-mu" else mu)]
+    for it in iterates:
+        r1 = _dual_norm_collapsed(dom, it.R1)
+        terms = [_dual_norm_collapsed(dom, it.a_mu), _dual_norm_collapsed(dom, it.R1 - it.a_mu)]
+        both = min(max(1.0, *terms), 10.0)
+        s1 = system.scales(it)[0]
+        slack = 1e-10 * both
+        assert s1 <= both + slack
+        assert both <= s1 + r1 + slack
 
 
 def _exact_converged(system, it):
-    """The convergence test at the exact r1 and both full scales, with no bound."""
-    tol = system.cfg.newton_tol
-    r1 = _dual_norm_collapsed(system.dom, it.R1)
-    s1 = min(math.sqrt(max(1.0, *system.r1_terms(it, r1))), 10.0)
-    s2 = min(max([1.0] + [scheme_module._h_norm(system.dom, t) for t in it.terms2]), 10.0)
-    return r1 <= tol * s1 and it.r2 <= tol * s2
+    """The convergence test at the exact r1 and norms, with no bound."""
+    dom, tol = system.dom, system.cfg.newton_tol
+    s1 = min(max(1.0, _dual_norm_collapsed(dom, it.a_mu)), 10.0)
+    s2 = min(max([1.0] + [scheme_module._h_norm(dom, t) for t in it.terms2]), 10.0)
+    return _dual_norm_collapsed(dom, it.R1) <= tol * s1 and it.r2 <= tol * s2
 
 
 @pytest.mark.parametrize("n", [3, 9, 17])
@@ -577,34 +601,23 @@ def test_b1_is_sharp_up_to_mu2_over_its_bound(domain_cache):
 @pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
                          ids=["polynomial", "logarithmic", "obstacle"])
 def test_converged_makes_the_exact_decision(domain_cache, rng, monkeypatch, pair):
-    # iterates near a solved step, moved by dw with mu back-substituted, so
-    # that r2 stays at the solution's level while r1 grows with dw; the
-    # tolerances put the exact test's threshold on either side of r1 and b1
+    # near-solution iterates, whose r1 grows with dw at a fixed r2; the
+    # tolerances put the threshold on either side of r1 and b1
     dom = domain_cache(9)
-    gc = dom.combined_mass
     cfg = make_config(graphs=pair, newton_tol=1e-13)
-    state = initialize(cfg, random_u0(dom, rng, amplitude=0.3))
-    nxt = step(state, cfg, None)
-    system = scheme_module._StepSystem(dom, cfg, state.m0, state.v.bulk, None)
-    base = system.residual(nxt.v.bulk, nxt.mu.bulk)
-    y = rng.standard_normal(dom.n_bulk)
-    y -= float(gc @ y) / float(gc.sum())
+    state, system, iterates = _near_solution_iterates(dom, rng, cfg)
     solves = []
     saddle_solve = spaces._saddle_solve
     monkeypatch.setattr(spaces, "_saddle_solve",
                         lambda *args: solves.append(1) or saddle_solve(*args))
-    for delta in (1e-6, 1e-8):
-        dw = delta * y
-        it = system.residual(nxt.v.bulk + dw,
-                             nxt.mu.bulk + system.potential(np.zeros(dom.n_bulk), dw, base.d))
+    for it in iterates:
         r1 = _dual_norm_collapsed(dom, it.R1)
-        s1 = min(math.sqrt(max(1.0, *system.r1_terms(it, r1))), 10.0)
-        s1_lo = system.scales(it)[0]
-        assert r1 / s1 < it.b1 / s1_lo
-        cases = [(1.5 * it.b1 / s1_lo, True, 0),             # b1 passes
-                 (math.sqrt(r1 / s1 * it.b1 / s1_lo), True, 1),  # b1 fails, r1 passes
-                 (0.5 * r1 / s1, False, 1),                  # r1 fails
-                 (0.05 * it.r2, False, 0)]                   # r2 above 10 newton_tol
+        s1 = system.scales(it)[0]
+        assert r1 < it.b1
+        cases = [(1.5 * it.b1 / s1, True, 0),             # b1 passes
+                 (math.sqrt(r1 * it.b1) / s1, True, 1),   # b1 fails, r1 passes
+                 (0.5 * r1 / s1, False, 1),               # r1 fails
+                 (0.05 * it.r2, False, 0)]                # r2 above 10 newton_tol
         for tol, expected, n_solves in cases:
             at_tol = scheme_module._StepSystem(dom, replace(cfg, newton_tol=tol), state.m0,
                                                state.v.bulk, None)
