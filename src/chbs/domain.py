@@ -16,15 +16,18 @@ and mass conservation exact at the algebraic level.
 Every sparse LU factor of the package comes from :data:`splu`, which orders
 the symmetric patterns by minimum degree on A^T + A, and every shifted
 stiffness Ac + c Mc from :meth:`DiscreteDomain.shifted`.  Construction only
-assembles; three facts are built on first use and written once: the factor
+assembles; four facts are built on first use and written once: the factor
 of Ac pinned at the first node, which is SPD and serves the one guarded
-mean-constrained solve ``chbs.spaces._saddle_solve`` (Riesz-map inverse,
-zero-mean dual norm, exact step residual r1, Lanczos of the coercivity
-constant); the factor of the V-norm matrix Mc + Ac, for the dual norm over
-the whole space; and a certified lower bound on the least nonzero eigenvalue
-of (Ac, Mc), which bounds the zero-mean dual norm by the lumped one in every
-step residual.  A domain never changes its assembled data, and a copy made
-with :func:`dataclasses.replace` builds its own facts.
+mean-constrained solve ``chbs.spaces._saddle_solve`` (a run's level-0
+potential z0 = F^-1(Mc v0), the exact step residual r1 where its bounds
+cannot decide, the failure message of a step, the public Riesz-map inverse
+and dual norm, and the Lanczos of the coercivity constant); the factor of
+the V-norm matrix Mc + Ac, for the dual norm over the whole space; and a
+certified lower bound on the least nonzero eigenvalue of (Ac, Mc) and a
+Gershgorin upper bound on its largest, which bound the zero-mean dual norm
+of every step residual above and below by the lumped one.  A domain never
+changes its assembled data, and a copy made with
+:func:`dataclasses.replace` builds its own facts.
 """
 
 from __future__ import annotations
@@ -131,6 +134,14 @@ class DiscreteDomain:
         while count_negative_eigenvalues(self.shifted(-mu)) != 1:
             mu *= 0.5
         return mu
+
+    @functools.cached_property
+    def lambda_upper(self):
+        """Gershgorin upper bound max_i sum_j |Ac_ij| / Mc_i on the largest
+        eigenvalue of the pencil (Ac, Mc), the spectrum of Mc^-1 Ac, built
+        on first use: 8/h^2 from the interior rows."""
+        row_sums = abs(self.coupled_stiffness) @ np.ones(self.n_bulk)
+        return float((row_sums / self.combined_mass).max())
 
     @property
     def n_bulk(self):

@@ -8,7 +8,12 @@ form induces the gradient norm, its Riesz map F, and the dual norm defined
 through one solve with F.  That solve meets the mean constraint exactly: the
 multiplier of the constraint has a closed form, and once it has made the
 right-hand side sum to zero, pinning one node is exact (Bochev & Lehoucq,
-SIAM Review 47, 2005), so one SPD factor per domain serves every solve.
+SIAM Review 47, 2005), so one SPD factor per domain serves every solve.  A
+run solves with it for its level-0 potential z0 = F^(-1)(Mc v0), and a step
+only when neither solve-free bound on its residual decides convergence; the
+monitor and the experiments read the V0* norms of levels off their carried
+potentials (see ``chbs.scheme``).  The public inverse and dual norms, and
+the Lanczos of the coercivity constant, solve with it on every call.
 
 All operations are pure given an immutable domain.
 """

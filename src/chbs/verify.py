@@ -19,9 +19,9 @@ import numpy as np
 
 from .domain import count_negative_eigenvalues
 from .errors import ConfigError
-from .scheme import run
-from .spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V0_star,
-                     norm_V_star, poincare_constant)
+from .scheme import _v0_star_sq, run
+from .spaces import (FieldPair, as_functional, form_a, inner_H, mean, norm_V_star,
+                     poincare_constant)
 
 __all__ = [
     "ContDepReport", "EpsStudyReport", "AprioriTable", "AppendixReport",
@@ -66,10 +66,10 @@ class ContDepReport:
 def _ratio_curve(traj1, traj2, gap):
     """sup_t of LHS/RHS for one pair of aligned trajectories.  ``gap`` is
     their forcing difference t -> f1(t) - f2(t), sampled at the time of each
-    level, or None for two unforced runs, whose forcing sum stays 0."""
+    level, or None for two unforced runs, whose forcing sum stays 0.  The
+    V0* distances come from the levels' carried potentials, with no solve."""
     tau = traj1.config.tau
-    d0 = traj1.states[0].v - traj2.states[0].v
-    rhs0 = rhs = norm_V0_star(as_functional(d0)) ** 2
+    rhs0 = rhs = _v0_star_sq(traj1.states[0], traj2.states[0])
     lhs_acc = 0.0
     rhs_acc = 0.0
     # at t = 0 the ratio is rhs0/rhs0
@@ -77,7 +77,7 @@ def _ratio_curve(traj1, traj2, gap):
     for s1, s2 in zip(traj1.states[1:], traj2.states[1:]):
         diff = s1.v - s2.v
         lhs_acc += tau * form_a(diff, diff)
-        lhs = norm_V0_star(as_functional(diff)) ** 2 + lhs_acc
+        lhs = _v0_star_sq(s1, s2) + lhs_acc
         if gap is not None:
             rhs_acc += tau * norm_V_star(as_functional(gap(s1.t))) ** 2
         rhs = rhs0 + rhs_acc
@@ -173,7 +173,7 @@ def _table_row(traj):
     dq_h0 = []
     for prev, cur in zip(states[:-1], states[1:]):
         diff = cur.v - prev.v
-        dq_v0star.append(norm_V0_star(as_functional(diff)) / tau)
+        dq_v0star.append(math.sqrt(_v0_star_sq(cur, prev)) / tau)
         dq_h0.append(math.sqrt(max(inner_H(diff, diff), 0.0)) / tau)
     return {
         "eps": cfg.eps,

@@ -17,7 +17,7 @@ from chbs.monotone import (GraphPair, beta_hat, envelope, minimal_section,
                            yosida)
 from chbs.scheme import SchemeConfig, run, weak_residuals
 from chbs.spaces import (FieldPair, apply_F, as_functional, form_a, inner_H,
-                         inner_V, poincare_constant, project_zero_mean,
+                         inner_V, norm_V0_star, poincare_constant, project_zero_mean,
                          solve_F_inverse, subgrad_phi)
 from chbs.verify import continuous_dependence_experiment, vanishing_eps_study
 
@@ -69,6 +69,22 @@ def test_weak_residuals_every_step(reference_run):
         worst = max(worst, r1, r2)
     report("weak residuals below 10*newton_tol after every step",
            worst <= 10.0 * cfg.newton_tol, f"worst {worst:.3e}")
+
+
+def test_carried_norms_match_the_solves(reference_run):
+    # an accepted step has r1 <= 10 newton_tol and drops tau F^-1 R1 from the
+    # carried z, so the carried |v|_V0* is within 10 newton_tol t of the
+    # solved one; a(v, v) and a(mu, mu) are exact up to rounding
+    _, cfg, traj, _ = reference_run
+    worst = 0.0
+    for state, rec in zip(traj.states, traj.records):
+        solved = norm_V0_star(as_functional(state.v))
+        bound = 10.0 * cfg.newton_tol * state.t + 1e-12 * solved
+        worst = max(worst, abs(rec.norm_v_V0star - solved) / bound)
+        assert state.a_vv == pytest.approx(form_a(state.v, state.v), rel=1e-12)
+        assert state.a_mumu == pytest.approx(form_a(state.mu, state.mu), rel=1e-12)
+    report("carried V0* norm within its drift bound at every level", worst <= 1.0,
+           f"worst error {worst:.3e} of the bound")
 
 
 def test_yosida_property_suite():

@@ -50,11 +50,11 @@ def logarithmic_cont_dep():
 # (run, steps, budget)
 RUNS = {
     "cubic": (phase_separating_run(polynomial_graph(pi_slope=-40.0)), 20,
-              dict(newton=40, cg=99, residual=60, saddle=22, factor=1)),
+              dict(newton=40, cg=99, residual=60, saddle=1, factor=1)),
     "obstacle": (phase_separating_run(obstacle_graph(pi_slope=-40.0)), 20,
-                 dict(newton=28, cg=74, residual=48, saddle=28, factor=1)),
+                 dict(newton=28, cg=74, residual=48, saddle=1, factor=1)),
     "logarithmic-cont-dep": (logarithmic_cont_dep, 140,
-                             dict(newton=226, cg=491, residual=366, saddle=120, factor=3)),
+                             dict(newton=226, cg=491, residual=366, saddle=36, factor=3)),
 }
 
 

@@ -191,7 +191,8 @@ def test_snapshot_csv_matches_rows_csv():
     mu[:2] = [-0.0, -5e-324]
     for m0 in (0.0, 0.1):
         state = SchemeState(v=FieldPair.from_bulk(dom, u), mu=FieldPair.from_bulk(dom, mu),
-                            xi=None, j=None, omega=0.0, t=0.0, m0=m0)
+                            xi=None, j=None, omega=0.0, t=0.0, m0=m0,
+                            z=None, a_vv=0.0, a_mumu=0.0)
         ref = _rows_csv(["node", "x", "y", "u", "mu"],
                         zip(range(dom.n_bulk), dom.coords[:, 0].tolist(),
                             dom.coords[:, 1].tolist(), (u + m0).tolist(), mu.tolist()))
@@ -238,11 +239,11 @@ def test_run_byte_identical_reruns(tmp_path):
 
 
 def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatch, capsys):
-    # the step residual norm r1 solves with the mean-constrained stiffness
-    def broken(dom, rhs):
+    # a linear solve of the first step loses accuracy
+    def broken(system, x):
         raise NumericalError("mean-constrained stiffness solve lost accuracy")
 
-    monkeypatch.setattr(scheme, "_dual_norm_collapsed", broken)
+    monkeypatch.setattr(scheme._StepSystem, "schur_solve", broken)
     cfg = write_config(tmp_path, QUICK_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -256,33 +257,18 @@ def test_run_numerical_error_writes_flagged_partial_outputs(tmp_path, monkeypatc
     assert "FAIL: all steps converged" in capsys.readouterr().out
 
 
-def test_run_monitor_failure_writes_flagged_partial_outputs(tmp_path, monkeypatch, capsys):
-    # the monitor's V0* norm fails at level 2: that level and those after it
-    # are dropped, and the abort names step 2, as a step failure there would
-    calls = []
-    real = scheme.norm_V0_star
+def test_run_level_0_numerical_error_exits_1_without_outputs(tmp_path, monkeypatch, capsys):
+    # the level-0 potential z0 is the run's one mean-constrained solve outside
+    # the steps; its failure ends the run before any output is written
+    def broken(dom, rhs):
+        raise NumericalError("mean-constrained stiffness solve lost accuracy")
 
-    def failing_from_third_call(ell):
-        calls.append(None)
-        if len(calls) >= 3:
-            raise NumericalError("mean-constrained stiffness solve lost accuracy")
-        return real(ell)
-
-    monkeypatch.setattr(scheme, "norm_V0_star", failing_from_third_call)
-    cfg = write_config(tmp_path, QUICK_RUN.replace("stride = 2", "stride = 1"))
+    monkeypatch.setattr(spaces, "_saddle_solve", broken)
+    cfg = write_config(tmp_path, QUICK_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    monitors = (out / "monitors.csv").read_text().splitlines()
-    assert len(monitors) == 3  # header + the records of levels 0 and 1
-    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0.csv",
-                                                                  "snapshot_1.csv"]
-    header, row = (out / "report.csv").read_text().splitlines()
-    report = dict(zip(header.split(","), row.split(",")))
-    assert (report["steps"], report["aborted"]) == ("1", "1")
-    text = (out / "report.txt").read_text()
-    assert "steps: 1\n" in text
-    assert "aborted: step 2 (t = 0.002): mean-constrained" in text
-    assert "FAIL: all steps converged" in capsys.readouterr().out
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == "error: mean-constrained stiffness solve lost accuracy\n"
 
 
 def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, monkeypatch,

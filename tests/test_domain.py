@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -176,7 +178,12 @@ def test_every_factor_solves_to_rounding(domain_cache, rng):
 
 def test_vnorm_factor_is_built_on_first_use(rng):
     dom = build_unit_square(9)
-    assert not {"pinned_lu", "vnorm_lu", "mu2_lower"} & set(vars(dom))
+    assert not {"pinned_lu", "vnorm_lu", "mu2_lower", "lambda_upper"} & set(vars(dom))
+    # a copy with a doubled stiffness builds its own bound on the largest eigenvalue
+    top = dom.lambda_upper
+    doubled = dataclasses.replace(dom, coupled_stiffness=2.0 * dom.coupled_stiffness)
+    assert "lambda_upper" not in vars(doubled)
+    assert doubled.lambda_upper == 2.0 * top and vars(dom)["lambda_upper"] == top
     ell = DualPair(rng.standard_normal(dom.n_bulk), rng.standard_normal(dom.n_boundary), dom)
     norm = norm_V_star(ell)
     assert "vnorm_lu" in vars(dom)
@@ -233,3 +240,14 @@ def test_mu2_lower_is_certified_below_the_dense_mu2(domain_cache, n, expected):
     assert count_negative_eigenvalues(A - sp.diags(mu * gc)) == 1
     mu2 = scipy.linalg.eigh(A.toarray(), np.diag(gc), eigvals_only=True)[1]
     assert 0.5 * mu2 < mu <= mu2
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_lambda_upper_bounds_the_dense_largest_eigenvalue(domain_cache, n):
+    # the Gershgorin bound is 8/h^2, from the interior rows; the largest
+    # eigenvalue is 20.8 of 32 at n = 3 and 492.8 of 512 at n = 9
+    dom = domain_cache(n)
+    top = scipy.linalg.eigh(dom.coupled_stiffness.toarray(), np.diag(dom.combined_mass),
+                            eigvals_only=True)[-1]
+    assert top <= dom.lambda_upper
+    assert dom.lambda_upper == pytest.approx(8.0 * (n - 1) ** 2, rel=1e-14)

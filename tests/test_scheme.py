@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from chbs import monotone, spaces
 from chbs.domain import build_unit_square
 from chbs import scheme as scheme_module
-from chbs.errors import CompatibilityError, ConfigError, NumericalError, StepError
+from chbs.errors import CompatibilityError, ConfigError, StepError
 from chbs.monotone import (GraphPair, envelope, logarithmic_graph, obstacle_graph,
                            polynomial_graph, resolvent, yosida)
 from chbs.scheme import (SchemeConfig, initialize, monitor_record, run, step,
@@ -613,10 +613,12 @@ def test_converged_makes_the_exact_decision(domain_cache, rng, monkeypatch, pair
     for it in iterates:
         r1 = _dual_norm_collapsed(dom, it.R1)
         s1 = system.scales(it)[0]
-        assert r1 < it.b1
+        lb1 = system.lower_r1(it)
+        assert lb1 < r1 < it.b1
         cases = [(1.5 * it.b1 / s1, True, 0),             # b1 passes
                  (math.sqrt(r1 * it.b1) / s1, True, 1),   # b1 fails, r1 passes
-                 (0.5 * r1 / s1, False, 1),               # r1 fails
+                 (math.sqrt(lb1 * r1) / s1, False, 1),    # lb1 passes, r1 fails
+                 (0.5 * lb1 / s1, False, 0),              # lb1 fails
                  (0.05 * it.r2, False, 0)]                # r2 above 10 newton_tol
         for tol, expected, n_solves in cases:
             at_tol = scheme_module._StepSystem(dom, replace(cfg, newton_tol=tol), state.m0,
@@ -625,6 +627,43 @@ def test_converged_makes_the_exact_decision(domain_cache, rng, monkeypatch, pair
             solves.clear()
             assert at_tol.converged(it) == expected
             assert len(solves) == n_solves
+        # below lb1 it is the bound that rejects: r2 passes its test there
+        assert it.r2 <= 0.5 * lb1 / s1 * system.scales(it)[1]
+
+
+@pytest.mark.parametrize("n", [3, 9, 17])
+@pytest.mark.parametrize("pair", [POLY_PAIR, LOG_PAIR, OBST_PAIR],
+                         ids=["polynomial", "logarithmic", "obstacle"])
+@pytest.mark.parametrize("eps, tau", [(0.02, 1e-3), (0.5, 1e-2)],
+                         ids=["complex-shifts", "real-shifts"])
+def test_lb1_bounds_the_exact_r1_from_below(domain_cache, rng, n, pair, eps, tau):
+    # random iterates, whose R1 sums to a nonzero value; the same recentred,
+    # whose R1 sums to 0 up to rounding; and iterates near a step's solution
+    dom = domain_cache(n)
+    cfg = make_config(graphs=pair, eps=eps, tau=tau, newton_tol=1e-13)
+    state, system, iterates = _near_solution_iterates(dom, rng, cfg)
+    for _ in range(3):
+        w = state.v.bulk + 0.3 * (2.0 * rng.random(dom.n_bulk) - 1.0)
+        mu = state.mu.bulk + rng.standard_normal(dom.n_bulk)
+        iterates += [system.residual(w, mu), system.residual(w + system.mass_shift(w), mu)]
+    ratio = math.sqrt(dom.mu2_lower / dom.lambda_upper)
+    for it in iterates:
+        lb1 = system.lower_r1(it)
+        assert lb1 == it.b1 * ratio
+        assert lb1 <= _dual_norm_collapsed(dom, it.R1) <= it.b1
+
+
+def test_lb1_is_sharp_up_to_the_largest_eigenvalue_over_its_bound(domain_cache):
+    # R1 = Ac phi for the eigenvector phi of the largest eigenvalue attains
+    # |R1|_V0* >= |R1_0|_H*/sqrt(lambda_max), so there
+    # lb1/r1 = sqrt(lambda_max/lambda_upper)
+    dom = domain_cache(9)
+    lam, vec = scipy.linalg.eigh(dom.coupled_stiffness.toarray(), np.diag(dom.combined_mass))
+    system = scheme_module._StepSystem(dom, make_config(), 0.0, np.zeros(dom.n_bulk), None)
+    it = system.residual(np.zeros(dom.n_bulk), vec[:, -1])
+    r1 = _dual_norm_collapsed(dom, it.R1)
+    assert system.lower_r1(it) / r1 == pytest.approx(math.sqrt(lam[-1] / dom.lambda_upper),
+                                                     rel=1e-9)
 
 
 def test_newton_solves_for_r1_at_most_once_per_step(domain_cache, rng, monkeypatch):
@@ -1217,14 +1256,3 @@ def test_run_leaves_the_monitor_to_the_first_read_of_records(domain_cache, rng, 
     assert calls == [s.t for s in traj.states]
     traj.records
     assert len(calls) == len(traj.states)  # computed once
-
-
-def test_monitor_failure_at_level_0_propagates_from_records(domain_cache, monkeypatch):
-    def broken(ell):
-        raise NumericalError("mean-constrained stiffness solve lost accuracy")
-
-    monkeypatch.setattr(scheme_module, "norm_V0_star", broken)
-    dom = domain_cache(5)
-    traj = run(make_config(t_end=2e-3), FieldPair.constant(dom, 0.1))
-    with pytest.raises(NumericalError):
-        traj.records

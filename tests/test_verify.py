@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from chbs import scheme, verify
 from chbs.domain import build_unit_square
 from chbs.errors import ConfigError
-from chbs.monotone import GraphPair, polynomial_graph
+from chbs.monotone import GraphPair, logarithmic_graph, polynomial_graph
 from chbs.scheme import SchemeConfig, run
 from chbs.spaces import (FieldPair, as_functional, form_a, mean, norm_V0_star,
                          norm_V_star, poincare_constant, project_zero_mean)
@@ -398,3 +399,64 @@ def test_appendix_checks_memory_stays_blocked(domain_cache):
         tracemalloc.stop()
     assert report.passed
     assert peak <= 4 * 2 ** 20
+
+
+# --- carried V0* norms ----------------------------------------------------------------
+
+def _random_u0(dom, seed, amplitude=0.2):
+    rng = np.random.Generator(np.random.Philox(seed))
+    noise = FieldPair.from_bulk(dom, 2.0 * rng.random(dom.n_bulk) - 1.0)
+    return amplitude * project_zero_mean(noise)
+
+
+def _solved_v0_star(a, b=None):
+    """|v_a - v_b|_V0* by a mean-constrained solve, the oracle of the carried one."""
+    return norm_V0_star(as_functional(a.v if b is None else a.v - b.v))
+
+
+LOG_CONFIG = make_config(eps=0.02, tau=1e-3, t_end=0.01,
+                         graphs=GraphPair(logarithmic_graph(20.0), logarithmic_graph(20.0)))
+# an accepted step has r1 <= 10 newton_tol, and it drops tau F^-1 R1 from the
+# carried z, so z drifts from F^-1(Mc v) by at most DRIFT t in the V0 norm
+DRIFT = 10.0 * LOG_CONFIG.newton_tol
+ROUNDING = 1e-12  # relative
+
+
+def test_cont_dep_ratios_match_the_solved_norms(domain_cache):
+    # the carried |d|^2, d = v1 - v2, is off by at most |d|_V0* 2 DRIFT t, and
+    # the sup of the ratios by at most the largest such error over rhs
+    dom = domain_cache(9)
+    u1, u2 = _random_u0(dom, 3), _random_u0(dom, 4)
+    rep = continuous_dependence_experiment(LOG_CONFIG, (u1, None), (u2, None))
+    assert not rep.aborted
+    for tau, ratio in zip(rep.taus, rep.sup_ratios):
+        cfg = replace(LOG_CONFIG, tau=tau)
+        t1, t2 = run(cfg, u1), run(cfg, u2)
+        rhs = _solved_v0_star(t1.states[0], t2.states[0]) ** 2
+        sup, lhs_acc, bound = 1.0, 0.0, 0.0
+        for s1, s2 in zip(t1.states[1:], t2.states[1:]):
+            d = s1.v - s2.v
+            lhs_acc += tau * form_a(d, d)
+            dist = _solved_v0_star(s1, s2)
+            sup = max(sup, (dist ** 2 + lhs_acc) / rhs)
+            bound = max(bound, dist * 2.0 * DRIFT * s1.t / rhs)
+        assert abs(ratio - sup) <= bound + ROUNDING * sup
+
+
+def test_eps_study_v0_star_columns_match_the_solved_norms(domain_cache):
+    # a carried |v|_V0* is off by at most DRIFT t, and a carried
+    # |v_k - v_(k-1)|_V0*/tau by at most DRIFT, as the z of two successive
+    # levels differ by the one dropped term; l2 over t_end makes that
+    # DRIFT sqrt(t_end)
+    dom = domain_cache(9)
+    eps_list = (0.5, 0.25, 0.125)
+    rep = vanishing_eps_study(LOG_CONFIG, eps_list, _random_u0(dom, 3))
+    assert not rep.partial
+    tau, t_end = LOG_CONFIG.tau, LOG_CONFIG.t_end
+    for eps, row in zip(eps_list, rep.table.rows):
+        states = run(replace(LOG_CONFIG, eps=eps), _random_u0(dom, 3)).states
+        max_v = max(_solved_v0_star(s) for s in states)
+        l2_dq = math.sqrt(sum(tau * (_solved_v0_star(b, a) / tau) ** 2
+                              for a, b in zip(states, states[1:])))
+        assert abs(row["max_v_V0star"] - max_v) <= DRIFT * t_end + ROUNDING * max_v
+        assert abs(row["l2_dq_V0star"] - l2_dq) <= DRIFT * math.sqrt(t_end) + ROUNDING * l2_dq
