@@ -93,6 +93,10 @@ def _resolvent_log(eps, r, start=None):
     NaN entries stop rising, which drops them from the second test; each
     accepted update raises j, so the loop ends.  The root is signed last, so
     the resolvent is exactly odd; j rounds to +-1 once tanh saturates.
+
+    Both tests are taken per row of the last axis, and a row that passes
+    one is frozen while the others go on, so each row of a stack of rows
+    gets the bits it gets alone.
     """
     a = np.abs(r)
     s = np.maximum(a / (1.0 + 2.0 * eps), (a - 1.0) / (2.0 * eps))
@@ -102,20 +106,26 @@ def _resolvent_log(eps, r, start=None):
         s = np.fmax(s_p * _TANGENT_SHRINK
                     + (a - p - 2.0 * eps * s_p) / ((1.0 - p) * (1.0 + p) + 2.0 * eps), s)
     t = np.tanh(s)
+    stacked, live = a.ndim > 1, None  # live: the rows of a stack still iterating
     while True:
         ds = (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
         nxt = s + ds
         t_nxt = np.tanh(nxt)
         rising = t_nxt > t
-        # an update raises j only if ds > 0, so the largest rising ds is 0
-        # exactly when no entry rises
-        top = ds.max(where=rising, initial=0.0)
-        if top == 0.0:
+        if live is not None:
+            rising &= live
+        # an update raises j only if ds > 0, so the largest rising ds of a
+        # row is 0 exactly when none of its entries rises
+        top = ds.max(axis=-1 if stacked else None, where=rising, initial=0.0,
+                     keepdims=stacked)
+        hi, lo = (max(tops := top.ravel().tolist()), min(tops)) if stacked else (top, top)
+        if hi == 0.0:
             return np.copysign(t, r)
         s = np.where(rising, nxt, s)
-        t = np.maximum(t, t_nxt)
-        if top <= 1e-8:
+        t = np.maximum(t, t_nxt) if lo > 0.0 else np.where(top > 0.0, np.maximum(t, t_nxt), t)
+        if hi <= 1e-8:
             return np.copysign(t, r)
+        live = None if lo > 1e-8 else top > 1e-8
 
 
 def _slope_cubic(eps, r, j):

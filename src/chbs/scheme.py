@@ -76,10 +76,18 @@ the first iterate of a step from the old level's J, every later one, line
 search trials and Picard iterates included, from the J of the iterate it
 follows.  The terms of an iterate stay plain (bulk, boundary) arrays; only
 an accepted level keeps them as ``FieldPair``s.
+
+Runs that share the domain and the config, such as the pair of a cont-dep
+at one tau, step in lockstep (``_run_members``): the runs are the rows of
+(k, n) arrays, and each residual, CG iteration and line-search trial serves
+every row still iterating, the Schur factors solving for all rows at once.
+Each row is computed with the operations of its run alone, so every member
+is bit-identical to its ``run``; ``run`` and ``step`` are the one-row case.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections import deque, namedtuple
@@ -88,6 +96,11 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+try:  # the CSR product kernel of SciPy, called by _spmv without A @ x's dispatch
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - other SciPy layouts take A @ x
+    _csr_matvec = None
 
 from . import spaces
 from .domain import splu
@@ -230,10 +243,11 @@ def _offset_pair(pair, xi, u, f):
     """The pair xi + pi(u) - f at the trace-consistent level with bulk values
     u; its mean is the offset omega of a state.  ``f`` None is zero forcing."""
     dom = xi.domain
-    f = f if f is not None else FieldPair.zeros(dom)
-    return FieldPair(xi.bulk + pair.bulk.pi_slope * u - f.bulk,
-                     xi.boundary + pair.boundary.pi_slope * u[dom.boundary_chain] - f.boundary,
-                     dom)
+    bulk = xi.bulk + pair.bulk.pi_slope * u
+    boundary = xi.boundary + pair.boundary.pi_slope * u[dom.boundary_chain]
+    if f is not None:  # x - 0.0 is x, to the bit, so zero forcing subtracts nothing
+        bulk, boundary = bulk - f.bulk, boundary - f.boundary
+    return FieldPair(bulk, boundary, dom)
 
 
 def _graph_terms(dom, pair, eps, u, start=None):
@@ -247,22 +261,47 @@ def _graph_terms(dom, pair, eps, u, start=None):
     s_bulk, s_bnd = (None, None) if start is None else start
     bulk = yosida_and_slope(pair.bulk, eps, u, start=s_bulk)
     if pair.bulk.kind == pair.boundary.kind and eps * pair.rho == eps:
-        bnd = [b[chain] for b in bulk]
+        bnd = [b.take(chain, axis=-1) for b in bulk]
     else:
-        bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u[chain], start=s_bnd)
+        bnd = yosida_and_slope(pair.boundary, eps * pair.rho, u.take(chain, axis=-1),
+                               start=s_bnd)
     return list(zip(bulk, bnd))
 
 
-def _mass_weighted(dom, z):
+def _mass_weighted(dom, z, masses=None):
     """Bulk-node coefficients of (M_bulk b, M_surf g), z = (b, g), on
     trace-consistent tests: Mc b plus M_surf (g - b[chain]) on the chain,
     exactly Mc b when g is the trace of b.  A non-finite b leaves them
-    non-finite (NaN where g - b[chain] is inf - inf)."""
+    non-finite (NaN where g - b[chain] is inf - inf).  Over a stack of rows,
+    ``masses`` are the ``_stacked_masses`` of its row count."""
     b, g = z
     chain = dom.boundary_chain
-    out = dom.combined_mass * b
-    out[chain] += dom.M_surf * (g - b[chain])
+    if masses is None:
+        out = dom.combined_mass * b
+        out[chain] += dom.M_surf * (g - b[chain])
+        return out
+    mc, m_surf, flat_chain = masses
+    out = mc * b
+    out.reshape(-1)[flat_chain] += (m_surf * (g - b.take(chain, axis=-1))).reshape(-1)
     return out
+
+
+_STACKED_MASSES = {}  # (domain, row count) -> _stacked_masses
+
+
+def _stacked_masses(dom, rows):
+    """(Mc, M_surf, chain) for a stack of ``rows`` rows: the masses as rows
+    of (rows, n) arrays, so that products with the stack need no broadcast,
+    and the boundary chain of every row as indices into the stack's ravel."""
+    key = (dom, rows)
+    masses = _STACKED_MASSES.get(key)
+    if masses is None:
+        if len(_STACKED_MASSES) >= 8:
+            _STACKED_MASSES.clear()
+        flat_chain = (np.arange(rows)[:, None] * dom.n_bulk + dom.boundary_chain).ravel()
+        masses = _STACKED_MASSES[key] = (np.tile(dom.combined_mass, (rows, 1)),
+                                         np.tile(dom.M_surf, (rows, 1)), flat_chain)
+    return masses
 
 
 # --- monitor -----------------------------------------------------------------
@@ -394,15 +433,101 @@ def initialize(config, u0, forcing_at_0=None):
 # --- the nonlinear step -----------------------------------------------------
 
 def _h_norm(dom, vec):
-    """The lumped dual norm sqrt(vec.(vec/Mc))."""
-    return math.sqrt(float(vec @ (vec / dom.combined_mass)))
+    """The lumped dual norm sqrt(vec.(vec/Mc)), one per row of a stack."""
+    sq = _dot(vec, vec / dom.combined_mass)
+    return math.sqrt(sq) if vec.ndim == 1 else np.sqrt(sq)
 
 
-# one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
-# the H* norm r2 of R2, the resolvent and Yosida pairs (bulk, boundary), the
-# Jacobian diagonal d, g = N + P - F, mu less its Mc-weighted mean, Ac mu,
-# and the terms of R2
-_Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
+def _spmv(A, x):
+    """A @ x for the CSR matrix A, one product per row of a stack of rows,
+    so that each row gets the bits it gets alone.  It calls the CSR kernel
+    that A @ x calls, without the dispatch around it, which at n = 17 costs
+    more than the product."""
+    if _csr_matvec is None:  # pragma: no cover
+        return A @ x if x.ndim == 1 else np.stack([A @ row for row in x])
+    out = np.zeros(x.shape[:-1] + A.shape[:1])
+    for row, dest in zip(x, out) if x.ndim > 1 else ((x, out),):
+        _csr_matvec(*A.shape, A.indptr, A.indices, A.data, row, dest)
+    return out
+
+
+def _dot(x, y):
+    """x.y, one per row of a stack of rows x: a float for one row."""
+    return float(x @ y) if x.ndim == 1 else np.vecdot(x, y)
+
+
+def _column(x):
+    """Per-row scalars x as a column against a stack of rows; a scalar stays."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _one(rows):
+    """A list of one row as that row's index; other lists and indices stay."""
+    return rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
+
+
+def _pick(x, rows):
+    """The rows of the stack x: one row's array for one row."""
+    return x[_one(rows)]
+
+
+def _stack(parts):
+    """np.stack of arrays, or of the entries of tuples of them, slot by slot;
+    the rows are copied into one new array, which for a few small arrays is
+    several times faster than np.stack."""
+    if isinstance(parts[0], tuple):
+        return tuple(_stack(slot) for slot in zip(*parts))
+    out = np.empty((len(parts),) + np.shape(parts[0]))
+    for row, part in zip(out, parts):
+        row[...] = part
+    return out
+
+
+class _Iterate(namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")):
+    """One evaluation at (w, mu): residuals, the bound b1 on the V0* norm of
+    R1 and the H* norm r2 of R2, the resolvent and Yosida pairs (bulk,
+    boundary), the Jacobian diagonal d, g = N + P - F, mu less its
+    Mc-weighted mean, Ac mu, and the terms of R2.  Over a stack of rows
+    every array has a row per run and b1 and r2 hold one value per row."""
+
+    __slots__ = ()
+
+    def take(self, rows):
+        """The iterate of ``rows``, a list of rows or one row's index: one
+        row gives that row's own iterate, and an iterate of one row is its
+        own only row."""
+        if self.w.ndim == 1:
+            return self
+        rows = _one(rows)
+        w, mu, R1, R2, b1, r2, j, xi, d, g, mu_c, a_mu, terms2 = self
+        return _Iterate(w[rows], mu[rows], R1[rows], R2[rows], b1[rows], r2[rows],
+                        (j[0][rows], j[1][rows]), (xi[0][rows], xi[1][rows]), d[rows],
+                        g[rows], mu_c[rows], a_mu[rows], tuple(t[rows] for t in terms2))
+
+    @staticmethod
+    def stack(parts):
+        """The stack of one-row iterates, in order; one part stays itself."""
+        if len(parts) == 1:
+            return parts[0]
+        return _Iterate(*(_stack(slot) for slot in zip(*parts)))
+
+
+class _NotFinite(StepError):
+    """A residual was asked for at an iterate that is not finite; ``rows``
+    marks the rows that are not."""
+
+    def __init__(self, rows):
+        super().__init__("nonlinear iterate is not finite")
+        self.rows = rows
+
+
+def _not_finite(stage, last=None):
+    """The text of the StepError of an iterate that is not finite at
+    ``stage``, with the (b1, r2) of the last finite iterate."""
+    text = f"nonlinear iterate is not finite at {stage}"
+    if last is not None:
+        text += f" (last finite iterate: b1 {last[0]:.3e}, r2 {last[1]:.3e})"
+    return text
 
 
 def _shifts(eps, tau):
@@ -431,22 +556,52 @@ class _StepSystem:
     iterate is trace-consistent, so its graph terms come from its bulk values
     by ``_graph_terms``, warm-started from the resolvent pair ``start`` of a
     nearby iterate, and N and D are their ``_mass_weighted`` products.
+
+    A system of rows stacks the steps of runs that share the domain and the
+    config: ``w_prev`` has a row per run, and ``m0`` and ``f_next`` hold one
+    mean and one forcing per row.  Its iterates are stacks of rows too, each
+    row computed with the operations, and so to the bits, of its run alone,
+    and the factors of S0 serve every row at once.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_next):
+        rows = w_prev.ndim > 1
         self.dom = dom
         self.cfg = config
-        self.m0 = m0
+        self.masses = _stacked_masses(dom, len(w_prev)) if rows else None
+        self.mc = self.masses[0] if rows else dom.combined_mass
+        # a stack keeps each row's mean as a row, so adding it needs no broadcast
+        self.m0 = np.repeat(np.asarray(m0)[:, None], dom.n_bulk, axis=1) if rows else m0
         self.w_prev = w_prev
-        self.gc_tau = dom.combined_mass / config.tau
+        self.gc_tau = self.mc / config.tau
         self.gc_sum = float(dom.combined_mass.sum())
-        self.mass_prev = float(dom.combined_mass @ w_prev)
-        pair, u_prev = config.graphs, w_prev + m0
+        self.mass_prev = _dot(w_prev, dom.combined_mass)
+        pair, u_prev = config.graphs, w_prev + self.m0
         self.load = _collapse(dom, dom.M_bulk * (pair.bulk.pi_slope * u_prev),
-                              dom.M_surf * (pair.boundary.pi_slope * u_prev[dom.boundary_chain]))
-        if f_next is not None:
-            self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
+                              dom.M_surf * (pair.boundary.pi_slope
+                                            * u_prev.take(dom.boundary_chain, axis=-1)))
+        for row, f in enumerate(f_next) if rows else [(..., f_next)]:
+            if f is not None:
+                self.load[row] -= _collapse(dom, dom.M_bulk * f.bulk, dom.M_surf * f.boundary)
         self.shifts = _shifts(config.eps, config.tau)
+
+    def take(self, rows):
+        """The system of ``rows``, a list of rows or one row's index, with
+        the same factors: one row gives that row's own system, and a system
+        of one row is its own only row."""
+        if self.w_prev.ndim == 1:
+            return self
+        rows = _one(rows)
+        out = copy.copy(self)
+        if isinstance(rows, list):
+            out.masses = _stacked_masses(self.dom, len(rows))
+            out.mc = out.masses[0]
+        else:
+            out.masses, out.mc = None, self.dom.combined_mass
+        out.m0, out.w_prev, out.gc_tau, out.mass_prev, out.load = (
+            self.m0[rows], self.w_prev[rows], self.gc_tau[rows], self.mass_prev[rows],
+            self.load[rows])
+        return out
 
     @functools.cached_property
     def lu(self):
@@ -460,35 +615,37 @@ class _StepSystem:
         return lus
 
     def residual(self, w, mu, start=None):
+        """The iterate at (w, mu); raises a StepError whose ``rows`` marks the
+        rows of an iterate that is not finite."""
         if not (np.isfinite(w).all() and np.isfinite(mu).all()):
-            raise StepError("nonlinear iterate is not finite")
+            raise _NotFinite(~(np.isfinite(w).all(axis=-1) & np.isfinite(mu).all(axis=-1)))
         dom = self.dom
-        gc, A = dom.combined_mass, dom.coupled_stiffness
+        gc, A = self.mc, dom.coupled_stiffness
         eps = self.cfg.eps
         j, xi, slope = _graph_terms(dom, self.cfg.graphs, eps, w + self.m0, start)
         gc_dw = self.gc_tau * (w - self.w_prev)
         eps_dw = eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
         # out of the rounding of Ac mu
-        mu_c = mu - float(gc @ mu) / self.gc_sum
-        gc_mu, a_mu, a_w = gc * mu, A @ mu_c, A @ w
+        mu_c = mu - _column(_dot(mu, gc) / self.gc_sum)
+        gc_mu, a_mu, a_w = gc * mu, _spmv(A, mu_c), _spmv(A, w)
         R1 = gc_dw + a_mu
         # an overflow or a non-finite Yosida value makes R2 or a norm inf or
         # NaN, which the step reports as a non-finite merit.  On zero-mean
         # pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
         # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve
         with np.errstate(over="ignore", invalid="ignore"):
-            nvec, d = _mass_weighted(dom, xi), _mass_weighted(dom, slope)
+            nvec, d = _mass_weighted(dom, xi, self.masses), _mass_weighted(dom, slope, self.masses)
             g = nvec + self.load
             R2 = gc_mu - (eps_dw + a_w + g)
-            R1_0 = R1 - (float(R1.sum()) / self.gc_sum) * gc
+            R1_0 = R1 - (R1.sum(axis=-1, keepdims=R1.ndim > 1) / self.gc_sum) * gc
             b1 = _h_norm(dom, R1_0) / math.sqrt(dom.mu2_lower)
             r2 = _h_norm(dom, R2)
         return _Iterate(w, mu, R1, R2, b1, r2,
                         j, xi, d, g, mu_c, a_mu, (gc_mu, a_w, nvec, self.load, eps_dw))
 
     def exact_r1(self, it):
-        """r1 = |R1|_V0*, one mean-constrained solve."""
+        """r1 = |R1|_V0* of a one-row iterate, one mean-constrained solve."""
         return _dual_norm_collapsed(self.dom, it.R1)
 
     def lower_r1(self, it):
@@ -532,26 +689,27 @@ class _StepSystem:
                 and self.exact_r1(it) <= tol * s1))
 
     def mass_shift(self, w):
-        """The constant that restores the previous combined mean to w."""
-        return (self.mass_prev - float(self.dom.combined_mass @ w)) / self.gc_sum
+        """The constant that restores the previous combined mean to w, per row."""
+        return _column((self.mass_prev - _dot(w, self.mc)) / self.gc_sum)
 
     def reduce(self, r1, r2):
         """Right-hand side of the reduced system for the block right-hand side (r1, r2)."""
-        return r1 - self.dom.coupled_stiffness @ (r2 / self.dom.combined_mass)
+        return r1 - _spmv(self.dom.coupled_stiffness, r2 / self.mc)
 
     def potential(self, r2, w, d):
         """Back-substitution mu = (r2 + (eps Mc/tau + Ac + D) w)/Mc."""
         dom = self.dom
-        return ((r2 + (self.cfg.eps * self.gc_tau + d) * w + dom.coupled_stiffness @ w)
-                / dom.combined_mass)
+        return ((r2 + (self.cfg.eps * self.gc_tau + d) * w + _spmv(dom.coupled_stiffness, w))
+                / self.mc)
 
     def schur_solve(self, x):
         """S0^-1 x: -Im((Ac + c1 Mc)^-1 x)/Im c1 by partial fractions over a
-        complex pair, else (Ac + c2 Mc)^-1 Mc (Ac + c1 Mc)^-1 x."""
+        complex pair, else (Ac + c2 Mc)^-1 Mc (Ac + c1 Mc)^-1 x.  The rows of
+        a stack are the columns of one solve."""
         lus = self.lu
         if len(lus) == 1:
-            return -lus[0].solve(x).imag / self.shifts[0].imag
-        return lus[1].solve(self.dom.combined_mass * lus[0].solve(x))
+            return lus[0].solve(x.T).T.imag / -self.shifts[0].imag  # = -Im(..)/Im c1
+        return lus[1].solve((self.mc * lus[0].solve(x.T).T).T).T
 
     def gram(self, x):
         """G x = S0^-1 Ac Mc^-1 x.  Over a complex pair, x/((x + c1)(x + c2)) =
@@ -561,11 +719,11 @@ class _StepSystem:
         lus = self.lu
         if len(lus) == 1:
             c = self.shifts[0]
-            return (c * lus[0].solve(x)).imag / c.imag
-        return self.schur_solve(self.dom.coupled_stiffness @ (x / self.dom.combined_mass))
+            return (c * lus[0].solve(x.T).T).imag / c.imag
+        return self.schur_solve(_spmv(self.dom.coupled_stiffness, x / self.mc))
 
     def jacobian(self, it):
-        """The reduced Newton matrix S(D), assembled."""
+        """The reduced Newton matrix S(D) of a one-row iterate, assembled."""
         gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
         coupling = sp.diags(self.cfg.eps * self.gc_tau + it.d) + A
         return (sp.diags(self.gc_tau) + A @ sp.diags(1.0 / gc) @ coupling).tocsc()
@@ -585,26 +743,162 @@ def _newton_direction(system, it, rtol=_CG_RTOL):
     CG runs on it until its residual is ``rtol`` times |s b|; each iteration
     applies G once, to s p, and G (s z) is accumulated from those products,
     so z itself is never formed.  Where D = 0, CG takes no iteration and dw = b.
+
+    Over a stack of rows, each row runs its own CG to its own ``rtol``, the
+    G products of all rows in one solve.  A row that meets its tolerance
+    leaves with its direction, and the others go on without it.  The counts
+    are then a list, with -1 for a row whose CG stalls (None if every row
+    stalls).
     """
     s = np.sqrt(it.d)
     b = system.schur_solve(system.reduce(-it.R1, -it.R2))
     r = s * b
     p, g_sz = r.copy(), np.zeros_like(r)
-    rr = float(r @ r)
+    one = b.ndim == 1
+    rr = float(r @ r) if one else np.vecdot(r, r)
     stop = rtol * rtol * rr
+    dw = counts = rows = None  # once a row has left: the directions, counts and live rows
     for k in range(_CG_MAXITER + 1):
-        if rr <= stop:
-            return b - g_sz, k
+        done = rr <= stop
+        if done if one else done.any():
+            done = done.tolist() if not one else [done]
+            if dw is None and all(done):
+                return b - g_sz, (k if one else [k] * len(b))
+            if dw is None:
+                dw, counts, rows = np.empty_like(b), [-1] * len(b), list(range(len(b)))
+            keep = [q for q, x in enumerate(done) if not x]
+            for q, x in enumerate(done):
+                if x:
+                    dw[rows[q]] = b[q] - g_sz[q]
+                    counts[rows[q]] = k
+            if not keep:
+                return dw, counts
+            system, rows = system.take(keep), [rows[q] for q in keep]
+            s, b, r, p, g_sz, rr, stop = (x[keep] for x in (s, b, r, p, g_sz, rr, stop))
         if k == _CG_MAXITER:
-            return None
+            return None if dw is None else (dw, counts)
         q = system.gram(s * p)
         ap = p + s * q
-        alpha = rr / float(p @ ap)
+        alpha = rr / float(p @ ap) if one else (rr / np.vecdot(p, ap))[:, None]
         g_sz += alpha * q
         r -= alpha * ap
-        rr, rr_prev = float(r @ r), rr
-        p *= rr / rr_prev
+        rr, rr_prev = (float(r @ r) if one else np.vecdot(r, r)), rr
+        p *= rr / rr_prev if one else (rr / rr_prev)[:, None]
         p += r
+
+
+_STEP_LENGTHS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+
+
+def _evaluate(system, w, mu, start):
+    """(system, iterate, bad): the residual at the rows of (w, mu) whose
+    iterate is finite, with their system, and the mask of the rows left out,
+    None if there is none.  The iterate is None if every row is left out."""
+    try:
+        return system, system.residual(w, mu, start), None
+    except _NotFinite as exc:
+        bad = np.atleast_1d(exc.rows)
+        keep = np.flatnonzero(~bad).tolist()
+        if not keep:
+            return None, None, bad
+        system = system.take(keep)
+        start = None if start is None else tuple(_pick(x, keep) for x in start)
+        return system, system.residual(_pick(w, keep), _pick(mu, keep), start), bad
+
+
+def _decisions(system, it):
+    """``system.converged`` of each row of the iterate, with the ChbsError of
+    a row whose r1 solve fails in place of its decision."""
+    limit = 10.0 * system.cfg.newton_tol
+    decided = []
+    for p, r2 in enumerate([it.r2] if it.w.ndim == 1 else it.r2.tolist()):
+        try:
+            # a row with r2 above every capped scale is rejected before its
+            # iterate is taken apart
+            decided.append(bool(r2 <= limit and system.converged(it.take(p))))
+        except ChbsError as exc:
+            decided.append(exc)
+    return decided
+
+
+def _merits(it):
+    """The merit hypot(b1, r2) of each row of the iterate, as a list."""
+    if it.w.ndim == 1:
+        return [math.hypot(it.b1, it.r2)]
+    return list(map(math.hypot, it.b1.tolist(), it.r2.tolist()))
+
+
+def _unconverged(system, it, stage, iters):
+    """The StepError of a one-row iterate that ends its step unconverged,
+    naming the stage and both residuals, the exact r1 where R1 is finite and
+    the bound b1 where it is not; or the ChbsError of the r1 solve."""
+    try:
+        r1 = system.exact_r1(it) if np.isfinite(it.R1).all() else it.b1
+    except ChbsError as exc:
+        return exc
+    return StepError(f"{stage} did not converge in {iters} iterations "
+                     f"(residuals {r1:.3e}, {it.r2:.3e})")
+
+
+def _line_search(system, it, dw, merits, tol):
+    """Damped updates of the rows of the iterate along their Newton
+    directions dw: every row tries lambda = 1, 1/2, ..., 1/32 in turn, all
+    rows at one lambda in one residual, and leaves at the first lambda that
+    lowers its merit enough.  Returns (trial, accepted, failed): the accepted
+    trial iterates, stacked in the order of their rows (None if there is
+    none), those rows (None if they are all the rows, at one lambda), and
+    for each row whose trial iterate is not finite, the text of its
+    StepError."""
+    dw = dw + system.mass_shift(it.w + dw)
+    dmu = system.potential(-it.R2, dw, it.d)
+    rows, found, failed = None, [], {}  # rows: those still searching, None for all
+    for lam in _STEP_LENGTHS:
+        system, trial, bad = _evaluate(system, it.w + lam * dw, it.mu + lam * dmu, it.j)
+        if bad is not None:
+            rows = list(range(len(merits))) if rows is None else rows
+            for q, last in zip(np.flatnonzero(bad).tolist(), _last_finite(it, bad)):
+                failed[rows[q]] = _not_finite(f"the Newton trial at lambda = {lam!r}", last)
+            if trial is None:
+                break
+            keep = np.flatnonzero(~bad).tolist()
+            it, dw, dmu = it.take(keep), _pick(dw, keep), _pick(dmu, keep)
+            rows, merits = [rows[q] for q in keep], [merits[q] for q in keep]
+        keep = []
+        for q, merit_try in enumerate(_merits(trial)):
+            if not (merit_try <= (1.0 - 1e-4 * lam) * merits[q] or merit_try <= tol):
+                keep.append(q)
+        if not keep and rows is None:  # every row at this lambda
+            return trial, None, failed
+        rows = list(range(len(merits))) if rows is None else rows
+        found += [(row, trial, q) for q, row in enumerate(rows) if q not in keep]
+        if not keep:
+            break
+        if len(keep) < len(rows):
+            system, it, dw, dmu = system.take(keep), it.take(keep), _pick(dw, keep), _pick(dmu, keep)
+            rows, merits = [rows[q] for q in keep], [merits[q] for q in keep]
+    found.sort(key=lambda entry: entry[0])
+    trial = _Iterate.stack([t.take(q) for _, t, q in found]) if found else None
+    return trial, [row for row, _, _ in found], failed
+
+
+def _last_finite(it, bad):
+    """(b1, r2) of the rows of the iterate that ``bad`` marks."""
+    if it.w.ndim == 1:
+        return [(it.b1, it.r2)]
+    return list(zip(it.b1[bad].tolist(), it.r2[bad].tolist()))
+
+
+def _fall_back(system, it, iters, lin_iters):
+    """A one-row step handed to the Picard iteration: its result, or the
+    ChbsError that ends it.  Picard ends converged, at newton_max or at a
+    non-finite merit, so the step ends with it."""
+    try:
+        it, iters = _solve_picard(system, it, iters)
+        if system.converged(it):
+            return it, iters, lin_iters
+        return _unconverged(system, it, "Picard fallback", iters)
+    except ChbsError as exc:
+        return exc
 
 
 def _solve_step(system, w0, mu0, j0):
@@ -619,47 +913,83 @@ def _solve_step(system, w0, mu0, j0):
     [max(_CG_RTOL, 0.5 newton_tol/m_k), _CG_ETA_MAX] with the upper bound
     winning if the two cross.  newton_max iterations in all, or a non-finite
     merit, end the step with a StepError naming the stage and both residuals,
-    the exact r1 where R1 is finite and the bound b1 where it is not.
+    the exact r1 where R1 is finite and the bound b1 where it is not.  A CG
+    stall or a failed line search hands the step to ``_solve_picard``.
 
-    Returns (iterate, nonlinear iterations, CG iterations).
+    Over a stack of rows the rows step in lockstep, each with its own
+    iteration counts, forcing term and line search: every residual, CG
+    iteration and line-search trial serves the rows still iterating at once.
+    A row that converges or fails leaves, and one that falls back runs its
+    Picard iteration alone, so each row does what it does alone, to the bit.
+
+    Returns one entry per row: (one-row iterate, nonlinear iterations, CG
+    iterations), or the ChbsError that ended the row's step.
     """
     cfg = system.cfg
-    it = system.residual(w0 + system.mass_shift(w0), mu0.copy(), j0)
-    iters = lin_iters = 0
-    merit_prev, stage = None, "Newton"
-    while not system.converged(it):
-        merit = math.hypot(it.b1, it.r2)
-        if iters == cfg.newton_max or not math.isfinite(merit):
-            r1 = system.exact_r1(it) if np.isfinite(it.R1).all() else it.b1
-            raise StepError(f"{stage} did not converge in {iters} iterations "
-                            f"(residuals {r1:.3e}, {it.r2:.3e})")
-        eta = _CG_ETA_MAX if merit_prev is None else 0.9 * (merit / merit_prev) ** 2
-        eta = min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit))
-        merit_prev = merit
-        direction, trial = _newton_direction(system, it, eta), None
-        if direction is not None:
-            dw, n_lin = direction
-            lin_iters += n_lin
-            dw = dw + system.mass_shift(it.w + dw)
-            dmu = system.potential(-it.R2, dw, it.d)
-            for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-                trial = system.residual(it.w + lam * dw, it.mu + lam * dmu, it.j)
-                merit_try = math.hypot(trial.b1, trial.r2)
-                if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= cfg.newton_tol:
-                    break
+    count = 1 if w0.ndim == 1 else len(w0)
+    out = [None] * count
+    iters, lin_iters, merit_prev = [0] * count, [0] * count, [None] * count
+    members = list(range(count))  # the row of the input of each row of the system
+    system, it, bad = _evaluate(system, w0 + system.mass_shift(w0), mu0.copy(), j0)
+    if bad is not None:
+        for p in np.flatnonzero(bad).tolist():
+            out[p] = StepError(_not_finite("the start of the step"))
+        members = np.flatnonzero(~bad).tolist()
+    while members:
+        go, etas, merits = [], [], []
+        for p, verdict, merit in zip(range(len(members)), _decisions(system, it), _merits(it)):
+            m = members[p]
+            if verdict is not False:  # converged, or its r1 solve failed
+                out[m] = verdict if verdict is not True else (it.take(p), iters[m], lin_iters[m])
+            elif iters[m] == cfg.newton_max or not math.isfinite(merit):
+                out[m] = _unconverged(system.take(p), it.take(p), "Newton", iters[m])
             else:
-                trial = None
-            iters += 1
-        if trial is None:  # CG stalled or the line search failed
-            stage = "Picard fallback"
-            trial, iters = _solve_picard(system, it, iters)
+                eta = _CG_ETA_MAX if merit_prev[m] is None else 0.9 * (merit / merit_prev[m]) ** 2
+                etas.append(min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit)))
+                merit_prev[m] = merit
+                go.append(p)
+                merits.append(merit)
+        if len(go) < len(members):
+            if not go:
+                break
+            system, it, members = system.take(go), it.take(go), [members[p] for p in go]
+        direction = _newton_direction(system, it, etas[0] if len(etas) == 1 else np.array(etas))
+        n_lin = ([-1] * len(members) if direction is None
+                 else direction[1] if isinstance(direction[1], list) else [direction[1]])
+        search = []  # the rows whose CG did not stall
+        for p, n in enumerate(n_lin):
+            if n >= 0:
+                search.append(p)
+                lin_iters[members[p]] += n
+                iters[members[p]] += 1
+        trial, accepted, failed = None, [], {}
+        if len(search) == len(members):
+            trial, accepted, failed = _line_search(system, it, direction[0], merits,
+                                                   cfg.newton_tol)
+        elif search:
+            trial, accepted, failed = _line_search(
+                system.take(search), it.take(search), _pick(direction[0], search),
+                [merits[p] for p in search], cfg.newton_tol)
+            accepted = search if accepted is None else [search[q] for q in accepted]
+            failed = {search[q]: text for q, text in failed.items()}
+        if accepted is not None:
+            for p, m in enumerate(members):
+                if p in failed:
+                    out[m] = StepError(failed[p])
+                elif p not in accepted:  # CG stalled or the line search failed
+                    out[m] = _fall_back(system.take(p), it.take(p), iters[m], lin_iters[m])
+            if not accepted:
+                break
+            if len(accepted) < len(members):
+                system, members = system.take(accepted), [members[p] for p in accepted]
         it = trial
-    return it, iters, lin_iters
+    return out
 
 
 def _solve_picard(system, it, iters):
-    """Frozen-nonlinearity fixed-point iteration, each iterate an exact S0 solve,
-    until the step converges, its merit is not finite or newton_max is spent."""
+    """Frozen-nonlinearity fixed-point iteration on a one-row system, each
+    iterate an exact S0 solve, until the step converges, its merit is not
+    finite or newton_max is spent."""
     r1 = system.gc_tau * system.w_prev
     while not (system.converged(it) or iters == system.cfg.newton_max
                or not math.isfinite(math.hypot(it.b1, it.r2))):
@@ -667,29 +997,16 @@ def _solve_picard(system, it, iters):
         w = system.schur_solve(system.reduce(r1, r2))
         w = w + system.mass_shift(w)
         iters += 1
-        it = system.residual(w, system.potential(r2, w, 0.0), it.j)
+        try:
+            it = system.residual(w, system.potential(r2, w, 0.0), it.j)
+        except _NotFinite:
+            raise StepError(_not_finite(f"Picard iteration {iters}", (it.b1, it.r2))) from None
     return it, iters
 
 
-def step(state, config, f_next, *, start=None):
-    """Advance one time level.
-
-    ``f_next`` is the forcing pair at the target time; backward Euler samples
-    the forcing there.  The factors of S0 are built once per mesh, eps and
-    tau (see ``_StepSystem.lu``).  ``start`` is a pair of bulk arrays
-    (w0, mu0) from which the Newton iteration starts, by default the old
-    state (v, mu).  Either w0 is first shifted by the constant that restores
-    the old combined mean, so a step that converges at its start conserves
-    the mean as every other step does; for the old state that constant is
-    exactly 0.  The resolvents of the first iterate start from the old
-    level's ``j``.
-
-    Returns the new state; raises StepError if the nonlinear solve fails.
-    """
+def _level(state, config, f_next, it, iters, lin_iters):
+    """The state of the level a step reaches at the one-row iterate ``it``."""
     dom = state.v.domain
-    system = _StepSystem(dom, config, state.m0, state.v.bulk, f_next)
-    w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
-    it, iters, lin_iters = _solve_step(system, w0, mu0, (state.j.bulk, state.j.boundary))
     xi = FieldPair(*it.xi, dom)
     offset = _offset_pair(config.graphs, xi, state.v.bulk + state.m0, f_next)
     return SchemeState(v=FieldPair.from_bulk(dom, it.w),
@@ -704,6 +1021,51 @@ def step(state, config, f_next, *, start=None):
                        a_mumu=float(it.mu_c @ it.a_mu),
                        newton_iters=iters,
                        lin_iters=lin_iters)
+
+
+def _step_rows(states, config, f_nexts, starts):
+    """One level of each of the states, runs that share the domain and the
+    config, in lockstep (see ``_solve_step``): one system of a row per state,
+    or the state's own system when it is alone.  ``f_nexts`` and ``starts``
+    hold the forcing and the start of each, as for ``step``.  Returns the new
+    state of each, or the ChbsError that ended its step."""
+    dom = states[0].v.domain
+    w0, mu0, j0 = zip(*[((s.v.bulk, s.mu.bulk) if st is None else st) + ((s.j.bulk, s.j.boundary),)
+                        for s, st in zip(states, starts)])
+    if len(states) == 1:
+        system = _StepSystem(dom, config, states[0].m0, states[0].v.bulk, f_nexts[0])
+        args = w0[0], mu0[0], j0[0]
+    else:
+        system = _StepSystem(dom, config, [s.m0 for s in states],
+                             _stack([s.v.bulk for s in states]), f_nexts)
+        args = _stack(w0), _stack(mu0), _stack(j0)
+    try:
+        results = _solve_step(system, *args)
+    except ChbsError as exc:  # a failure every row shares
+        results = [exc] * len(states)
+    return [res if isinstance(res, ChbsError) else _level(s, config, f, *res)
+            for s, f, res in zip(states, f_nexts, results)]
+
+
+def step(state, config, f_next, *, start=None):
+    """Advance one time level.
+
+    ``f_next`` is the forcing pair at the target time; backward Euler samples
+    the forcing there.  The factors of S0 are built once per mesh, eps and
+    tau (see ``_StepSystem.lu``).  ``start`` is a pair of bulk arrays
+    (w0, mu0) from which the Newton iteration starts, by default the old
+    state (v, mu).  Either w0 is first shifted by the constant that restores
+    the old combined mean, so a step that converges at its start conserves
+    the mean as every other step does; for the old state that constant is
+    exactly 0.  The resolvents of the first iterate start from the old
+    level's ``j``.  This is the one-run case of ``_step_rows``.
+
+    Returns the new state; raises StepError if the nonlinear solve fails.
+    """
+    (new,) = _step_rows([state], config, [f_next], [start])
+    if isinstance(new, ChbsError):
+        raise new
+    return new
 
 
 def weak_residuals(state_prev, state_next, config, f_next):
@@ -735,6 +1097,52 @@ def _extrapolate(levels):
                  for slot in zip(*reversed(levels)))
 
 
+def _history_entry(state):
+    """A level of a predictor history: v and mu of the state as the rows of
+    one array, so that ``_extrapolate`` treats both in each operation."""
+    return (_stack((state.v.bulk, state.mu.bulk)),)
+
+
+def _run_members(config, members):
+    """The trajectories of the runs of ``members``, pairs (u0, forcing) on one
+    domain, integrated under one config in lockstep: each level steps every
+    run still going with ``_step_rows``, or with ``step`` once one is left.
+    Each run keeps its own predictor history, and a failure ends its own
+    trajectory, flagged, while the others go on; each trajectory is, to the
+    bit, the one ``run`` gives for its member alone."""
+    trajs, pasts = [], []
+    for u0, forcing in members:
+        state = initialize(config, u0, None if forcing is None else forcing(0.0))
+        trajs.append(Trajectory(config=config, m0=state.m0, states=[state]))
+        pasts.append(deque([_history_entry(state)], maxlen=_PREDICTOR_LEVELS))
+    nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
+    live = list(range(len(members)))
+    for k in range(1, nsteps + 1):
+        if not live:
+            break
+        states = [trajs[i].states[-1] for i in live]
+        times = [s.t + config.tau for s in states]  # the time step() gives the new level
+        f_nexts = [None if members[i][1] is None else members[i][1](t)
+                   for i, t in zip(live, times)]
+        starts = [tuple(_extrapolate(pasts[i])[0]) if k > 1 else None for i in live]
+        if len(live) > 1:
+            news = _step_rows(states, config, f_nexts, starts)
+        else:
+            try:
+                news = [step(states[0], config, f_nexts[0], start=starts[0])]
+            except ChbsError as exc:
+                news = [exc]
+        for i, t, new in zip(live, times, news):
+            if isinstance(new, ChbsError):
+                trajs[i].aborted = True
+                trajs[i].error = f"step {k} (t = {t!r}): {new}"
+            else:
+                trajs[i].states.append(new)
+                pasts[i].append(_history_entry(new))
+        live = [i for i in live if not trajs[i].aborted]
+    return trajs
+
+
 def run(config, u0, forcing=None):
     """Integrate from t = 0 to t_end, collecting the states; the trajectory
     computes their monitor records when they are first read.
@@ -744,22 +1152,7 @@ def run(config, u0, forcing=None):
     Newton from ``_extrapolate`` of v and mu through the last min(4, k)
     levels, which ``run`` keeps in a history of four apart from the
     trajectory.  A failure in any step ends the run and returns the partial
-    trajectory flagged.
+    trajectory flagged.  This is the one-run case of ``_run_members``.
     """
-    state = initialize(config, u0, None if forcing is None else forcing(0.0))
-    traj = Trajectory(config=config, m0=state.m0, states=[state])
-    past = deque([(state.v.bulk, state.mu.bulk)], maxlen=_PREDICTOR_LEVELS)
-    nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
-    for k in range(1, nsteps + 1):
-        t = state.t + config.tau  # the time step() gives the new level
-        f_next = None if forcing is None else forcing(t)
-        start = _extrapolate(past) if k > 1 else None
-        try:
-            state = step(state, config, f_next, start=start)
-        except ChbsError as exc:
-            traj.aborted = True
-            traj.error = f"step {k} (t = {t!r}): {exc}"
-            break
-        traj.states.append(state)
-        past.append((state.v.bulk, state.mu.bulk))
+    (traj,) = _run_members(config, [(u0, forcing)])
     return traj

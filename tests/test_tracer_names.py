@@ -24,9 +24,10 @@ from chbs import monotone, scheme
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 
-# a two-step n = 9 run in one process with the bench tracer installed; the
-# last line of output is a JSON summary of the spans and metrics
-_TRACED_RUN = """
+# a chbs CLI call in one process with the bench tracer installed: argv[1]
+# is the tracer's file, argv[2:] the CLI arguments.  The last line of output
+# is a JSON summary of the spans and metrics
+_TRACED_CLI = """
 import importlib.util, json, sys, time
 spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
 spans = importlib.util.module_from_spec(spec)
@@ -35,7 +36,7 @@ tracer = spans.Tracer()
 spans.install(tracer)
 import chbs.cli
 start = time.perf_counter()
-rc = chbs.cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3], "--quiet"])
+rc = chbs.cli.main(sys.argv[2:])
 wall = time.perf_counter() - start
 names = [span[0] for span in tracer.spans]
 print(json.dumps({"rc": rc, "splu": names.count("scheme.splu"),
@@ -74,20 +75,35 @@ def test_resolvent_takes_r_as_its_third_positional_parameter():
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
-def test_bench_tracer_runs_the_cli(tmp_path):
+def _config(tmp_path, name, graph, seed):
     # eps^2 < 4 tau: the complex Schur factor, as in every benchmark workload
-    config = tmp_path / "run.cfg"
+    config = tmp_path / name
     config.write_text("[mesh]\nn = 9\n\n"
                       "[scheme]\neps = 0.02\ntau = 0.001\nt_end = 0.002\n\n"
-                      "[graphs]\nbulk = polynomial\nboundary = polynomial\n\n"
-                      "[init]\npreset = random\namplitude = 0.2\nseed = 3\n")
+                      f"[graphs]\nbulk = {graph}\nboundary = {graph}\n\n"
+                      f"[init]\npreset = random\namplitude = 0.2\nseed = {seed}\n")
+    return str(config)
+
+
+def _traced_cli(args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(SPANS), str(config), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CLI, str(SPANS)] + args,
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["rc"] == 0
     assert out["splu"] >= 1 and out["lu_solve"] >= 1
     assert out["metrics"] == [name for name, _, _ in _load_spans().PER_LAYER]
+
+
+def test_bench_tracer_runs_the_cli(tmp_path):
+    _traced_cli(["run", "--config", _config(tmp_path, "run.cfg", "polynomial", 3),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+
+
+def test_bench_tracer_runs_a_cont_dep(tmp_path):
+    # the pair of a cont-dep steps in lockstep, a call path a run never takes
+    _traced_cli(["cont-dep", "--config", _config(tmp_path, "a.cfg", "logarithmic", 3),
+                 "--config", _config(tmp_path, "b.cfg", "logarithmic", 4),
+                 "--out", str(tmp_path / "out"), "--quiet"])
