@@ -151,7 +151,7 @@ class DiscreteDomain:
     def n_boundary(self):
         return self.boundary_chain.shape[0]
 
-    @functools.cached_property
+    @property
     def total_measure(self):
         return float(self.M_bulk.sum()) + float(self.M_surf.sum())
 

@@ -106,7 +106,7 @@ def _resolvent_log(eps, r, start=None):
         s = np.fmax(s_p * _TANGENT_SHRINK
                     + (a - p - 2.0 * eps * s_p) / ((1.0 - p) * (1.0 + p) + 2.0 * eps), s)
     t = np.tanh(s)
-    stacked, live = a.ndim > 1, None  # live: the rows of a stack still iterating
+    live = None  # the rows still iterating, once a row has settled
     while True:
         ds = (a - t - 2.0 * eps * s) / ((1.0 - t) * (1.0 + t) + 2.0 * eps)
         nxt = s + ds
@@ -116,9 +116,9 @@ def _resolvent_log(eps, r, start=None):
             rising &= live
         # an update raises j only if ds > 0, so the largest rising ds of a
         # row is 0 exactly when none of its entries rises
-        top = ds.max(axis=-1 if stacked else None, where=rising, initial=0.0,
-                     keepdims=stacked)
-        hi, lo = (max(tops := top.ravel().tolist()), min(tops)) if stacked else (top, top)
+        top = ds.max(axis=-1, where=rising, initial=0.0, keepdims=True)
+        tops = top.ravel().tolist()
+        hi, lo = max(tops), min(tops)
         if hi == 0.0:
             return np.copysign(t, r)
         s = np.where(rising, nxt, s)

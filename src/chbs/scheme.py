@@ -83,6 +83,9 @@ at one tau, step in lockstep (``_run_members``): the runs are the rows of
 every row still iterating, the Schur factors solving for all rows at once.
 Each row is computed with the operations of its run alone, so every member
 is bit-identical to its ``run``; ``run`` and ``step`` are the one-row case.
+One row is kept as plain vectors, with scalar residual norms: stepping it
+as a (1, n) array ran a 100-step n = 17 run 25-35% slower, from numpy's
+cost per broadcast and per array of row scalars.
 """
 
 from __future__ import annotations
@@ -96,11 +99,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-try:  # the CSR product kernel of SciPy, called by _spmv without A @ x's dispatch
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - other SciPy layouts take A @ x
-    _csr_matvec = None
 
 from . import spaces
 from .domain import splu
@@ -243,11 +241,10 @@ def _offset_pair(pair, xi, u, f):
     """The pair xi + pi(u) - f at the trace-consistent level with bulk values
     u; its mean is the offset omega of a state.  ``f`` None is zero forcing."""
     dom = xi.domain
-    bulk = xi.bulk + pair.bulk.pi_slope * u
-    boundary = xi.boundary + pair.boundary.pi_slope * u[dom.boundary_chain]
-    if f is not None:  # x - 0.0 is x, to the bit, so zero forcing subtracts nothing
-        bulk, boundary = bulk - f.bulk, boundary - f.boundary
-    return FieldPair(bulk, boundary, dom)
+    f = f if f is not None else FieldPair.zeros(dom)
+    return FieldPair(xi.bulk + pair.bulk.pi_slope * u - f.bulk,
+                     xi.boundary + pair.boundary.pi_slope * u[dom.boundary_chain] - f.boundary,
+                     dom)
 
 
 def _graph_terms(dom, pair, eps, u, start=None):
@@ -273,7 +270,7 @@ def _mass_weighted(dom, z, masses=None):
     trace-consistent tests: Mc b plus M_surf (g - b[chain]) on the chain,
     exactly Mc b when g is the trace of b.  A non-finite b leaves them
     non-finite (NaN where g - b[chain] is inf - inf).  Over a stack of rows,
-    ``masses`` are the ``_stacked_masses`` of its row count."""
+    ``masses`` are the ``_StepSystem.masses`` of the rows."""
     b, g = z
     chain = dom.boundary_chain
     if masses is None:
@@ -284,24 +281,6 @@ def _mass_weighted(dom, z, masses=None):
     out = mc * b
     out.reshape(-1)[flat_chain] += (m_surf * (g - b.take(chain, axis=-1))).reshape(-1)
     return out
-
-
-_STACKED_MASSES = {}  # (domain, row count) -> _stacked_masses
-
-
-def _stacked_masses(dom, rows):
-    """(Mc, M_surf, chain) for a stack of ``rows`` rows: the masses as rows
-    of (rows, n) arrays, so that products with the stack need no broadcast,
-    and the boundary chain of every row as indices into the stack's ravel."""
-    key = (dom, rows)
-    masses = _STACKED_MASSES.get(key)
-    if masses is None:
-        if len(_STACKED_MASSES) >= 8:
-            _STACKED_MASSES.clear()
-        flat_chain = (np.arange(rows)[:, None] * dom.n_bulk + dom.boundary_chain).ravel()
-        masses = _STACKED_MASSES[key] = (np.tile(dom.combined_mass, (rows, 1)),
-                                         np.tile(dom.M_surf, (rows, 1)), flat_chain)
-    return masses
 
 
 # --- monitor -----------------------------------------------------------------
@@ -438,16 +417,34 @@ def _h_norm(dom, vec):
     return math.sqrt(sq) if vec.ndim == 1 else np.sqrt(sq)
 
 
+def _csr_kernel():
+    """SciPy's CSR product kernel, the one A @ x calls, if it imports and
+    gives A @ x to the bit on a small matrix; None otherwise."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvec
+        a = sp.random(7, 7, density=0.5, format="csr", random_state=0) + sp.eye(7, format="csr")
+        x, y = np.linspace(-1.0, 2.0, 7), np.zeros(7)
+        csr_matvec(7, 7, a.indptr, a.indices, a.data, x, y)
+        return csr_matvec if np.array_equal(y, a @ x) else None
+    except Exception:  # another SciPy may keep its kernels elsewhere or change them
+        return None
+
+
+_CSR_MATVEC = _csr_kernel()
+
+
 def _spmv(A, x):
     """A @ x for the CSR matrix A, one product per row of a stack of rows,
-    so that each row gets the bits it gets alone.  It calls the CSR kernel
-    that A @ x calls, without the dispatch around it, which at n = 17 costs
-    more than the product."""
-    if _csr_matvec is None:  # pragma: no cover
-        return A @ x if x.ndim == 1 else np.stack([A @ row for row in x])
+    so that each row gets the bits it gets alone.  Each product calls the
+    CSR kernel that A @ x calls, without the dispatch around it, which at
+    n = 17 takes 4.5 of the 5.5 us of A @ x; it is A @ x itself where
+    ``_csr_kernel`` found no kernel that matches it."""
     out = np.zeros(x.shape[:-1] + A.shape[:1])
     for row, dest in zip(x, out) if x.ndim > 1 else ((x, out),):
-        _csr_matvec(*A.shape, A.indptr, A.indices, A.data, row, dest)
+        if _CSR_MATVEC is None:
+            dest[...] = A @ row
+        else:
+            _CSR_MATVEC(*A.shape, A.indptr, A.indices, A.data, row, dest)
     return out
 
 
@@ -471,16 +468,12 @@ def _pick(x, rows):
     return x[_one(rows)]
 
 
-def _stack(parts):
-    """np.stack of arrays, or of the entries of tuples of them, slot by slot;
-    the rows are copied into one new array, which for a few small arrays is
-    several times faster than np.stack."""
+def _rows(parts):
+    """The arrays of ``parts`` as the rows of one array, or the entries of
+    tuples of them, slot by slot."""
     if isinstance(parts[0], tuple):
-        return tuple(_stack(slot) for slot in zip(*parts))
-    out = np.empty((len(parts),) + np.shape(parts[0]))
-    for row, part in zip(out, parts):
-        row[...] = part
-    return out
+        return tuple(_rows(slot) for slot in zip(*parts))
+    return np.array(parts)
 
 
 class _Iterate(namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")):
@@ -509,7 +502,7 @@ class _Iterate(namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms
         """The stack of one-row iterates, in order; one part stays itself."""
         if len(parts) == 1:
             return parts[0]
-        return _Iterate(*(_stack(slot) for slot in zip(*parts)))
+        return _Iterate(*(_rows(slot) for slot in zip(*parts)))
 
 
 class _NotFinite(StepError):
@@ -541,6 +534,15 @@ def _shifts(eps, tau):
     return big, (1.0 / tau) / big
 
 
+def _masses(dom, rows):
+    """(Mc, M_surf, chain) for a stack of ``rows`` rows: the masses as rows
+    of (rows, n) arrays, so that products with the stack do not broadcast
+    (a broadcast (2, 289) product costs 1.33 us, one at full shape 0.71 us),
+    and the boundary chain of every row as indices into the stack's ravel."""
+    return (np.tile(dom.combined_mass, (rows, 1)), np.tile(dom.M_surf, (rows, 1)),
+            (np.arange(rows)[:, None] * dom.n_bulk + dom.boundary_chain).ravel())
+
+
 class _StepSystem:
     """The equations of one step in bulk coordinates.
 
@@ -568,7 +570,7 @@ class _StepSystem:
         rows = w_prev.ndim > 1
         self.dom = dom
         self.cfg = config
-        self.masses = _stacked_masses(dom, len(w_prev)) if rows else None
+        self.masses = _masses(dom, len(w_prev)) if rows else None
         self.mc = self.masses[0] if rows else dom.combined_mass
         # a stack keeps each row's mean as a row, so adding it needs no broadcast
         self.m0 = np.repeat(np.asarray(m0)[:, None], dom.n_bulk, axis=1) if rows else m0
@@ -593,8 +595,10 @@ class _StepSystem:
             return self
         rows = _one(rows)
         out = copy.copy(self)
-        if isinstance(rows, list):
-            out.masses = _stacked_masses(self.dom, len(rows))
+        if isinstance(rows, list):  # the rows of the masses are alike: keep the first
+            mc, m_surf, flat_chain = self.masses
+            k = len(rows)
+            out.masses = mc[:k], m_surf[:k], flat_chain[:k * len(self.dom.boundary_chain)]
             out.mc = out.masses[0]
         else:
             out.masses, out.mc = None, self.dom.combined_mass
@@ -680,13 +684,18 @@ class _StepSystem:
         rejection by lb1 is one the solved r1 makes.
         """
         tol = self.cfg.newton_tol
-        if not it.r2 <= 10.0 * tol:  # above every capped scale
+        if self.above_every_scale(it.r2):
             return False
         s1, s2 = self.scales(it)
         return it.r2 <= tol * s2 and (
             it.b1 <= tol * s1
             or (self.lower_r1(it) <= (1.0 + _LB1_MARGIN) * tol * s1
                 and self.exact_r1(it) <= tol * s1))
+
+    def above_every_scale(self, r2):
+        """Whether r2 > 10 newton_tol, the threshold at the largest capped
+        scale, so that ``converged`` rejects without computing a scale."""
+        return not r2 <= 10.0 * self.cfg.newton_tol
 
     def mass_shift(self, w):
         """The constant that restores the previous combined mean to w, per row."""
@@ -809,13 +818,13 @@ def _evaluate(system, w, mu, start):
 def _decisions(system, it):
     """``system.converged`` of each row of the iterate, with the ChbsError of
     a row whose r1 solve fails in place of its decision."""
-    limit = 10.0 * system.cfg.newton_tol
     decided = []
     for p, r2 in enumerate([it.r2] if it.w.ndim == 1 else it.r2.tolist()):
         try:
-            # a row with r2 above every capped scale is rejected before its
-            # iterate is taken apart
-            decided.append(bool(r2 <= limit and system.converged(it.take(p))))
+            # a row whose r2 alone makes converged reject is rejected
+            # before its iterate is taken apart
+            decided.append(bool(not system.above_every_scale(r2)
+                                and system.converged(it.take(p))))
         except ChbsError as exc:
             decided.append(exc)
     return decided
@@ -1037,8 +1046,8 @@ def _step_rows(states, config, f_nexts, starts):
         args = w0[0], mu0[0], j0[0]
     else:
         system = _StepSystem(dom, config, [s.m0 for s in states],
-                             _stack([s.v.bulk for s in states]), f_nexts)
-        args = _stack(w0), _stack(mu0), _stack(j0)
+                             np.array([s.v.bulk for s in states]), f_nexts)
+        args = _rows(w0), _rows(mu0), _rows(j0)
     try:
         results = _solve_step(system, *args)
     except ChbsError as exc:  # a failure every row shares
@@ -1097,12 +1106,6 @@ def _extrapolate(levels):
                  for slot in zip(*reversed(levels)))
 
 
-def _history_entry(state):
-    """A level of a predictor history: v and mu of the state as the rows of
-    one array, so that ``_extrapolate`` treats both in each operation."""
-    return (_stack((state.v.bulk, state.mu.bulk)),)
-
-
 def _run_members(config, members):
     """The trajectories of the runs of ``members``, pairs (u0, forcing) on one
     domain, integrated under one config in lockstep: each level steps every
@@ -1114,7 +1117,7 @@ def _run_members(config, members):
     for u0, forcing in members:
         state = initialize(config, u0, None if forcing is None else forcing(0.0))
         trajs.append(Trajectory(config=config, m0=state.m0, states=[state]))
-        pasts.append(deque([_history_entry(state)], maxlen=_PREDICTOR_LEVELS))
+        pasts.append(deque([(state.v.bulk, state.mu.bulk)], maxlen=_PREDICTOR_LEVELS))
     nsteps = max(0, int(math.ceil(config.t_end / config.tau - 1e-9)))
     live = list(range(len(members)))
     for k in range(1, nsteps + 1):
@@ -1124,7 +1127,7 @@ def _run_members(config, members):
         times = [s.t + config.tau for s in states]  # the time step() gives the new level
         f_nexts = [None if members[i][1] is None else members[i][1](t)
                    for i, t in zip(live, times)]
-        starts = [tuple(_extrapolate(pasts[i])[0]) if k > 1 else None for i in live]
+        starts = [_extrapolate(pasts[i]) if k > 1 else None for i in live]
         if len(live) > 1:
             news = _step_rows(states, config, f_nexts, starts)
         else:
@@ -1138,7 +1141,7 @@ def _run_members(config, members):
                 trajs[i].error = f"step {k} (t = {t!r}): {new}"
             else:
                 trajs[i].states.append(new)
-                pasts[i].append(_history_entry(new))
+                pasts[i].append((new.v.bulk, new.mu.bulk))
         live = [i for i in live if not trajs[i].aborted]
     return trajs
 

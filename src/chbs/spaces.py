@@ -141,12 +141,9 @@ def _collapse(dom, bulk, boundary):
     """Bulk-node coefficients of the functional with coefficients (bulk,
     boundary) restricted to trace-consistent pairs: each boundary-chain
     coefficient is added, in place, to its bulk node, in every row of a
-    stack of rows.  Returns ``bulk``."""
-    if bulk.ndim == 1:
-        bulk[dom.boundary_chain] += boundary
-    else:
-        for row, add in zip(bulk, boundary):  # a row at a time beats one 2-D scatter
-            row[dom.boundary_chain] += add
+    stack of rows (the chain indexes the last axis, the first of the
+    transposes).  Returns ``bulk``."""
+    bulk.T[dom.boundary_chain] += boundary.T
     return bulk
 
 

@@ -164,3 +164,17 @@ def test_one_member_is_run():
     assert_same_trajectory(scheme._run_members(replace(config, t_end=0.0),
                                                [(random_u0(3), None)])[0],
                            run(replace(config, t_end=0.0), random_u0(3)))
+
+
+def test_products_without_the_csr_kernel_give_the_same_bits(monkeypatch):
+    # where SciPy's CSR kernel is missing or does not match A @ x, every row
+    # product is A @ x itself, to the same bits
+    assert scheme._CSR_MATVEC is not None
+    g = GRAPHS["logarithmic"]
+    config = SchemeConfig(eps=0.02, tau=1e-3, t_end=0.005, graphs=GraphPair(g, g))
+    members = [(random_u0(3), growing_bump), (random_u0(4), None)]
+    kernel = scheme._run_members(config, members)
+    monkeypatch.setattr(scheme, "_CSR_MATVEC", None)
+    for got, want in zip(scheme._run_members(config, members), kernel):
+        assert_same_trajectory(got, want)
+    assert_same_trajectory(run(config, *members[0]), kernel[0])
