@@ -84,7 +84,7 @@ every row still iterating, the Schur factors solving for all rows at once.
 Each row is computed with the operations of its run alone, so every member
 is bit-identical to its ``run``; ``run`` and ``step`` are the one-row case.
 One row is kept as plain vectors, with scalar residual norms: stepping it
-as a (1, n) array ran a 100-step n = 17 run 25-35% slower, from numpy's
+as a (1, n) array ran a 100-step n = 17 run 25-37% slower, from numpy's
 cost per broadcast and per array of row scalars.
 """
 
