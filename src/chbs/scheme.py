@@ -77,20 +77,24 @@ search trials and Picard iterates included, from the J of the iterate it
 follows.  The terms of an iterate stay plain (bulk, boundary) arrays; only
 an accepted level keeps them as ``FieldPair``s.
 
+The step solver is written once, for one run on plain vectors: ``_newton``,
+``_newton_direction`` and ``_solve_picard`` are generators that yield each
+residual evaluation and each S0 or G application they need, and
+``_solve_step`` answers them.  A run alone is answered request by request.
 Runs that share the domain and the config, such as the pair of a cont-dep
-at one tau, step in lockstep (``_run_members``): the runs are the rows of
-(k, n) arrays, and each residual, CG iteration and line-search trial serves
-every row still iterating, the Schur factors solving for all rows at once.
-Each row is computed with the operations of its run alone, so every member
-is bit-identical to its ``run``; ``run`` and ``step`` are the one-row case.
-One row is kept as plain vectors, with scalar residual norms: stepping it
-as a (1, n) array ran a 100-step n = 17 run 25-37% slower, from numpy's
-cost per broadcast and per array of row scalars.
+at one tau, step in lockstep (``_run_members``): every member waiting on
+the same kind of request is answered in one call, residuals by one
+``_graph_terms`` call on the stacked rows and each row finished by its own
+system, S0 and G applications by one triangular solve with the rows as its
+columns.  Residual requests wait while any member asks for a solve, so
+members whose CG iterations differ meet again at their next residual.
+Each member computes with the operations of its run alone and the shared
+kernels give every row the bits it gets alone, so each member is
+bit-identical to its ``run``.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from collections import deque, namedtuple
@@ -265,21 +269,15 @@ def _graph_terms(dom, pair, eps, u, start=None):
     return list(zip(bulk, bnd))
 
 
-def _mass_weighted(dom, z, masses=None):
+def _mass_weighted(dom, z):
     """Bulk-node coefficients of (M_bulk b, M_surf g), z = (b, g), on
     trace-consistent tests: Mc b plus M_surf (g - b[chain]) on the chain,
     exactly Mc b when g is the trace of b.  A non-finite b leaves them
-    non-finite (NaN where g - b[chain] is inf - inf).  Over a stack of rows,
-    ``masses`` are the ``_StepSystem.masses`` of the rows."""
+    non-finite (NaN where g - b[chain] is inf - inf)."""
     b, g = z
     chain = dom.boundary_chain
-    if masses is None:
-        out = dom.combined_mass * b
-        out[chain] += dom.M_surf * (g - b[chain])
-        return out
-    mc, m_surf, flat_chain = masses
-    out = mc * b
-    out.reshape(-1)[flat_chain] += (m_surf * (g - b.take(chain, axis=-1))).reshape(-1)
+    out = dom.combined_mass * b
+    out[chain] += dom.M_surf * (g - b[chain])
     return out
 
 
@@ -412,9 +410,8 @@ def initialize(config, u0, forcing_at_0=None):
 # --- the nonlinear step -----------------------------------------------------
 
 def _h_norm(dom, vec):
-    """The lumped dual norm sqrt(vec.(vec/Mc)), one per row of a stack."""
-    sq = _dot(vec, vec / dom.combined_mass)
-    return math.sqrt(sq) if vec.ndim == 1 else np.sqrt(sq)
+    """The lumped dual norm sqrt(vec.(vec/Mc))."""
+    return math.sqrt(float(vec @ (vec / dom.combined_mass)))
 
 
 def _csr_kernel():
@@ -422,7 +419,8 @@ def _csr_kernel():
     gives A @ x to the bit on a small matrix; None otherwise."""
     try:
         from scipy.sparse._sparsetools import csr_matvec
-        a = sp.random(7, 7, density=0.5, format="csr", random_state=0) + sp.eye(7, format="csr")
+        # entries 0.3 k for k in -2..2, cyclically: rows of 5 or 6 nonzeros
+        a = sp.csr_matrix(0.3 * (np.arange(49.0).reshape(7, 7) % 5 - 2.0))
         x, y = np.linspace(-1.0, 2.0, 7), np.zeros(7)
         csr_matvec(7, 7, a.indptr, a.indices, a.data, x, y)
         return csr_matvec if np.array_equal(y, a @ x) else None
@@ -439,79 +437,25 @@ def _spmv(A, x):
     CSR kernel that A @ x calls, without the dispatch around it, which at
     n = 17 takes 4.5 of the 5.5 us of A @ x; it is A @ x itself where
     ``_csr_kernel`` found no kernel that matches it."""
-    out = np.zeros(x.shape[:-1] + A.shape[:1])
-    for row, dest in zip(x, out) if x.ndim > 1 else ((x, out),):
-        if _CSR_MATVEC is None:
-            dest[...] = A @ row
-        else:
-            _CSR_MATVEC(*A.shape, A.indptr, A.indices, A.data, row, dest)
+    if x.ndim > 1:
+        return np.array([_spmv(A, row) for row in x])
+    if _CSR_MATVEC is None:
+        return A @ x
+    out = np.zeros(A.shape[0])
+    _CSR_MATVEC(*A.shape, A.indptr, A.indices, A.data, x, out)
     return out
 
 
-def _dot(x, y):
-    """x.y, one per row of a stack of rows x: a float for one row."""
-    return float(x @ y) if x.ndim == 1 else np.vecdot(x, y)
+# one evaluation at (w, mu): residuals, the bound b1 on the V0* norm of R1 and
+# the H* norm r2 of R2, the resolvent and Yosida pairs (bulk, boundary), the
+# Jacobian diagonal d, g = N + P - F, mu less its Mc-weighted mean, Ac mu,
+# and the terms of R2
+_Iterate = namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")
 
 
-def _column(x):
-    """Per-row scalars x as a column against a stack of rows; a scalar stays."""
-    return x[:, None] if isinstance(x, np.ndarray) else x
-
-
-def _one(rows):
-    """A list of one row as that row's index; other lists and indices stay."""
-    return rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
-
-
-def _pick(x, rows):
-    """The rows of the stack x: one row's array for one row."""
-    return x[_one(rows)]
-
-
-def _rows(parts):
-    """The arrays of ``parts`` as the rows of one array, or the entries of
-    tuples of them, slot by slot."""
-    if isinstance(parts[0], tuple):
-        return tuple(_rows(slot) for slot in zip(*parts))
-    return np.array(parts)
-
-
-class _Iterate(namedtuple("_Iterate", "w mu R1 R2 b1 r2 j xi d g mu_c a_mu terms2")):
-    """One evaluation at (w, mu): residuals, the bound b1 on the V0* norm of
-    R1 and the H* norm r2 of R2, the resolvent and Yosida pairs (bulk,
-    boundary), the Jacobian diagonal d, g = N + P - F, mu less its
-    Mc-weighted mean, Ac mu, and the terms of R2.  Over a stack of rows
-    every array has a row per run and b1 and r2 hold one value per row."""
-
-    __slots__ = ()
-
-    def take(self, rows):
-        """The iterate of ``rows``, a list of rows or one row's index: one
-        row gives that row's own iterate, and an iterate of one row is its
-        own only row."""
-        if self.w.ndim == 1:
-            return self
-        rows = _one(rows)
-        w, mu, R1, R2, b1, r2, j, xi, d, g, mu_c, a_mu, terms2 = self
-        return _Iterate(w[rows], mu[rows], R1[rows], R2[rows], b1[rows], r2[rows],
-                        (j[0][rows], j[1][rows]), (xi[0][rows], xi[1][rows]), d[rows],
-                        g[rows], mu_c[rows], a_mu[rows], tuple(t[rows] for t in terms2))
-
-    @staticmethod
-    def stack(parts):
-        """The stack of one-row iterates, in order; one part stays itself."""
-        if len(parts) == 1:
-            return parts[0]
-        return _Iterate(*(_rows(slot) for slot in zip(*parts)))
-
-
-class _NotFinite(StepError):
-    """A residual was asked for at an iterate that is not finite; ``rows``
-    marks the rows that are not."""
-
-    def __init__(self, rows):
-        super().__init__("nonlinear iterate is not finite")
-        self.rows = rows
+def _finite(w, mu):
+    """Whether every entry of w and mu is finite."""
+    return bool(np.isfinite(w).all() and np.isfinite(mu).all())
 
 
 def _not_finite(stage, last=None):
@@ -534,15 +478,6 @@ def _shifts(eps, tau):
     return big, (1.0 / tau) / big
 
 
-def _masses(dom, rows):
-    """(Mc, M_surf, chain) for a stack of ``rows`` rows: the masses as rows
-    of (rows, n) arrays, so that products with the stack do not broadcast
-    (a broadcast (2, 289) product costs 1.33 us, one at full shape 0.71 us),
-    and the boundary chain of every row as indices into the stack's ravel."""
-    return (np.tile(dom.combined_mass, (rows, 1)), np.tile(dom.M_surf, (rows, 1)),
-            (np.arange(rows)[:, None] * dom.n_bulk + dom.boundary_chain).ravel())
-
-
 class _StepSystem:
     """The equations of one step in bulk coordinates.
 
@@ -558,54 +493,22 @@ class _StepSystem:
     iterate is trace-consistent, so its graph terms come from its bulk values
     by ``_graph_terms``, warm-started from the resolvent pair ``start`` of a
     nearby iterate, and N and D are their ``_mass_weighted`` products.
-
-    A system of rows stacks the steps of runs that share the domain and the
-    config: ``w_prev`` has a row per run, and ``m0`` and ``f_next`` hold one
-    mean and one forcing per row.  Its iterates are stacks of rows too, each
-    row computed with the operations, and so to the bits, of its run alone,
-    and the factors of S0 serve every row at once.
     """
 
     def __init__(self, dom, config, m0, w_prev, f_next):
-        rows = w_prev.ndim > 1
         self.dom = dom
         self.cfg = config
-        self.masses = _masses(dom, len(w_prev)) if rows else None
-        self.mc = self.masses[0] if rows else dom.combined_mass
-        # a stack keeps each row's mean as a row, so adding it needs no broadcast
-        self.m0 = np.repeat(np.asarray(m0)[:, None], dom.n_bulk, axis=1) if rows else m0
+        self.m0 = m0
         self.w_prev = w_prev
-        self.gc_tau = self.mc / config.tau
+        self.gc_tau = dom.combined_mass / config.tau
         self.gc_sum = float(dom.combined_mass.sum())
-        self.mass_prev = _dot(w_prev, dom.combined_mass)
-        pair, u_prev = config.graphs, w_prev + self.m0
+        self.mass_prev = float(w_prev @ dom.combined_mass)
+        pair, u_prev = config.graphs, w_prev + m0
         self.load = _collapse(dom, dom.M_bulk * (pair.bulk.pi_slope * u_prev),
-                              dom.M_surf * (pair.boundary.pi_slope
-                                            * u_prev.take(dom.boundary_chain, axis=-1)))
-        for row, f in enumerate(f_next) if rows else [(..., f_next)]:
-            if f is not None:
-                self.load[row] -= _collapse(dom, dom.M_bulk * f.bulk, dom.M_surf * f.boundary)
+                              dom.M_surf * (pair.boundary.pi_slope * u_prev[dom.boundary_chain]))
+        if f_next is not None:
+            self.load -= _collapse(dom, dom.M_bulk * f_next.bulk, dom.M_surf * f_next.boundary)
         self.shifts = _shifts(config.eps, config.tau)
-
-    def take(self, rows):
-        """The system of ``rows``, a list of rows or one row's index, with
-        the same factors: one row gives that row's own system, and a system
-        of one row is its own only row."""
-        if self.w_prev.ndim == 1:
-            return self
-        rows = _one(rows)
-        out = copy.copy(self)
-        if isinstance(rows, list):  # the rows of the masses are alike: keep the first
-            mc, m_surf, flat_chain = self.masses
-            k = len(rows)
-            out.masses = mc[:k], m_surf[:k], flat_chain[:k * len(self.dom.boundary_chain)]
-            out.mc = out.masses[0]
-        else:
-            out.masses, out.mc = None, self.dom.combined_mass
-        out.m0, out.w_prev, out.gc_tau, out.mass_prev, out.load = (
-            self.m0[rows], self.w_prev[rows], self.gc_tau[rows], self.mass_prev[rows],
-            self.load[rows])
-        return out
 
     @functools.cached_property
     def lu(self):
@@ -618,20 +521,43 @@ class _StepSystem:
             lus = _SCHUR_FACTORS[key] = [splu(m) for m in self.picard_matrix()]
         return lus
 
-    def residual(self, w, mu, start=None):
-        """The iterate at (w, mu); raises a StepError whose ``rows`` marks the
-        rows of an iterate that is not finite."""
-        if not (np.isfinite(w).all() and np.isfinite(mu).all()):
-            raise _NotFinite(~(np.isfinite(w).all(axis=-1) & np.isfinite(mu).all(axis=-1)))
+    def residual(self, w, mu, start=None, rows=None):
+        """The iterate at (w, mu); raises a StepError if (w, mu) is not finite.
+
+        With ``rows``, the systems of runs that share this domain and config,
+        it is the residual over their rows: w, mu and start hold one entry
+        per system, and it returns one entry per system, its iterate or the
+        StepError of a row that is not finite.  The finite rows share one
+        ``_graph_terms`` call on their stacked u and warm starts, and each
+        system finishes its own row.
+        """
+        dom, cfg = self.dom, self.cfg
+        if rows is None:
+            if not _finite(w, mu):
+                raise StepError("nonlinear iterate is not finite")
+            return self._iterate(w, mu, *_graph_terms(dom, cfg.graphs, cfg.eps, w + self.m0, start))
+        out = [None if _finite(x, y) else StepError("nonlinear iterate is not finite")
+               for x, y in zip(w, mu)]
+        live = [k for k, entry in enumerate(out) if entry is None]
+        if live:
+            u = np.array([w[k] + rows[k].m0 for k in live])
+            starts = (np.array([start[k][0] for k in live]),
+                      np.array([start[k][1] for k in live]))
+            terms = _graph_terms(dom, cfg.graphs, cfg.eps, u, starts)
+            for q, k in enumerate(live):
+                out[k] = rows[k]._iterate(w[k], mu[k], *[(b[q], g[q]) for b, g in terms])
+        return out
+
+    def _iterate(self, w, mu, j, xi, slope):
+        """The iterate at the finite (w, mu) with the resolvent, Yosida and
+        Yosida-slope pairs j, xi and slope."""
         dom = self.dom
-        gc, A = self.mc, dom.coupled_stiffness
-        eps = self.cfg.eps
-        j, xi, slope = _graph_terms(dom, self.cfg.graphs, eps, w + self.m0, start)
+        gc, A = dom.combined_mass, dom.coupled_stiffness
         gc_dw = self.gc_tau * (w - self.w_prev)
-        eps_dw = eps * gc_dw
+        eps_dw = self.cfg.eps * gc_dw
         # Ac annihilates constants: centring mu first keeps a large mean of mu
         # out of the rounding of Ac mu
-        mu_c = mu - _column(_dot(mu, gc) / self.gc_sum)
+        mu_c = mu - float(mu @ gc) / self.gc_sum
         gc_mu, a_mu, a_w = gc * mu, _spmv(A, mu_c), _spmv(A, w)
         R1 = gc_dw + a_mu
         # an overflow or a non-finite Yosida value makes R2 or a norm inf or
@@ -639,17 +565,17 @@ class _StepSystem:
         # pairs R1 acts as R1_0, R1 less its Mc-weighted mean, and
         # |R1_0|_V0* <= |R1_0|_H* / sqrt(mu2): b1 bounds r1 with no solve
         with np.errstate(over="ignore", invalid="ignore"):
-            nvec, d = _mass_weighted(dom, xi, self.masses), _mass_weighted(dom, slope, self.masses)
+            nvec, d = _mass_weighted(dom, xi), _mass_weighted(dom, slope)
             g = nvec + self.load
             R2 = gc_mu - (eps_dw + a_w + g)
-            R1_0 = R1 - (R1.sum(axis=-1, keepdims=R1.ndim > 1) / self.gc_sum) * gc
+            R1_0 = R1 - (float(R1.sum()) / self.gc_sum) * gc
             b1 = _h_norm(dom, R1_0) / math.sqrt(dom.mu2_lower)
             r2 = _h_norm(dom, R2)
         return _Iterate(w, mu, R1, R2, b1, r2,
                         j, xi, d, g, mu_c, a_mu, (gc_mu, a_w, nvec, self.load, eps_dw))
 
     def exact_r1(self, it):
-        """r1 = |R1|_V0* of a one-row iterate, one mean-constrained solve."""
+        """r1 = |R1|_V0*, one mean-constrained solve."""
         return _dual_norm_collapsed(self.dom, it.R1)
 
     def lower_r1(self, it):
@@ -684,7 +610,7 @@ class _StepSystem:
         rejection by lb1 is one the solved r1 makes.
         """
         tol = self.cfg.newton_tol
-        if self.above_every_scale(it.r2):
+        if not it.r2 <= 10.0 * tol:  # above every capped scale
             return False
         s1, s2 = self.scales(it)
         return it.r2 <= tol * s2 and (
@@ -692,24 +618,19 @@ class _StepSystem:
             or (self.lower_r1(it) <= (1.0 + _LB1_MARGIN) * tol * s1
                 and self.exact_r1(it) <= tol * s1))
 
-    def above_every_scale(self, r2):
-        """Whether r2 > 10 newton_tol, the threshold at the largest capped
-        scale, so that ``converged`` rejects without computing a scale."""
-        return not r2 <= 10.0 * self.cfg.newton_tol
-
     def mass_shift(self, w):
-        """The constant that restores the previous combined mean to w, per row."""
-        return _column((self.mass_prev - _dot(w, self.mc)) / self.gc_sum)
+        """The constant that restores the previous combined mean to w."""
+        return (self.mass_prev - float(w @ self.dom.combined_mass)) / self.gc_sum
 
     def reduce(self, r1, r2):
         """Right-hand side of the reduced system for the block right-hand side (r1, r2)."""
-        return r1 - _spmv(self.dom.coupled_stiffness, r2 / self.mc)
+        return r1 - _spmv(self.dom.coupled_stiffness, r2 / self.dom.combined_mass)
 
     def potential(self, r2, w, d):
         """Back-substitution mu = (r2 + (eps Mc/tau + Ac + D) w)/Mc."""
         dom = self.dom
         return ((r2 + (self.cfg.eps * self.gc_tau + d) * w + _spmv(dom.coupled_stiffness, w))
-                / self.mc)
+                / dom.combined_mass)
 
     def schur_solve(self, x):
         """S0^-1 x: -Im((Ac + c1 Mc)^-1 x)/Im c1 by partial fractions over a
@@ -718,21 +639,22 @@ class _StepSystem:
         lus = self.lu
         if len(lus) == 1:
             return lus[0].solve(x.T).T.imag / -self.shifts[0].imag  # = -Im(..)/Im c1
-        return lus[1].solve((self.mc * lus[0].solve(x.T).T).T).T
+        return lus[1].solve((self.dom.combined_mass * lus[0].solve(x.T).T).T).T
 
     def gram(self, x):
         """G x = S0^-1 Ac Mc^-1 x.  Over a complex pair, x/((x + c1)(x + c2)) =
         Im(c1/(x + c1))/Im c1 makes it one shifted solve,
         Im(c1 (Ac + c1 Mc)^-1 x)/Im c1.  A real pair keeps the product form:
-        its partial fractions divide by c1 - c2, which is 0 at a double root."""
+        its partial fractions divide by c1 - c2, which is 0 at a double root.
+        The rows of a stack are the columns of one solve."""
         lus = self.lu
         if len(lus) == 1:
             c = self.shifts[0]
             return (c * lus[0].solve(x.T).T).imag / c.imag
-        return self.schur_solve(_spmv(self.dom.coupled_stiffness, x / self.mc))
+        return self.schur_solve(_spmv(self.dom.coupled_stiffness, x / self.dom.combined_mass))
 
     def jacobian(self, it):
-        """The reduced Newton matrix S(D) of a one-row iterate, assembled."""
+        """The reduced Newton matrix S(D), assembled."""
         gc, A = self.dom.combined_mass, self.dom.coupled_stiffness
         coupling = sp.diags(self.cfg.eps * self.gc_tau + it.d) + A
         return (sp.diags(self.gc_tau) + A @ sp.diags(1.0 / gc) @ coupling).tocsc()
@@ -742,8 +664,15 @@ class _StepSystem:
         return [self.dom.shifted(c) for c in self.shifts]
 
 
+# The solvers below are generators.  Each request they yield is a tuple
+# (kind, *args) that ``_solve_step`` answers with system.kind(*args) of the
+# solver's system: ("residual", w, mu, start), ("schur_solve", x) or
+# ("gram", x).  A request that raises a ChbsError is thrown back into the
+# solver at its yield.
+
 def _newton_direction(system, it, rtol=_CG_RTOL):
-    """(Newton direction dw, CG iterations) at an iterate, or None if CG stalls.
+    """Solver of (Newton direction dw, CG iterations) at an iterate, or None
+    if CG stalls.
 
     S(D) = S0 + Ac Mc^-1 D, and G = S0^-1 Ac Mc^-1 is symmetric positive
     semidefinite as S0 Mc^-1 is a polynomial in Ac Mc^-1.  With b = S0^-1 rhs
@@ -752,169 +681,36 @@ def _newton_direction(system, it, rtol=_CG_RTOL):
     CG runs on it until its residual is ``rtol`` times |s b|; each iteration
     applies G once, to s p, and G (s z) is accumulated from those products,
     so z itself is never formed.  Where D = 0, CG takes no iteration and dw = b.
-
-    Over a stack of rows, each row runs its own CG to its own ``rtol``, the
-    G products of all rows in one solve.  A row that meets its tolerance
-    leaves with its direction, and the others go on without it.  The counts
-    are then a list, with -1 for a row whose CG stalls (None if every row
-    stalls).
     """
     s = np.sqrt(it.d)
-    b = system.schur_solve(system.reduce(-it.R1, -it.R2))
+    b = yield "schur_solve", system.reduce(-it.R1, -it.R2)
     r = s * b
     p, g_sz = r.copy(), np.zeros_like(r)
-    one = b.ndim == 1
-    rr = float(r @ r) if one else np.vecdot(r, r)
+    rr = float(r @ r)
     stop = rtol * rtol * rr
-    dw = counts = rows = None  # once a row has left: the directions, counts and live rows
     for k in range(_CG_MAXITER + 1):
-        done = rr <= stop
-        if done if one else done.any():
-            done = done.tolist() if not one else [done]
-            if dw is None and all(done):
-                return b - g_sz, (k if one else [k] * len(b))
-            if dw is None:
-                dw, counts, rows = np.empty_like(b), [-1] * len(b), list(range(len(b)))
-            keep = [q for q, x in enumerate(done) if not x]
-            for q, x in enumerate(done):
-                if x:
-                    dw[rows[q]] = b[q] - g_sz[q]
-                    counts[rows[q]] = k
-            if not keep:
-                return dw, counts
-            system, rows = system.take(keep), [rows[q] for q in keep]
-            s, b, r, p, g_sz, rr, stop = (x[keep] for x in (s, b, r, p, g_sz, rr, stop))
+        if rr <= stop:
+            return b - g_sz, k
         if k == _CG_MAXITER:
-            return None if dw is None else (dw, counts)
-        q = system.gram(s * p)
+            return None
+        q = yield "gram", s * p
         ap = p + s * q
-        alpha = rr / float(p @ ap) if one else (rr / np.vecdot(p, ap))[:, None]
+        alpha = rr / float(p @ ap)
         g_sz += alpha * q
         r -= alpha * ap
-        rr, rr_prev = (float(r @ r) if one else np.vecdot(r, r)), rr
-        p *= rr / rr_prev if one else (rr / rr_prev)[:, None]
+        rr, rr_prev = float(r @ r), rr
+        p *= rr / rr_prev
         p += r
 
 
 _STEP_LENGTHS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
 
-def _evaluate(system, w, mu, start):
-    """(system, iterate, bad): the residual at the rows of (w, mu) whose
-    iterate is finite, with their system, and the mask of the rows left out,
-    None if there is none.  The iterate is None if every row is left out."""
-    try:
-        return system, system.residual(w, mu, start), None
-    except _NotFinite as exc:
-        bad = np.atleast_1d(exc.rows)
-        keep = np.flatnonzero(~bad).tolist()
-        if not keep:
-            return None, None, bad
-        system = system.take(keep)
-        start = None if start is None else tuple(_pick(x, keep) for x in start)
-        return system, system.residual(_pick(w, keep), _pick(mu, keep), start), bad
-
-
-def _decisions(system, it):
-    """``system.converged`` of each row of the iterate, with the ChbsError of
-    a row whose r1 solve fails in place of its decision."""
-    decided = []
-    for p, r2 in enumerate([it.r2] if it.w.ndim == 1 else it.r2.tolist()):
-        try:
-            # a row whose r2 alone makes converged reject is rejected
-            # before its iterate is taken apart
-            decided.append(bool(not system.above_every_scale(r2)
-                                and system.converged(it.take(p))))
-        except ChbsError as exc:
-            decided.append(exc)
-    return decided
-
-
-def _merits(it):
-    """The merit hypot(b1, r2) of each row of the iterate, as a list."""
-    if it.w.ndim == 1:
-        return [math.hypot(it.b1, it.r2)]
-    return list(map(math.hypot, it.b1.tolist(), it.r2.tolist()))
-
-
-def _unconverged(system, it, stage, iters):
-    """The StepError of a one-row iterate that ends its step unconverged,
-    naming the stage and both residuals, the exact r1 where R1 is finite and
-    the bound b1 where it is not; or the ChbsError of the r1 solve."""
-    try:
-        r1 = system.exact_r1(it) if np.isfinite(it.R1).all() else it.b1
-    except ChbsError as exc:
-        return exc
-    return StepError(f"{stage} did not converge in {iters} iterations "
-                     f"(residuals {r1:.3e}, {it.r2:.3e})")
-
-
-def _line_search(system, it, dw, merits, tol):
-    """Damped updates of the rows of the iterate along their Newton
-    directions dw: every row tries lambda = 1, 1/2, ..., 1/32 in turn, all
-    rows at one lambda in one residual, and leaves at the first lambda that
-    lowers its merit enough.  Returns (trial, accepted, failed): the accepted
-    trial iterates, stacked in the order of their rows (None if there is
-    none), those rows (None if they are all the rows, at one lambda), and
-    for each row whose trial iterate is not finite, the text of its
-    StepError."""
-    dw = dw + system.mass_shift(it.w + dw)
-    dmu = system.potential(-it.R2, dw, it.d)
-    rows, found, failed = None, [], {}  # rows: those still searching, None for all
-    for lam in _STEP_LENGTHS:
-        system, trial, bad = _evaluate(system, it.w + lam * dw, it.mu + lam * dmu, it.j)
-        if bad is not None:
-            rows = list(range(len(merits))) if rows is None else rows
-            for q, last in zip(np.flatnonzero(bad).tolist(), _last_finite(it, bad)):
-                failed[rows[q]] = _not_finite(f"the Newton trial at lambda = {lam!r}", last)
-            if trial is None:
-                break
-            keep = np.flatnonzero(~bad).tolist()
-            it, dw, dmu = it.take(keep), _pick(dw, keep), _pick(dmu, keep)
-            rows, merits = [rows[q] for q in keep], [merits[q] for q in keep]
-        keep = []
-        for q, merit_try in enumerate(_merits(trial)):
-            if not (merit_try <= (1.0 - 1e-4 * lam) * merits[q] or merit_try <= tol):
-                keep.append(q)
-        if not keep and rows is None:  # every row at this lambda
-            return trial, None, failed
-        rows = list(range(len(merits))) if rows is None else rows
-        found += [(row, trial, q) for q, row in enumerate(rows) if q not in keep]
-        if not keep:
-            break
-        if len(keep) < len(rows):
-            system, it, dw, dmu = system.take(keep), it.take(keep), _pick(dw, keep), _pick(dmu, keep)
-            rows, merits = [rows[q] for q in keep], [merits[q] for q in keep]
-    found.sort(key=lambda entry: entry[0])
-    trial = _Iterate.stack([t.take(q) for _, t, q in found]) if found else None
-    return trial, [row for row, _, _ in found], failed
-
-
-def _last_finite(it, bad):
-    """(b1, r2) of the rows of the iterate that ``bad`` marks."""
-    if it.w.ndim == 1:
-        return [(it.b1, it.r2)]
-    return list(zip(it.b1[bad].tolist(), it.r2[bad].tolist()))
-
-
-def _fall_back(system, it, iters, lin_iters):
-    """A one-row step handed to the Picard iteration: its result, or the
-    ChbsError that ends it.  Picard ends converged, at newton_max or at a
-    non-finite merit, so the step ends with it."""
-    try:
-        it, iters = _solve_picard(system, it, iters)
-        if system.converged(it):
-            return it, iters, lin_iters
-        return _unconverged(system, it, "Picard fallback", iters)
-    except ChbsError as exc:
-        return exc
-
-
-def _solve_step(system, w0, mu0, j0):
-    """Damped Newton with Picard fallback from (w0, mu0), w0 first shifted to
-    the conserved mean, as is each direction dw before dmu is back-substituted.
-    The first residual warm-starts its resolvents from the pair j0, each
-    later one from those of the iterate it follows.
+def _newton(system, w0, mu0, j0):
+    """Solver of one step: damped Newton with Picard fallback from (w0, mu0),
+    w0 first shifted to the conserved mean, as is each direction dw before
+    dmu is back-substituted.  The first residual warm-starts its resolvents
+    from the pair j0, each later one from those of the iterate it follows.
 
     Each direction is solved to the relative CG tolerance of the
     Eisenstat-Walker forcing term (choice 2): 0.9 (m_k/m_{k-1})^2 for the
@@ -923,98 +719,142 @@ def _solve_step(system, w0, mu0, j0):
     winning if the two cross.  newton_max iterations in all, or a non-finite
     merit, end the step with a StepError naming the stage and both residuals,
     the exact r1 where R1 is finite and the bound b1 where it is not.  A CG
-    stall or a failed line search hands the step to ``_solve_picard``.
+    stall or a failed line search hands the step to ``_solve_picard``.  An
+    iterate that is not finite ends the step with a StepError naming its
+    stage and the (b1, r2) of the last finite iterate.
 
-    Over a stack of rows the rows step in lockstep, each with its own
-    iteration counts, forcing term and line search: every residual, CG
-    iteration and line-search trial serves the rows still iterating at once.
-    A row that converges or fails leaves, and one that falls back runs its
-    Picard iteration alone, so each row does what it does alone, to the bit.
-
-    Returns one entry per row: (one-row iterate, nonlinear iterations, CG
-    iterations), or the ChbsError that ended the row's step.
+    Returns (iterate, nonlinear iterations, CG iterations).
     """
     cfg = system.cfg
-    count = 1 if w0.ndim == 1 else len(w0)
-    out = [None] * count
-    iters, lin_iters, merit_prev = [0] * count, [0] * count, [None] * count
-    members = list(range(count))  # the row of the input of each row of the system
-    system, it, bad = _evaluate(system, w0 + system.mass_shift(w0), mu0.copy(), j0)
-    if bad is not None:
-        for p in np.flatnonzero(bad).tolist():
-            out[p] = StepError(_not_finite("the start of the step"))
-        members = np.flatnonzero(~bad).tolist()
-    while members:
-        go, etas, merits = [], [], []
-        for p, verdict, merit in zip(range(len(members)), _decisions(system, it), _merits(it)):
-            m = members[p]
-            if verdict is not False:  # converged, or its r1 solve failed
-                out[m] = verdict if verdict is not True else (it.take(p), iters[m], lin_iters[m])
-            elif iters[m] == cfg.newton_max or not math.isfinite(merit):
-                out[m] = _unconverged(system.take(p), it.take(p), "Newton", iters[m])
+    try:
+        it = yield "residual", w0 + system.mass_shift(w0), mu0.copy(), j0
+    except StepError:
+        raise StepError(_not_finite("the start of the step")) from None
+    iters = lin_iters = 0
+    merit_prev, stage = None, "Newton"
+    while not system.converged(it):
+        merit = math.hypot(it.b1, it.r2)
+        if iters == cfg.newton_max or not math.isfinite(merit):
+            r1 = system.exact_r1(it) if np.isfinite(it.R1).all() else it.b1
+            raise StepError(f"{stage} did not converge in {iters} iterations "
+                            f"(residuals {r1:.3e}, {it.r2:.3e})")
+        eta = _CG_ETA_MAX if merit_prev is None else 0.9 * (merit / merit_prev) ** 2
+        eta = min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit))
+        merit_prev = merit
+        direction, trial = (yield from _newton_direction(system, it, eta)), None
+        if direction is not None:
+            dw, n_lin = direction
+            lin_iters += n_lin
+            dw = dw + system.mass_shift(it.w + dw)
+            dmu = system.potential(-it.R2, dw, it.d)
+            for lam in _STEP_LENGTHS:
+                try:
+                    trial = yield "residual", it.w + lam * dw, it.mu + lam * dmu, it.j
+                except StepError:
+                    raise StepError(_not_finite(f"the Newton trial at lambda = {lam!r}",
+                                                (it.b1, it.r2))) from None
+                merit_try = math.hypot(trial.b1, trial.r2)
+                if merit_try <= (1.0 - 1e-4 * lam) * merit or merit_try <= cfg.newton_tol:
+                    break
             else:
-                eta = _CG_ETA_MAX if merit_prev[m] is None else 0.9 * (merit / merit_prev[m]) ** 2
-                etas.append(min(_CG_ETA_MAX, max(eta, _CG_RTOL, 0.5 * cfg.newton_tol / merit)))
-                merit_prev[m] = merit
-                go.append(p)
-                merits.append(merit)
-        if len(go) < len(members):
-            if not go:
-                break
-            system, it, members = system.take(go), it.take(go), [members[p] for p in go]
-        direction = _newton_direction(system, it, etas[0] if len(etas) == 1 else np.array(etas))
-        n_lin = ([-1] * len(members) if direction is None
-                 else direction[1] if isinstance(direction[1], list) else [direction[1]])
-        search = []  # the rows whose CG did not stall
-        for p, n in enumerate(n_lin):
-            if n >= 0:
-                search.append(p)
-                lin_iters[members[p]] += n
-                iters[members[p]] += 1
-        trial, accepted, failed = None, [], {}
-        if len(search) == len(members):
-            trial, accepted, failed = _line_search(system, it, direction[0], merits,
-                                                   cfg.newton_tol)
-        elif search:
-            trial, accepted, failed = _line_search(
-                system.take(search), it.take(search), _pick(direction[0], search),
-                [merits[p] for p in search], cfg.newton_tol)
-            accepted = search if accepted is None else [search[q] for q in accepted]
-            failed = {search[q]: text for q, text in failed.items()}
-        if accepted is not None:
-            for p, m in enumerate(members):
-                if p in failed:
-                    out[m] = StepError(failed[p])
-                elif p not in accepted:  # CG stalled or the line search failed
-                    out[m] = _fall_back(system.take(p), it.take(p), iters[m], lin_iters[m])
-            if not accepted:
-                break
-            if len(accepted) < len(members):
-                system, members = system.take(accepted), [members[p] for p in accepted]
+                trial = None
+            iters += 1
+        if trial is None:  # CG stalled or the line search failed
+            stage = "Picard fallback"
+            trial, iters = yield from _solve_picard(system, it, iters)
         it = trial
-    return out
+    return it, iters, lin_iters
 
 
 def _solve_picard(system, it, iters):
-    """Frozen-nonlinearity fixed-point iteration on a one-row system, each
-    iterate an exact S0 solve, until the step converges, its merit is not
-    finite or newton_max is spent."""
+    """Solver of the frozen-nonlinearity fixed-point iteration, each iterate
+    an exact S0 solve, until the step converges, its merit is not finite or
+    newton_max is spent; returns (iterate, iterations)."""
     r1 = system.gc_tau * system.w_prev
     while not (system.converged(it) or iters == system.cfg.newton_max
                or not math.isfinite(math.hypot(it.b1, it.r2))):
         r2 = it.g - system.cfg.eps * r1
-        w = system.schur_solve(system.reduce(r1, r2))
+        w = yield "schur_solve", system.reduce(r1, r2)
         w = w + system.mass_shift(w)
         iters += 1
         try:
-            it = system.residual(w, system.potential(r2, w, 0.0), it.j)
-        except _NotFinite:
+            it = yield "residual", w, system.potential(r2, w, 0.0), it.j
+        except StepError:
             raise StepError(_not_finite(f"Picard iteration {iters}", (it.b1, it.r2))) from None
     return it, iters
 
 
+def _serve(kind, systems, members, requests):
+    """The answers to the requests of one kind of the solvers ``members``,
+    in order: one residual over their rows, or one S0 or G application to
+    their rows as the columns of one solve, whose rows answer them.  A
+    ChbsError it raises answers each."""
+    system = systems[members[0]]
+    try:
+        if len(requests) == 1:
+            return [getattr(system, kind)(*requests[0][1:])]
+        if kind == "residual":
+            w, mu, start = zip(*(request[1:] for request in requests))
+            return system.residual(w, mu, start, rows=[systems[m] for m in members])
+        return getattr(system, kind)(np.array([request[1] for request in requests]))
+    except ChbsError as exc:
+        return [exc] * len(requests)
+
+
+def _solve_step(systems, solvers):
+    """Run the solvers, one per system, to their ends, answering their
+    requests; the systems share the domain and the config.
+
+    While several solvers are waiting, each round answers every solver
+    waiting on one kind of request in one ``_serve`` call: the kind of the
+    first solver that asks for a solve, and residuals only once none does,
+    so members meet at their residuals.  A solver left alone is answered
+    request by request.  Each solver computes what it computes alone, to
+    the bit.
+
+    Returns one entry per solver: its return value, or the ChbsError that
+    ended it.
+    """
+    results = [None] * len(solvers)
+    pending = {}  # solver -> its request
+    answers = [(m, None) for m in range(len(solvers))]
+    while True:
+        for m, answer in answers:  # an answer that is a ChbsError is thrown in
+            solver = solvers[m]
+            try:
+                pending[m] = (solver.throw(answer) if isinstance(answer, ChbsError)
+                              else solver.send(answer))
+            except StopIteration as stop:
+                results[m] = stop.value
+            except ChbsError as exc:
+                results[m] = exc
+        if len(pending) < 2:
+            break
+        for request in pending.values():  # the first solve asked for, else residuals
+            kind = request[0]
+            if kind != "residual":
+                break
+        members = [m for m, request in pending.items() if request[0] == kind]
+        answers = zip(members, _serve(kind, systems, members, [pending.pop(m) for m in members]))
+    for m, request in pending.items():  # the one solver left
+        system, solver = systems[m], solvers[m]
+        try:
+            while True:
+                try:
+                    answer = getattr(system, request[0])(*request[1:])
+                except ChbsError as exc:
+                    request = solver.throw(exc)
+                else:
+                    request = solver.send(answer)
+        except StopIteration as stop:
+            results[m] = stop.value
+        except ChbsError as exc:
+            results[m] = exc
+    return results
+
+
 def _level(state, config, f_next, it, iters, lin_iters):
-    """The state of the level a step reaches at the one-row iterate ``it``."""
+    """The state of the level a step reaches at the iterate ``it``."""
     dom = state.v.domain
     xi = FieldPair(*it.xi, dom)
     offset = _offset_pair(config.graphs, xi, state.v.bulk + state.m0, f_next)
@@ -1034,24 +874,17 @@ def _level(state, config, f_next, it, iters, lin_iters):
 
 def _step_rows(states, config, f_nexts, starts):
     """One level of each of the states, runs that share the domain and the
-    config, in lockstep (see ``_solve_step``): one system of a row per state,
-    or the state's own system when it is alone.  ``f_nexts`` and ``starts``
-    hold the forcing and the start of each, as for ``step``.  Returns the new
-    state of each, or the ChbsError that ended its step."""
-    dom = states[0].v.domain
-    w0, mu0, j0 = zip(*[((s.v.bulk, s.mu.bulk) if st is None else st) + ((s.j.bulk, s.j.boundary),)
-                        for s, st in zip(states, starts)])
-    if len(states) == 1:
-        system = _StepSystem(dom, config, states[0].m0, states[0].v.bulk, f_nexts[0])
-        args = w0[0], mu0[0], j0[0]
-    else:
-        system = _StepSystem(dom, config, [s.m0 for s in states],
-                             np.array([s.v.bulk for s in states]), f_nexts)
-        args = _rows(w0), _rows(mu0), _rows(j0)
-    try:
-        results = _solve_step(system, *args)
-    except ChbsError as exc:  # a failure every row shares
-        results = [exc] * len(states)
+    config, in lockstep: one ``_newton`` solver per state, all run by one
+    ``_solve_step``.  ``f_nexts`` and ``starts`` hold the forcing and the
+    start of each, as for ``step``.  Returns the new state of each, or the
+    ChbsError that ended its step."""
+    systems, solvers = [], []
+    for state, f_next, start in zip(states, f_nexts, starts):
+        system = _StepSystem(state.v.domain, config, state.m0, state.v.bulk, f_next)
+        w0, mu0 = (state.v.bulk, state.mu.bulk) if start is None else start
+        systems.append(system)
+        solvers.append(_newton(system, w0, mu0, (state.j.bulk, state.j.boundary)))
+    results = _solve_step(systems, solvers)
     return [res if isinstance(res, ChbsError) else _level(s, config, f, *res)
             for s, f, res in zip(states, f_nexts, results)]
 
@@ -1067,7 +900,8 @@ def step(state, config, f_next, *, start=None):
     the old combined mean, so a step that converges at its start conserves
     the mean as every other step does; for the old state that constant is
     exactly 0.  The resolvents of the first iterate start from the old
-    level's ``j``.  This is the one-run case of ``_step_rows``.
+    level's ``j``.  The step is ``_step_rows`` of one state: its ``_newton``
+    solver answered request by request.
 
     Returns the new state; raises StepError if the nonlinear solve fails.
     """
@@ -1110,6 +944,9 @@ def _run_members(config, members):
     """The trajectories of the runs of ``members``, pairs (u0, forcing) on one
     domain, integrated under one config in lockstep: each level steps every
     run still going with ``_step_rows``, or with ``step`` once one is left.
+    Each member's step is its own ``_newton`` solver, the one a run alone
+    uses; ``_solve_step`` answers the members' requests of one kind in one
+    call, and holds their residuals back while any of them asks for a solve.
     Each run keeps its own predictor history, and a failure ends its own
     trajectory, flagged, while the others go on; each trajectory is, to the
     bit, the one ``run`` gives for its member alone."""
@@ -1155,7 +992,8 @@ def run(config, u0, forcing=None):
     Newton from ``_extrapolate`` of v and mu through the last min(4, k)
     levels, which ``run`` keeps in a history of four apart from the
     trajectory.  A failure in any step ends the run and returns the partial
-    trajectory flagged.  This is the one-run case of ``_run_members``.
+    trajectory flagged.  This is ``_run_members`` of one member, whose
+    ``_newton`` solver ``_solve_step`` answers request by request.
     """
     (traj,) = _run_members(config, [(u0, forcing)])
     return traj

@@ -140,10 +140,8 @@ def pairing(ell, z):
 def _collapse(dom, bulk, boundary):
     """Bulk-node coefficients of the functional with coefficients (bulk,
     boundary) restricted to trace-consistent pairs: each boundary-chain
-    coefficient is added, in place, to its bulk node, in every row of a
-    stack of rows (the chain indexes the last axis, the first of the
-    transposes).  Returns ``bulk``."""
-    bulk.T[dom.boundary_chain] += boundary.T
+    coefficient is added, in place, to its bulk node.  Returns ``bulk``."""
+    bulk[dom.boundary_chain] += boundary
     return bulk
 
 

@@ -98,8 +98,9 @@ def continuous_dependence_experiment(config, data1, data2, tau_levels=3):
         / (|v1(0) - v2(0)|_{V0*}^2 + sum tau |f1 - f2|_{V*}^2)
 
     is recorded, the denominator floored at 1e-30.  At each tau the two
-    runs step in lockstep (``scheme._run_members``), and each is
-    bit-identical to its ``run`` alone.
+    runs step in lockstep (``scheme._run_members``): each runs the step
+    solver of a run alone, and their residuals and S0 solves are shared
+    calls, so each is bit-identical to its ``run`` alone.
     """
     (u01, f1), (u02, f2) = data1, data2
     if tau_levels < 1:

@@ -275,7 +275,11 @@ def test_run_picard_budget_exhausted_writes_flagged_partial_outputs(tmp_path, mo
                                                                    capsys):
     # no Newton direction hands every step to Picard, which runs in what is
     # left of newton_max: all of it, as a stalled CG counts no iteration
-    monkeypatch.setattr(scheme, "_newton_direction", lambda system, it, rtol: None)
+    def stalled(system, it, rtol):
+        return None
+        yield  # a solver that stalls without a request
+
+    monkeypatch.setattr(scheme, "_newton_direction", stalled)
     cfg = write_config(tmp_path, QUICK_RUN.replace("[scheme]\n", "[scheme]\nnewton_max = 2\n"))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1

@@ -1,9 +1,10 @@
 """Runs stepped in lockstep give, member for member, the bits of runs alone.
 
 ``scheme._run_members`` steps the runs of one (domain, config) together:
-one residual, CG iteration and line-search trial serves every member still
-iterating.  Each member's trajectory must equal ``run`` on that member
-alone in every field of every state, and in its abort flag and error text.
+each member runs the step solver of a run alone, and one residual call, S0
+solve or G application serves every member waiting on it.  Each member's
+trajectory must equal ``run`` on that member alone in every field of every
+state, and in its abort flag and error text.
 """
 
 import math
@@ -134,11 +135,8 @@ def test_member_falling_back_to_picard_matches_its_run_alone(monkeypatch):
     newton_direction = scheme._newton_direction
 
     def stall_some(system, it, rtol=scheme._CG_RTOL):
-        out = newton_direction(system, it, rtol)
-        if it.w.ndim == 1:
-            return None if it.w[0] > 0.0 else out
-        dw, counts = out
-        return dw, [-1 if w[0] > 0.0 else n for w, n in zip(it.w, counts)]
+        out = yield from newton_direction(system, it, rtol)
+        return None if it.w[0] > 0.0 else out
 
     monkeypatch.setattr(scheme, "_newton_direction", stall_some)
     calls = []
@@ -146,7 +144,7 @@ def test_member_falling_back_to_picard_matches_its_run_alone(monkeypatch):
 
     def counted(system, it, iters):
         calls.append(it.w.ndim)
-        return solve_picard(system, it, iters)
+        return (yield from solve_picard(system, it, iters))
 
     monkeypatch.setattr(scheme, "_solve_picard", counted)
     g = GRAPHS["cubic"]

@@ -336,6 +336,16 @@ def test_obstacle_step_agrees_with_dense_picard_oracle(domain_cache, rng):
     assert np.abs(nxt.v.bulk - w_ref).max() <= 1e-8
 
 
+def answering(value):
+    """A stand-in for the ``_newton_direction`` solver that returns ``value``
+    without a request."""
+    def solver(system, it, rtol):
+        return value
+        yield  # a generator, as the solver it stands in for
+
+    return solver
+
+
 @pytest.mark.parametrize("pair", [POLY_PAIR, OBST_PAIR], ids=["polynomial", "obstacle"])
 def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch, pair):
     # a zero Newton direction never lowers the merit, so the line search
@@ -343,15 +353,14 @@ def test_picard_fallback_agrees_with_dense_oracle(domain_cache, rng, monkeypatch
     dom = domain_cache(5)
     cfg = make_config(graphs=pair, newton_tol=1e-12)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
-    zero = np.zeros(dom.n_bulk)
     monkeypatch.setattr(scheme_module, "_newton_direction",
-                        lambda system, it, rtol: (zero, 0))
+                        answering((np.zeros(dom.n_bulk), 0)))
     picard_calls = []
     solve_picard = scheme_module._solve_picard
 
     def counted(*args):
         picard_calls.append(1)
-        return solve_picard(*args)
+        return (yield from solve_picard(*args))
 
     monkeypatch.setattr(scheme_module, "_solve_picard", counted)
     nxt = step(state, cfg, FieldPair.zeros(dom))
@@ -379,7 +388,8 @@ def test_cg_direction_matches_dense_solve(domain_cache, rng, pair, eps, tau, fac
     # a perturbed iterate that leaves [-1, 1], so D is nonzero for the obstacle too
     w = state.v.bulk + 0.9 * (2.0 * rng.random(dom.n_bulk) - 1.0)
     it = system.residual(w, state.mu.bulk + rng.standard_normal(dom.n_bulk))
-    dw, n_lin = scheme_module._newton_direction(system, it)
+    ((dw, n_lin),) = scheme_module._solve_step([system],
+                                               [scheme_module._newton_direction(system, it)])
     assert n_lin > 0
     ref = np.linalg.solve(system.jacobian(it).toarray(), system.reduce(-it.R1, -it.R2))
     assert np.abs(dw - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -408,13 +418,13 @@ def test_cg_stall_falls_back_to_picard(domain_cache, rng, monkeypatch):
     dom = domain_cache(7)
     cfg = make_config(newton_tol=1e-12)
     state = initialize(cfg, random_u0(dom, rng, amplitude=0.6))
-    monkeypatch.setattr(scheme_module, "_newton_direction", lambda system, it, rtol: None)
+    monkeypatch.setattr(scheme_module, "_newton_direction", answering(None))
     picard_calls = []
     solve_picard = scheme_module._solve_picard
 
     def counted(*args):
         picard_calls.append(1)
-        return solve_picard(*args)
+        return (yield from solve_picard(*args))
 
     monkeypatch.setattr(scheme_module, "_solve_picard", counted)
     nxt = step(state, cfg, FieldPair.zeros(dom))
@@ -435,7 +445,7 @@ def test_newton_update_keeps_mean_exact_for_any_solver_error(domain_cache, rng, 
     newton_direction = scheme_module._newton_direction
 
     def offset_direction(system, it, rtol):
-        dw, n_lin = newton_direction(system, it, rtol)
+        dw, n_lin = yield from newton_direction(system, it, rtol)
         return dw + 1e-3, n_lin
 
     monkeypatch.setattr(scheme_module, "_newton_direction", offset_direction)
